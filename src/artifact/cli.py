@@ -22,10 +22,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import math
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Dict, Optional
 
 import click
@@ -34,7 +33,7 @@ import numpy as np
 from . import __version__, evaluation, hjb, order_flow, policy as policy_mod
 from .hjb import Grid, StabilityError, check_stability
 from .market_core import (MarketParams, MarketState, check_elasticity,
-                          impact_cost, price_impact)
+                          price_impact)
 from .order_flow import MarkModel, benchmark_mark_model
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "run", "main"]
@@ -96,10 +95,6 @@ SOLUTION_NOSIGNAL = "solution_nosignal.npz"
 
 class ConfigError(Exception):
     """Invalid or unreadable configuration."""
-
-
-class CheckFailure(Exception):
-    """A consistency or diagnostic check did not pass."""
 
 
 def _merge(defaults: dict, given: dict, path: str = "") -> dict:
@@ -271,21 +266,26 @@ def _q_symmetry_residual(surface: hjb.ValueSurface) -> Optional[float]:
                                - surface.values[:, :, ::-1])))
 
 
+def _solved_for(meta: dict, config: RunConfig, marks: MarkModel) -> bool:
+    """Whether a loaded solution was solved for the config's solver inputs."""
+    return all(meta.get(key) == value for key, value in hjb.solver_inputs(
+        config.params, marks, config.grid).items())
+
+
 def _solve_pair(config: RunConfig, out_dir: str):
     """Solve (or reload) the configured and the signal-free problems."""
-    stamp = config.stamp()
     solutions = {}
     for fname, p_hat in ((SOLUTION_SIGNAL, config.marks.signal_prob),
                          (SOLUTION_NOSIGNAL, 0.0)):
         path = os.path.join(out_dir, fname)
+        marks = config.marks.with_signal_prob(p_hat)
         if os.path.exists(path):
             surface, pol = hjb.load_solution(path)
-            if surface.meta.get("config_hash") == stamp["config_hash"]:
+            if _solved_for(surface.meta, config, marks):
                 solutions[fname] = (surface, pol)
                 continue
-        marks = config.marks.with_signal_prob(p_hat)
         surface, pol = hjb.solve(config.params, marks, config.grid,
-                                 meta=stamp)
+                                 meta=config.stamp())
         hjb.save_solution(path, surface, pol)
         solutions[fname] = (surface, pol)
     return solutions[SOLUTION_SIGNAL], solutions[SOLUTION_NOSIGNAL]
@@ -360,7 +360,11 @@ def _run_simulate(config: RunConfig) -> int:
     if not os.path.exists(path):
         raise ConfigError(
             f"policy file not found: {path} (run `artifact solve` first)")
-    surface, pol = hjb.load_solution(path)
+    _, pol = hjb.load_solution(path)
+    if not _solved_for(pol.meta, config, config.marks):
+        raise ConfigError(
+            f"policy file {path} was solved for other market, mark or grid "
+            f"settings than this config (run `artifact solve` again)")
     exp = config.experiment
     agent = policy_mod.TablePolicyAgent(pol, config.params)
     n_sim = int(exp["n_sim"])
@@ -515,7 +519,7 @@ def _run_check(config: RunConfig) -> int:
     expect(worst <= 1e-12, f"impact splitting residual {worst:.2e}")
 
     click.echo("solver invariants:")
-    surface, _ = hjb.solve(params, marks, config.grid, meta=config.stamp())
+    surface, pol = hjb.solve(params, marks, config.grid, meta=config.stamp())
     res = _q_symmetry_residual(surface)
     if res is not None:
         expect(res <= 1e-8, f"inventory symmetry residual {res:.2e}")
@@ -529,13 +533,10 @@ def _run_check(config: RunConfig) -> int:
 
     click.echo("simulation consistency (reduced sample):")
     exp = config.experiment
-    pol_agent = None
     n_check = min(int(exp["n_sim"]), 2000)
-    _, pol = hjb.solve(params, marks, config.grid, meta=config.stamp())
-    pol_agent = policy_mod.TablePolicyAgent(pol, params)
     report = evaluation.run_experiment(
-        params, marks, {"table": pol_agent}, n_check,
-        int(exp["base_seed"]), config.initial_state(),
+        params, marks, {"table": policy_mod.TablePolicyAgent(pol, params)},
+        n_check, int(exp["base_seed"]), config.initial_state(),
         target_q=float(exp["target_q"]),
         threads=int(exp["threads"]))["table"]
     result = evaluation.consistency_check(surface, report, params.alpha,
@@ -582,9 +583,6 @@ def _execute(mode: str, config_path: Optional[str], out_dir: Optional[str],
     except StabilityError as exc:
         click.echo(f"numerical error: {exc}", err=True)
         sys.exit(3)
-    except CheckFailure as exc:
-        click.echo(f"check failed: {exc}", err=True)
-        sys.exit(4)
     sys.exit(code)
 
 

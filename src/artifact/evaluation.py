@@ -15,12 +15,12 @@ import json
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .hjb import ValueSurface, interpolate_lambda
+from .hjb import ValueSurface
 from .market_core import MarketParams, MarketState, utility
 from .order_flow import MarkModel, PathRecord, make_path_seed, simulate_path
 

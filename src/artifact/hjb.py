@@ -15,6 +15,18 @@ the halted market.
 Grids are regular; trades live on the inventory lattice; liquidity
 arguments falling between nodes are linearly interpolated, clamped at the
 cap and floored at the frozen row.
+
+The kernels precompute every gather of a step on one stacked
+``(trade, row, q)`` layout, trades in the scan order ``0, -1, +1, -2, +2,
+...``: per mark, the flat indices of the interpolation rows and their
+multipliers, with intensity, branch weight and utility jump folded in.  A
+step loops over marks only, adding each mark's lower-row, upper-row and (for
+``alpha = 0``) additive terms in mark order, so every node's float sum is
+formed in the same order whatever the layout.  The best trade per node is
+the first maximum over the trade axis, so a later trade in scan order
+replaces an earlier one only when strictly better.  The scheme stays
+monotone with positive coefficients under the stability bound, which is
+what its convergence rests on (Barles and Souganidis, 1991).
 """
 
 from __future__ import annotations
@@ -30,7 +42,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .market_core import MarketParams, impact_cost, price_impact
-from .order_flow import Mark, MarkModel
+from .order_flow import MarkModel
 
 __all__ = [
     "Grid",
@@ -41,6 +53,7 @@ __all__ = [
     "transport_step",
     "impulse_step",
     "solve",
+    "solver_inputs",
     "interpolate_lambda",
     "certainty_equivalent",
     "save_solution",
@@ -276,47 +289,29 @@ def _sgn(v: float) -> float:
     return 1.0 if v > 0.0 else (-1.0 if v < 0.0 else 0.0)
 
 
-class _GatherTerm:
-    """One precomputed gather-multiply term of the scheme.
-
-    Evaluates ``take(w, idx_lo) * m_lo + take(w, idx_hi) * m_hi (+ add)``
-    on the live part of the grid; interpolation weights, intensities,
-    branch probabilities and (for ``alpha > 0``) the utility jump factor
-    are folded into the multipliers.
-    """
-
-    __slots__ = ("idx_lo", "idx_hi", "m_lo", "m_hi", "add")
-
-    def __init__(self, idx_lo, idx_hi, m_lo, m_hi, add=None):
-        self.idx_lo = idx_lo
-        self.idx_hi = idx_hi
-        self.m_lo = m_lo
-        self.m_hi = m_hi
-        self.add = add
-
-    def accumulate(self, w_flat: np.ndarray, out: np.ndarray) -> None:
-        out += np.take(w_flat, self.idx_lo) * self.m_lo
-        out += np.take(w_flat, self.idx_hi) * self.m_hi
-        if self.add is not None:
-            out += self.add
+def _scan_trades(grid: Grid) -> np.ndarray:
+    """Lattice trades in lots, in scan order ``0, -1, +1, -2, +2, ...``."""
+    k = np.arange(1, grid.n_q)
+    return np.concatenate(([0], np.column_stack((-k, k)).ravel()))
 
 
-def _trade_geometry(grid: Grid, params: MarketParams, n: int):
-    """Per-live-row geometry of the lattice trade ``n * d_q``.
+def _trade_geometry(grid: Grid, n: np.ndarray):
+    """Per-(trade, live row) geometry of the lattice trades ``n * d_q``.
 
-    Returns admissibility, executed volume after floor clipping, the
-    executed inventory shift in nodes, the raw post-trade liquidity, and
-    whether the raw trade overshoots the floor (halting the market).
+    Returns admissibility, whether the raw trade overshoots the floor
+    (halting the market), the executed volume after floor clipping, the
+    executed inventory shift in nodes and the raw post-trade liquidity, each
+    of shape ``(len(n), n_lambda - 1)``.
     """
     lam = grid.lam_values[1:]
     floor = grid.lambda_lower
-    gamma_raw = n * grid.d_q
-    ok = lam - abs(gamma_raw) >= grid.lam_values[0] - _TOL
-    trig = ok & (lam - abs(gamma_raw) < floor - _TOL)
-    gamma_exec = np.where(trig, _sgn(gamma_raw) * (lam - floor), gamma_raw)
+    gamma_raw = (n * grid.d_q)[:, None]
+    lam_after_raw = lam - np.abs(gamma_raw)
+    ok = lam_after_raw >= grid.lam_values[0] - _TOL
+    trig = ok & (lam_after_raw < floor - _TOL)
+    gamma_exec = np.where(trig, np.sign(gamma_raw) * (lam - floor), gamma_raw)
     shift = np.round(gamma_exec / grid.d_q).astype(np.int64)
     ok &= np.abs(shift * grid.d_q - gamma_exec) <= _TOL
-    lam_after_raw = lam - abs(gamma_raw)
     return ok, trig, gamma_exec, shift, lam_after_raw
 
 
@@ -333,26 +328,79 @@ def _lambda_gather(grid: Grid, lam_target: np.ndarray):
     return lo, hi, frac
 
 
-def _flat_indices(grid: Grid, row_lo, row_hi, shift):
-    """Flat (row, q+shift) gather indices with a validity mask."""
-    n_q = grid.n_q
-    cols = np.arange(n_q)[None, :] + shift[:, None]
-    valid = (cols >= 0) & (cols <= n_q - 1)
-    cols = np.clip(cols, 0, n_q - 1)
-    flat_lo = row_lo[:, None] * n_q + cols
-    flat_hi = row_hi[:, None] * n_q + cols
-    return flat_lo.astype(np.int64), flat_hi.astype(np.int64), valid
+def _shifted_cols(grid: Grid, shift: np.ndarray):
+    """Inventory columns ``j + shift``, clamped, and whether they are on grid.
+
+    ``shift`` has shape ``(trade, row)``; both results ``(trade, row, q)``.
+    """
+    cols = np.arange(grid.n_q) + shift[..., None]
+    on_grid = (cols >= 0) & (cols <= grid.n_q - 1)
+    return np.clip(cols, 0, grid.n_q - 1), on_grid
 
 
 def _jump_grid(grid: Grid, params: MarketParams, gamma_exec: np.ndarray,
                impact_sum: np.ndarray) -> np.ndarray:
     """Trader wealth jump ``-zeta|g| - Xi(g,lam) + impact*(q+g)`` per node."""
     lam = grid.lam_values[1:]
-    q = grid.q_values
     a_part = (-params.zeta * np.abs(gamma_exec)
               - impact_cost(gamma_exec, lam, params))
-    return a_part[:, None] + impact_sum[:, None] * (q[None, :]
-                                                    + gamma_exec[:, None])
+    return a_part[..., None] + impact_sum[..., None] * (
+        grid.q_values + gamma_exec[..., None])
+
+
+class _Gather:
+    """Gather-multiply slabs of the scheme on the ``(trade, row, q)`` layout.
+
+    Each added mark contributes ``w[lo] * m_lo + w[hi] * m_hi (+ add)``:
+    linear interpolation between the rows around the post-event liquidity,
+    with intensities, branch weights and (for ``alpha > 0``) the utility
+    jump factor folded into the multipliers.  The upper slab is kept only
+    when the mark's interpolation weights are not all zero, and the additive
+    slab only for ``alpha = 0``.
+    """
+
+    def __init__(self, grid: Grid, alpha: float, shape: tuple):
+        self.grid = grid
+        self.alpha = alpha
+        self.shape = shape
+        self.slabs = []
+
+    def add(self, lam_next, cols, base, jump) -> None:
+        """Add a mark landing at ``(lam_next, cols)`` with weight ``base``."""
+        lo, hi, frac = _lambda_gather(self.grid, lam_next)
+        n_q = self.grid.n_q
+        if self.alpha > 0.0:
+            factor, add = base * np.exp(-self.alpha * jump), None
+        else:
+            factor, add = base, base * jump
+        upper = None
+        if frac.any():
+            upper = (hi[..., None] * n_q + cols, factor * frac[..., None])
+        self.slabs.append((lo[..., None] * n_q + cols,
+                           factor * (1.0 - frac)[..., None], upper, add))
+
+    def apply(self, w_flat: np.ndarray) -> np.ndarray:
+        """Sum of the marks' terms, accumulated mark by mark in mark order."""
+        out = np.zeros(self.shape)
+        for idx_lo, m_lo, upper, add in self.slabs:
+            out += np.take(w_flat, idx_lo) * m_lo
+            if upper is not None:
+                out += np.take(w_flat, upper[0]) * upper[1]
+            if add is not None:
+                out += add
+        return out
+
+
+def _best_trade(values: np.ndarray, valid: np.ndarray, trades: np.ndarray):
+    """Best admissible candidate per node over the leading trade axis.
+
+    ``np.argmax`` keeps the first maximum, so on the scan-ordered axis a
+    later trade wins only when it is strictly better.  Returns the best
+    value and its trade.
+    """
+    values = np.where(valid, values, -np.inf)
+    arg = np.argmax(values, axis=0)
+    return np.take_along_axis(values, arg[None], axis=0)[0], trades[arg]
 
 
 class _TransportKernels:
@@ -360,141 +408,72 @@ class _TransportKernels:
 
     def __init__(self, grid: Grid, params: MarketParams, marks: MarkModel):
         self.grid = grid
-        self.params = params
-        self.alpha = params.alpha
         lam = grid.lam_values[1:]
-        n_live, n_q = len(lam), grid.n_q
         p_hat = marks.signal_prob
         f_lam = params.f(lam)
         g_lam = params.g(lam)
-
-        n_max = grid.n_q - 1
-        self.scan_order = [0]
-        for k in range(1, n_max + 1):
-            self.scan_order.extend([-k, k])
+        floor = grid.lambda_lower
 
         # total thinned intensity per liquidity row (the -w coefficient)
-        lam_coeff = np.zeros(n_live)
+        lam_coeff = np.zeros(len(lam))
         for m in marks.marks:
             lam_coeff += m.nu * (f_lam if m.eta != 0.0 else g_lam)
         self.lam_coeff = lam_coeff[:, None]
 
-        self.valid = {}
-        self.z0_terms = []
-        self.signal_terms = {-1: {n: [] for n in self.scan_order},
-                             1: {n: [] for n in self.scan_order}}
-        floor = grid.lambda_lower
+        n = _scan_trades(grid)
+        self.trades = n * grid.d_q
+        ok, trig, gamma_exec, shift, lam_after_raw = _trade_geometry(grid, n)
+        cols, on_grid = _shifted_cols(grid, shift)
+        self.valid = ok[..., None] & on_grid
+        lam1 = lam - np.abs(gamma_exec)
+        imp_gamma = price_impact(gamma_exec, lam, params)
 
-        # invisible branch: every mark lands with weight (1 - p_hat), no
-        # trader trade, wealth jump = own-inventory markup by the external
-        # market order's impact
-        if p_hat < 1.0:
-            zero_shift = np.zeros(n_live, dtype=np.int64)
-            for m in marks.marks:
-                is_mo = m.eta != 0.0
-                rate = f_lam if is_mo else g_lam
-                if is_mo:
-                    eta_exec = _sgn(m.eta) * np.minimum(
-                        abs(m.eta), np.maximum(lam - floor, 0.0))
-                    imp = price_impact(eta_exec, lam, params)
-                    lam_next = lam - abs(m.eta)
-                else:
-                    imp = np.zeros(n_live)
-                    lam_next = lam + m.rho
-                row_lo, row_hi, frac = _lambda_gather(grid, lam_next)
-                flat_lo, flat_hi, vq = _flat_indices(grid, row_lo, row_hi,
-                                                     zero_shift)
-                jump = imp[:, None] * grid.q_values[None, :]
-                base = (1.0 - p_hat) * m.nu * rate[:, None] * vq
-                self.z0_terms.append(
-                    self._make_term(flat_lo, flat_hi, frac, base, jump))
-
-        # visible branches: weight p_hat, trader trade n*d_q executes ahead
-        # of the event's volume (clipped at the floor; an unclipped
-        # overshoot halts the market and suppresses the external volume)
-        for n in self.scan_order:
-            ok, trig, gamma_exec, shift, lam_after_raw = _trade_geometry(
-                grid, params, n)
-            lam1 = lam - np.abs(gamma_exec)
-            imp_gamma = price_impact(gamma_exec, lam, params)
-            valid_nq = None
-            for m in marks.marks:
-                z_class = -1 if (m.eta != 0.0 or m.rho < 0.0) else 1
-                is_mo = m.eta != 0.0
-                rate = f_lam if is_mo else g_lam
-                if is_mo:
-                    eta_exec = np.where(
-                        trig, 0.0,
-                        _sgn(m.eta) * np.minimum(
-                            abs(m.eta), np.maximum(lam1 - floor, 0.0)))
-                    imp = imp_gamma + price_impact(eta_exec, lam1, params)
-                    lam_next = np.where(trig, lam_after_raw, lam1 - abs(m.eta))
-                else:
-                    imp = imp_gamma
-                    lam_next = np.where(trig, lam_after_raw, lam1 + m.rho)
-                row_lo, row_hi, frac = _lambda_gather(grid, lam_next)
-                flat_lo, flat_hi, vq = _flat_indices(grid, row_lo, row_hi,
-                                                     shift)
-                if valid_nq is None:
-                    valid_nq = vq & ok[:, None]
-                if p_hat > 0.0:
-                    jump = _jump_grid(grid, params, gamma_exec, imp)
-                    base = p_hat * m.nu * rate[:, None] * (vq & ok[:, None])
-                    self.signal_terms[z_class][n].append(
-                        self._make_term(flat_lo, flat_hi, frac, base, jump))
-            self.valid[n] = valid_nq
-
-    def _make_term(self, flat_lo, flat_hi, frac, base, jump) -> _GatherTerm:
-        if self.alpha > 0.0:
-            factor = base * np.exp(-self.alpha * jump)
-            return _GatherTerm(flat_lo, flat_hi,
-                               factor * (1.0 - frac)[:, None],
-                               factor * frac[:, None])
-        return _GatherTerm(flat_lo, flat_hi,
-                           base * (1.0 - frac)[:, None],
-                           base * frac[:, None],
-                           add=base * jump)
+        # visible branches (weight p_hat, one gather per signal class): the
+        # trader's trade executes ahead of the event's volume, clipped at the
+        # floor; an unclipped overshoot halts the market and suppresses the
+        # external volume.  The invisible branch (weight 1 - p_hat) is the
+        # no-trade column: every mark lands, and the wealth jump is the
+        # own-inventory markup by the external market order's impact.
+        self.visible = {z: _Gather(grid, params.alpha, cols.shape)
+                        for z in (-1, 1)}
+        self.invisible = _Gather(grid, params.alpha, cols[:1].shape)
+        for m in marks.marks:
+            is_mo = m.eta != 0.0
+            rate = (f_lam if is_mo else g_lam)[:, None]
+            if is_mo:
+                eta_exec = np.where(
+                    trig, 0.0,
+                    _sgn(m.eta) * np.minimum(
+                        abs(m.eta), np.maximum(lam1 - floor, 0.0)))
+                imp = imp_gamma + price_impact(eta_exec, lam1, params)
+                lam_next = np.where(trig, lam_after_raw, lam1 - abs(m.eta))
+            else:
+                imp = imp_gamma
+                lam_next = np.where(trig, lam_after_raw, lam1 + m.rho)
+            jump = _jump_grid(grid, params, gamma_exec, imp)
+            if p_hat < 1.0:
+                self.invisible.add(lam_next[:1], cols[:1],
+                                   (1.0 - p_hat) * m.nu * rate, jump[:1])
+            if p_hat > 0.0:
+                z_class = -1 if (is_mo or m.rho < 0.0) else 1
+                self.visible[z_class].add(lam_next, cols,
+                                          p_hat * m.nu * rate, jump)
 
     def apply(self, w: np.ndarray):
         """One generator step; returns the new slice and signal argmaxes."""
         grid = self.grid
-        n_live, n_q = grid.n_lambda - 1, grid.n_q
         w_flat = w.reshape(-1)
         w_live = w[1:]
-
-        acc0 = np.zeros((n_live, n_q))
-        for term in self.z0_terms:
-            term.accumulate(w_flat, acc0)
-
-        best = {}
-        argmax = {}
-        for z_class in (-1, 1):
-            best_z = None
-            arg_z = None
-            for n in self.scan_order:
-                terms = self.signal_terms[z_class][n]
-                val = np.zeros((n_live, n_q))
-                for term in terms:
-                    term.accumulate(w_flat, val)
-                val = np.where(self.valid[n], val, -np.inf)
-                if best_z is None:
-                    best_z = val
-                    arg_z = np.full((n_live, n_q), n * grid.d_q)
-                else:
-                    upd = val > best_z
-                    best_z = np.where(upd, val, best_z)
-                    arg_z = np.where(upd, n * grid.d_q, arg_z)
-            best[z_class] = best_z
-            argmax[z_class] = arg_z
-
-        new_live = w_live + grid.d_t * (acc0 + best[-1] + best[1]
-                                        - self.lam_coeff * w_live)
+        acc0 = self.invisible.apply(w_flat)[0]
+        gamma = np.zeros((grid.n_lambda, grid.n_q, 2))
+        best_m, gamma[1:, :, 0] = _best_trade(
+            self.visible[-1].apply(w_flat), self.valid, self.trades)
+        best_p, gamma[1:, :, 1] = _best_trade(
+            self.visible[1].apply(w_flat), self.valid, self.trades)
         out = np.empty_like(w)
         out[0] = w[0]
-        out[1:] = new_live
-        gamma = np.zeros((grid.n_lambda, n_q, 2))
-        gamma[1:, :, 0] = argmax[-1]
-        gamma[1:, :, 1] = argmax[1]
+        out[1:] = w_live + grid.d_t * (acc0 + best_m + best_p
+                                       - self.lam_coeff * w_live)
         return out, gamma
 
 
@@ -503,59 +482,28 @@ class _ImpulseKernels:
 
     def __init__(self, grid: Grid, params: MarketParams):
         self.grid = grid
-        self.alpha = params.alpha
-        lam = grid.lam_values[1:]
-        n_live = len(lam)
-        n_max = grid.n_q - 1
-        self.scan_order = []
-        for k in range(1, n_max + 1):
-            self.scan_order.extend([-k, k])
-        self.terms = {}
-        self.valid = {}
-        self.trades = {}
-        for n in self.scan_order:
-            ok, trig, gamma_exec, shift, lam_after_raw = _trade_geometry(
-                grid, params, n)
-            lam_next = lam - abs(n * grid.d_q)
-            row_lo, row_hi, frac = _lambda_gather(grid, lam_next)
-            flat_lo, flat_hi, vq = _flat_indices(grid, row_lo, row_hi, shift)
-            valid_nq = vq & ok[:, None]
-            imp = price_impact(gamma_exec, lam, params)
-            jump = _jump_grid(grid, params, gamma_exec, imp)
-            if self.alpha > 0.0:
-                factor = np.exp(-self.alpha * jump)
-                term = _GatherTerm(flat_lo, flat_hi,
-                                   factor * (1.0 - frac)[:, None],
-                                   factor * frac[:, None])
-            else:
-                term = _GatherTerm(flat_lo, flat_hi,
-                                   np.tile((1.0 - frac)[:, None], (1, grid.n_q)),
-                                   np.tile(frac[:, None], (1, grid.n_q)),
-                                   add=jump)
-            self.terms[n] = term
-            self.valid[n] = valid_nq
-            self.trades[n] = n * grid.d_q
+        n = _scan_trades(grid)[1:]
+        ok, _, gamma_exec, shift, lam_after_raw = _trade_geometry(grid, n)
+        cols, on_grid = _shifted_cols(grid, shift)
+        imp = price_impact(gamma_exec, grid.lam_values[1:], params)
+        self.gather = _Gather(grid, params.alpha, cols.shape)
+        self.gather.add(lam_after_raw, cols, 1.0,
+                        _jump_grid(grid, params, gamma_exec, imp))
+        # candidate 0 is holding: always admissible, trade 0
+        hold = np.ones((1,) + on_grid.shape[1:], dtype=bool)
+        self.valid = np.concatenate((hold, ok[..., None] & on_grid))
+        self.trades = np.concatenate(([0.0], n * grid.d_q))
 
     def apply(self, w: np.ndarray):
         """Pointwise max over block trades; returns new slice and trades."""
         grid = self.grid
-        w_flat = w.reshape(-1)
-        best = w[1:].copy()
-        delta = np.zeros_like(best)
-        for n in self.scan_order:
-            val = np.zeros_like(best)
-            self.terms[n].accumulate(w_flat, val)
-            val = np.where(self.valid[n], val, -np.inf)
-            upd = val > best
-            if np.any(upd):
-                best = np.where(upd, val, best)
-                delta = np.where(upd, self.trades[n], delta)
+        candidates = np.concatenate(
+            (w[None, 1:], self.gather.apply(w.reshape(-1))))
         out = np.empty_like(w)
         out[0] = w[0]
-        out[1:] = best
-        delta_full = np.zeros((grid.n_lambda, grid.n_q))
-        delta_full[1:] = delta
-        return out, delta_full
+        delta = np.zeros((grid.n_lambda, grid.n_q))
+        out[1:], delta[1:] = _best_trade(candidates, self.valid, self.trades)
+        return out, delta
 
 
 def _check_grid_params(grid: Grid, params: MarketParams) -> None:
@@ -613,6 +561,22 @@ def impulse_step(w_slice: np.ndarray, grid: Grid, params: MarketParams):
         np.asarray(w_slice, dtype=float))
 
 
+def solver_inputs(params: MarketParams, marks: MarkModel,
+                  grid: Grid) -> dict:
+    """The ``params``, ``marks`` and ``grid`` entries of a solution's metadata.
+
+    They are everything a solution depends on: two runs with equal entries
+    solve the same problem.
+    """
+    return {
+        "params": asdict(params),
+        "marks": marks.fingerprint(),
+        "grid": {name: getattr(grid, name) for name in (
+            "d_t", "d_lambda", "d_q", "lambda_lower", "lambda_upper",
+            "q_min", "q_max", "horizon")},
+    }
+
+
 def solve(params: MarketParams, marks: MarkModel, grid: Grid,
           meta: Optional[dict] = None) -> Tuple[ValueSurface, Policy]:
     """Backward induction of the value surface and optimal trade tables.
@@ -638,15 +602,8 @@ def solve(params: MarketParams, marks: MarkModel, grid: Grid,
         values[k], delta_star[k] = impulse.apply(tilde)
         gamma_star[k] = gamma
 
-    full_meta = {
-        "schema_version": 1,
-        "alpha": params.alpha,
-        "params": asdict(params),
-        "marks": marks.fingerprint(),
-        "grid": {name: getattr(grid, name) for name in (
-            "d_t", "d_lambda", "d_q", "lambda_lower", "lambda_upper",
-            "q_min", "q_max", "horizon")},
-    }
+    full_meta = {"schema_version": 1, "alpha": params.alpha,
+                 **solver_inputs(params, marks, grid)}
     if meta:
         full_meta.update(meta)
     surface = ValueSurface(grid=grid, values=values, alpha=params.alpha,
@@ -701,14 +658,3 @@ def load_solution(path) -> Tuple[ValueSurface, Policy]:
                     meta=meta)
     return surface, policy
 
-
-def rebuild_params(meta: dict) -> MarketParams:
-    """Market parameters recorded in a solution's metadata."""
-    return MarketParams(**meta["params"])
-
-
-def rebuild_marks(meta: dict) -> MarkModel:
-    """Mark model recorded in a solution's metadata (labels are not kept)."""
-    fp = meta["marks"]
-    marks = tuple(Mark(eta=e, rho=r, nu=v) for e, r, v in fp["marks"])
-    return MarkModel(marks, fp["signal_prob"])

@@ -18,8 +18,7 @@ activity stops until the terminal auction.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np

@@ -22,11 +22,10 @@ so any path can be regenerated bit-exactly in isolation.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,7 +34,6 @@ from .market_core import (
     MarketState,
     ShockTriple,
     apply_shock_detailed,
-    price_impact,
     terminal_wealth,
 )
 

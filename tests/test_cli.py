@@ -1,11 +1,16 @@
 """Command-line interface: config resolution, artifacts, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from artifact import hjb
 from artifact.cli import ConfigError, load_config, main
 
 BENCH_HASH_KEYS = {"schema_version", "config_hash", "base_seed"}
@@ -186,6 +191,22 @@ def test_simulate_requires_a_solved_policy(tmp_path):
     assert "policy file not found" in _all_output(result)
 
 
+def test_simulate_refuses_a_policy_solved_for_other_inputs(tmp_path):
+    runner = CliRunner()
+    out = tmp_path / "out"
+    assert runner.invoke(main, ["solve", "-c", _tiny_config(tmp_path),
+                                "-o", str(out)]).exit_code == 0
+    cfg = _write_config(tmp_path, {
+        "market": {"lot_size": 2.0},
+        "grid": TINY_GRID,
+        "experiment": dict(n_sim=40, base_seed=99, q0=-2.0, threads=1),
+    }, "lot2.json")
+    result = runner.invoke(main, ["simulate", "-c", cfg, "-o", str(out)])
+    assert result.exit_code == 2
+    assert "solved for other" in _all_output(result)
+    assert not (out / "simulate_report.json").exists()
+
+
 def test_simulate_after_solve_writes_reports(tmp_path):
     runner = CliRunner()
     cfg = _tiny_config(tmp_path, n_sim=25, record_events=True)
@@ -223,6 +244,21 @@ def test_evaluate_writes_per_agent_reports_and_passes_consistency(tmp_path):
     assert "consistency check passed" in result.output
 
 
+@pytest.mark.filterwarnings("ignore:degenerate wealth sample")
+def test_evaluate_reuses_solutions_solved_for_the_same_inputs(tmp_path):
+    runner = CliRunner()
+    cfg = _tiny_config(tmp_path, q0=0.0, n_sim=20)
+    out = tmp_path / "out"
+    assert runner.invoke(main, ["solve", "-c", cfg,
+                                "-o", str(out)]).exit_code == 0
+    names = ("solution_signal.npz", "solution_nosignal.npz")
+    before = [(out / name).stat().st_mtime_ns for name in names]
+    result = runner.invoke(main, ["evaluate", "-c", cfg, "-o", str(out),
+                                  "--seed", "5"])
+    assert result.exit_code == 0, _all_output(result)
+    assert [(out / name).stat().st_mtime_ns for name in names] == before
+
+
 def test_sweep_writes_one_row_per_signal_probability(tmp_path):
     runner = CliRunner()
     cfg = _tiny_config(tmp_path, n_sim=50,
@@ -241,13 +277,22 @@ def test_sweep_writes_one_row_per_signal_probability(tmp_path):
     assert "swept 2 signal probabilities" in result.output
 
 
-def test_check_passes_on_a_well_posed_configuration(tmp_path):
+def test_check_passes_on_a_well_posed_configuration(tmp_path, monkeypatch):
+    real_solve = hjb.solve
+    solves = []
+
+    def counted_solve(*args, **kwargs):
+        solves.append(args)
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(hjb, "solve", counted_solve)
     runner = CliRunner()
     cfg = _tiny_config(tmp_path, q0=0.0, n_sim=60)
     result = runner.invoke(main, ["check", "-c", cfg])
     assert result.exit_code == 0, _all_output(result)
     assert "all checks passed" in result.output
     assert "[FAIL]" not in result.output
+    assert len(solves) == 1
 
 
 def test_check_flags_inelastic_volatility(tmp_path):
@@ -278,3 +323,13 @@ def test_version_flag():
     result = CliRunner().invoke(main, ["--version"])
     assert result.exit_code == 0
     assert "0.1.0" in result.output
+
+
+def test_python_dash_m_runs_the_cli_without_warnings():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "artifact",
+         "--version"], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "artifact, version 0.1.0"

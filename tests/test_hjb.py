@@ -198,10 +198,12 @@ def test_certainty_equivalent_identities():
 # transport step against a hand-built single-mark update
 # ---------------------------------------------------------------------------
 
-def test_transport_step_single_market_order_mark():
+@pytest.mark.parametrize("alpha", [0.1, 0.0])
+def test_transport_step_single_market_order_mark(alpha):
     """With one unit buy mark and no limit flow the generator update is
-    w + dt*f(lam)*(w(lam-1, q)*exp(-alpha*I(1,lam)*q) - w(lam, q))."""
-    params = dataclasses.replace(PARAMS, theta_g=0.0)
+    w + dt*f(lam)*(w(lam-1, q)*exp(-alpha*I(1,lam)*q) - w(lam, q)), and
+    w + dt*f(lam)*(w(lam-1, q) + I(1,lam)*q - w(lam, q)) for alpha = 0."""
+    params = dataclasses.replace(PARAMS, theta_g=0.0, alpha=alpha)
     with pytest.warns(UserWarning, match="resilient"):
         marks = MarkModel((Mark(eta=1.0, rho=0.0, nu=1.0),), 0.0)
     grid = Grid.from_params(params, d_t=0.01, d_lambda=1.0,
@@ -218,12 +220,15 @@ def test_transport_step_single_market_order_mark():
             # at the floor the order cannot execute: the market halts and
             # the value jumps to the frozen row without a price move
             succ = w[0]
-            factor = np.ones_like(q)
+            impact = 0.0
         else:
             succ = w[i - 1]
-            factor = np.exp(-params.alpha
-                            * price_impact(1.0, float(lam[i]), params) * q)
-        expected[i] = w[i] + grid.d_t * f_i * (succ * factor - w[i])
+            impact = price_impact(1.0, float(lam[i]), params)
+        if alpha > 0.0:
+            landed = succ * np.exp(-alpha * impact * q)
+        else:
+            landed = succ + impact * q
+        expected[i] = w[i] + grid.d_t * f_i * (landed - w[i])
     np.testing.assert_allclose(got, expected, rtol=1e-12)
     # the frozen row never moves
     np.testing.assert_array_equal(got[0], w[0])

@@ -368,18 +368,27 @@ def _run_simulate(config: RunConfig) -> int:
     exp = config.experiment
     agent = policy_mod.TablePolicyAgent(pol, config.params)
     n_sim = int(exp["n_sim"])
+    seed = int(exp["base_seed"])
+    target_q = float(exp["target_q"])
+    bin_width = float(config.output["histogram_bin_width"])
     if exp["record_events"]:
         paths = [order_flow.simulate_path(
             config.params, config.marks, agent, config.initial_state(),
-            order_flow.make_path_seed(int(exp["base_seed"]), i),
-            record_events=True) for i in range(n_sim)]
+            order_flow.make_path_seed(seed, i), record_events=True)
+            for i in range(n_sim)]
         order_flow.write_path_log(paths,
                                   os.path.join(out_dir, "paths.csv"))
-    reports = evaluation.run_experiment(
-        config.params, config.marks, {"table": agent}, n_sim,
-        int(exp["base_seed"]), config.initial_state(),
-        target_q=float(exp["target_q"]), threads=int(exp["threads"]),
-        histogram_bin_width=float(config.output["histogram_bin_width"]))
+        reports = evaluation.build_reports(
+            config.params, config.marks,
+            {"table": [evaluation.path_outcome(path, target_q)
+                       for path in paths]},
+            seed, config.initial_state(), target_q=target_q,
+            histogram_bin_width=bin_width)
+    else:
+        reports = evaluation.run_experiment(
+            config.params, config.marks, {"table": agent}, n_sim, seed,
+            config.initial_state(), target_q=target_q,
+            threads=int(exp["threads"]), histogram_bin_width=bin_width)
     report = reports["table"]
     report.config_echo.update(config.stamp())
     evaluation.write_report_json(

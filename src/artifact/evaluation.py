@@ -27,6 +27,8 @@ from .order_flow import MarkModel, PathRecord, make_path_seed, simulate_path
 __all__ = [
     "EvalReport",
     "ConsistencyResult",
+    "path_outcome",
+    "build_reports",
     "run_experiment",
     "signal_sharpe_ratio",
     "detect_speculation",
@@ -90,18 +92,68 @@ def _histogram(wealth: np.ndarray, bin_width: float):
     return edges, counts
 
 
-def _simulate_chunk(args) -> Tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    (params, marks, agent, initial, base_seed, start, count, target_q) = args
-    wealth = np.empty(count)
-    spec = np.zeros(count, dtype=bool)
-    brk = np.zeros(count, dtype=bool)
-    for i in range(count):
-        path = simulate_path(params, marks, agent, initial,
-                             make_path_seed(base_seed, start + i))
-        wealth[i] = path.terminal_wealth
-        spec[i] = detect_speculation(path, target_q)
-        brk[i] = math.isfinite(path.breaker_time)
-    return start, wealth, spec, brk
+def path_outcome(path: PathRecord,
+                 target_q: float = 0.0) -> Tuple[float, bool, bool]:
+    """A path's terminal wealth, speculation flag and breaker flag."""
+    return (path.terminal_wealth, detect_speculation(path, target_q),
+            math.isfinite(path.breaker_time))
+
+
+def build_reports(params: MarketParams, marks: MarkModel,
+                  outcomes: Dict[str, list], base_seed: int,
+                  initial: MarketState, *, target_q: float = 0.0,
+                  histogram_bin_width: float = 0.05) -> Dict[str, EvalReport]:
+    """One report per agent from its path outcomes, given in path order.
+
+    ``outcomes`` maps each agent to the ``path_outcome`` of every path;
+    the statistics are reduced from the assembled arrays in one thread.
+    """
+    reports: Dict[str, EvalReport] = {}
+    for name, rows in outcomes.items():
+        wealth, spec, brk = (np.array(col) for col in zip(*rows))
+        edges, counts = _histogram(wealth, histogram_bin_width)
+        reports[name] = EvalReport(
+            agent=name,
+            n_sim=len(rows),
+            base_seed=base_seed,
+            wealth=wealth,
+            mean=float(np.mean(wealth)),
+            variance=float(np.var(wealth)),
+            speculation_fraction=float(np.mean(spec)),
+            breaker_fraction=float(np.mean(brk)),
+            histogram_edges=edges,
+            histogram_counts=counts,
+            config_echo={
+                "schema_version": 1,
+                "params": asdict(params),
+                "marks": marks.fingerprint(),
+                "initial": {"lam": initial.lam, "q": initial.q,
+                            "p": initial.p, "x": initial.x},
+                "n_sim": len(rows),
+                "base_seed": base_seed,
+                "target_q": target_q,
+                "agent": name,
+            },
+        )
+    return reports
+
+
+# A pool worker's experiment inputs, handed over once by the initializer.
+_shared: tuple = ()
+
+
+def _share(*inputs) -> None:
+    global _shared
+    _shared = inputs
+
+
+def _simulate_chunk(paths: range, inputs: tuple = ()) -> list:
+    """Every agent's path outcomes on ``paths``, agent by agent."""
+    params, marks, agents, initial, base_seed, target_q = inputs or _shared
+    return [[path_outcome(simulate_path(params, marks, agent, initial,
+                                        make_path_seed(base_seed, i)),
+                          target_q) for i in paths]
+            for agent in agents.values()]
 
 
 def run_experiment(params: MarketParams, marks: MarkModel,
@@ -112,59 +164,31 @@ def run_experiment(params: MarketParams, marks: MarkModel,
     """Simulate every agent over the same ``n_sim`` seeded paths.
 
     Returns one report per agent (insertion order preserved).  ``threads``
-    parallelizes over path chunks; results are independent of the worker
-    count because path seeds are absolute and statistics are reduced from
-    the path-ordered arrays in one thread.
+    workers share one process pool: each receives the inputs once, and a
+    job is a range of path indices on which it simulates every agent.
+    Results are independent of the worker count because path seeds are
+    absolute and statistics are reduced from the path-ordered arrays in
+    one thread.
     """
     if n_sim <= 0:
         raise ValueError("n_sim must be positive")
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    reports: Dict[str, EvalReport] = {}
-    echo_base = {
-        "schema_version": 1,
-        "params": asdict(params),
-        "marks": marks.fingerprint(),
-        "initial": {"lam": initial.lam, "q": initial.q,
-                    "p": initial.p, "x": initial.x},
-        "n_sim": n_sim,
-        "base_seed": base_seed,
-        "target_q": target_q,
-    }
-    for name, agent in agents.items():
-        wealth = np.empty(n_sim)
-        spec = np.zeros(n_sim, dtype=bool)
-        brk = np.zeros(n_sim, dtype=bool)
-        if threads == 1:
-            start, w, s, b = _simulate_chunk(
-                (params, marks, agent, initial, base_seed, 0, n_sim,
-                 target_q))
-            wealth[:], spec[:], brk[:] = w, s, b
-        else:
-            chunk = max(1, -(-n_sim // (threads * 4)))
-            jobs = [(params, marks, agent, initial, base_seed, s,
-                     min(chunk, n_sim - s), target_q)
-                    for s in range(0, n_sim, chunk)]
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                for start, w, s, b in pool.map(_simulate_chunk, jobs):
-                    wealth[start:start + len(w)] = w
-                    spec[start:start + len(s)] = s
-                    brk[start:start + len(b)] = b
-        edges, counts = _histogram(wealth, histogram_bin_width)
-        reports[name] = EvalReport(
-            agent=name,
-            n_sim=n_sim,
-            base_seed=base_seed,
-            wealth=wealth,
-            mean=float(np.mean(wealth)),
-            variance=float(np.var(wealth)),
-            speculation_fraction=float(np.mean(spec)),
-            breaker_fraction=float(np.mean(brk)),
-            histogram_edges=edges,
-            histogram_counts=counts,
-            config_echo=dict(echo_base, agent=name),
-        )
-    return reports
+    inputs = (params, marks, agents, initial, base_seed, target_q)
+    if threads == 1:
+        chunks = [_simulate_chunk(range(n_sim), inputs)]
+    else:
+        size = -(-n_sim // (threads * 4))
+        ranges = [range(s, min(s + size, n_sim))
+                  for s in range(0, n_sim, size)]
+        with ProcessPoolExecutor(threads, initializer=_share,
+                                 initargs=inputs) as pool:
+            chunks = list(pool.map(_simulate_chunk, ranges))
+    outcomes = {name: [row for chunk in chunks for row in chunk[a]]
+                for a, name in enumerate(agents)}
+    return build_reports(params, marks, outcomes, base_seed, initial,
+                         target_q=target_q,
+                         histogram_bin_width=histogram_bin_width)
 
 
 def signal_sharpe_ratio(with_signal: np.ndarray,

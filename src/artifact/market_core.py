@@ -6,8 +6,7 @@ limit orders replenish it.  Price impact of a trade of signed volume
 ``delta`` executed against liquidity ``lam`` is the integral of a marginal
 impact function ``iota`` over the consumed depth, and the cash friction of
 the same trade is the integral of the impact itself.  Both integrals have
-closed forms for the affine marginal impact used throughout; a quadrature
-fallback handles user-supplied marginal impact functions.
+closed forms for the affine marginal impact used throughout.
 
 A circuit breaker freezes the market when an executed liquidity-taking
 volume would push ``lam`` strictly below ``lambda_lower``: the offending
@@ -19,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -212,33 +211,15 @@ def _sgn(v: float) -> float:
     return 0.0
 
 
-def _gauss_legendre(func, a: float, b: float, order: int = 64) -> float:
-    """Fixed-order Gauss-Legendre integral of a vectorized ``func`` on [a,b]."""
-    if b == a:
-        return 0.0
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    return float(half * np.sum(weights * func(mid + half * nodes)))
-
-
-def price_impact(delta, lam, params: MarketParams,
-                 iota: Optional[Callable] = None):
+def price_impact(delta, lam, params: MarketParams):
     """Price displacement of a trade ``delta`` executed at liquidity ``lam``.
 
     Equals ``sgn(delta) * integral_0^{|delta|} iota(lam - z) dz``: the trade
     walks the book, consuming depth as it goes.  With the affine marginal
-    impact this is the closed quadratic form; a user-supplied ``iota``
-    (vectorized callable) is integrated by fixed-order Gauss-Legendre
-    quadrature instead.
+    impact this is the closed quadratic form.
 
-    Accepts scalars or broadcastable arrays for ``delta`` and ``lam``
-    (closed form only).
+    Accepts scalars or broadcastable arrays for ``delta`` and ``lam``.
     """
-    if iota is not None:
-        d = float(delta)
-        return _sgn(d) * _gauss_legendre(lambda z: iota(float(lam) - z),
-                                         0.0, abs(d))
     a = np.abs(delta)
     full = (params.theta_iota + params.kappa_iota * np.asarray(lam, dtype=float)
             ) * a - 0.5 * params.kappa_iota * a * a
@@ -248,26 +229,14 @@ def price_impact(delta, lam, params: MarketParams,
     return out
 
 
-def impact_cost(delta, lam, params: MarketParams,
-                iota: Optional[Callable] = None):
+def impact_cost(delta, lam, params: MarketParams):
     """Cumulative impact friction ``integral_0^{|delta|} I(z, lam) dz``.
 
     This is the cash lost to walking the book (beyond the proportional
     cost), an even, non-negative function of ``delta`` whenever ``iota`` is
     non-negative over the traversed range.  Closed cubic form for the affine
-    marginal impact; nested quadrature for a user-supplied ``iota``.
+    marginal impact.
     """
-    if iota is not None:
-        d = abs(float(delta))
-        lam_f = float(lam)
-
-        def inner(z):
-            z = np.atleast_1d(z)
-            return np.array(
-                [price_impact(zi, lam_f, params, iota=iota) for zi in z]
-            )
-
-        return _gauss_legendre(inner, 0.0, d)
     a = np.abs(delta)
     out = 0.5 * (params.theta_iota
                  + params.kappa_iota * np.asarray(lam, dtype=float)) * a * a \

@@ -27,8 +27,6 @@ __all__ = [
     "ImmediateExecutionAgent",
     "TwapAgent",
     "TablePolicyAgent",
-    "on_signal",
-    "on_state",
 ]
 
 
@@ -169,14 +167,3 @@ class TablePolicyAgent(Agent):
             k -= 1
         return None
 
-
-def on_signal(agent: Agent, t: float, state: MarketState, z: int) -> float:
-    """Agent's trade in response to signal ``z`` (market must be live)."""
-    if state.halted:
-        raise ValueError("no signals in a halted market")
-    return agent.on_signal(t, state, z)
-
-
-def on_state(agent: Agent, t: float, state: MarketState) -> float:
-    """Agent's state-based rebalancing trade at time ``t``."""
-    return agent.on_state(t, state)

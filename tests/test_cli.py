@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from artifact import hjb
+from artifact import evaluation, hjb, order_flow
 from artifact.cli import ConfigError, load_config, main
 
 BENCH_HASH_KEYS = {"schema_version", "config_hash", "base_seed"}
@@ -223,6 +223,28 @@ def test_simulate_after_solve_writes_reports(tmp_path):
     assert len(wealth_rows) == 26
     assert (out / "paths.csv").is_file()
     assert "simulated 25 paths" in result.output
+
+
+def test_simulate_with_recorded_events_simulates_each_path_once(
+        tmp_path, monkeypatch):
+    real_simulate_path = order_flow.simulate_path
+    seeds = []
+
+    def counted_simulate_path(*args, **kwargs):
+        seeds.append(args[4])
+        return real_simulate_path(*args, **kwargs)
+
+    monkeypatch.setattr(order_flow, "simulate_path", counted_simulate_path)
+    monkeypatch.setattr(evaluation, "simulate_path", counted_simulate_path)
+    runner = CliRunner()
+    cfg = _tiny_config(tmp_path, n_sim=25, record_events=True)
+    out = tmp_path / "out"
+    assert runner.invoke(main, ["solve", "-c", cfg,
+                                "-o", str(out)]).exit_code == 0
+    result = runner.invoke(main, ["simulate", "-c", cfg, "-o", str(out)])
+    assert result.exit_code == 0, _all_output(result)
+    assert len(seeds) == 25
+    assert len(set(seeds)) == 25
 
 
 @pytest.mark.filterwarnings("ignore:degenerate wealth sample")

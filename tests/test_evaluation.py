@@ -2,15 +2,19 @@
 
 import csv
 import dataclasses
+import functools
 import json
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
 
+from artifact import evaluation
 from artifact.evaluation import (
     consistency_check,
     detect_speculation,
+    report_to_dict,
     run_experiment,
     signal_sharpe_ratio,
     write_report_json,
@@ -21,7 +25,7 @@ from artifact.market_core import MarketParams, MarketState, utility
 from artifact.order_flow import (Mark, MarkModel, benchmark_mark_model,
                                  make_path_seed, simulate_path)
 from artifact.policy import (Agent, DoNothingAgent, ImmediateExecutionAgent,
-                             TablePolicyAgent)
+                             TablePolicyAgent, TwapAgent)
 
 PARAMS = MarketParams()
 ZERO_RATE = dataclasses.replace(PARAMS, theta_f=0.0, theta_g=0.0)
@@ -139,17 +143,63 @@ def test_identical_agents_share_paths(bench_params, marks_signal,
     np.testing.assert_array_equal(reports["a"].wealth, reports["b"].wealth)
 
 
-def test_thread_count_does_not_change_results(bench_params, marks_signal,
-                                              start_short):
-    serial = run_experiment(bench_params, marks_signal,
-                            {"x": DoNothingAgent()}, 200, 58,
-                            start_short)["x"]
-    pooled = run_experiment(bench_params, marks_signal,
-                            {"x": DoNothingAgent()}, 200, 58,
-                            start_short, threads=4)["x"]
-    np.testing.assert_array_equal(serial.wealth, pooled.wealth)
-    assert serial.mean == pooled.mean
-    assert serial.variance == pooled.variance
+@pytest.mark.parametrize("threads, start_method",
+                         [(2, None), (3, None), (2, "spawn")])
+def test_thread_count_does_not_change_results(monkeypatch, bench_params,
+                                              marks_signal, start_short,
+                                              threads, start_method):
+    if start_method is not None:
+        # fresh-interpreter workers: nothing is inherited from this process
+        monkeypatch.setattr(evaluation, "ProcessPoolExecutor",
+                            functools.partial(
+                                evaluation.ProcessPoolExecutor,
+                                mp_context=multiprocessing.get_context(
+                                    start_method)))
+    # 101 paths: the last chunk is short for both worker counts
+    agents = {"do-nothing": DoNothingAgent(),
+              "immediate": ImmediateExecutionAgent(0.0, bench_params),
+              "twap": TwapAgent(0.0, start_short.q, bench_params)}
+    serial = run_experiment(bench_params, marks_signal, agents, 101, 58,
+                            start_short)
+    pooled = run_experiment(bench_params, marks_signal, agents, 101, 58,
+                            start_short, threads=threads)
+    assert list(pooled) == list(serial) == list(agents)
+    for name, report in serial.items():
+        np.testing.assert_array_equal(report.wealth, pooled[name].wealth)
+        # statistics, histogram and echo, nested key order included
+        assert json.dumps(report_to_dict(report)) \
+            == json.dumps(report_to_dict(pooled[name]))
+
+
+def _leaves(value):
+    if isinstance(value, tuple):
+        return [leaf for item in value for leaf in _leaves(item)]
+    return [value]
+
+
+def test_one_pool_per_experiment_with_path_range_jobs(
+        monkeypatch, bench_params, marks_signal, start_short):
+    pools, jobs = [], []
+
+    class RecordingPool(evaluation.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+        def submit(self, fn, *args, **kwargs):
+            # map batches its arguments into nested tuples
+            jobs.extend(_leaves(args + tuple(kwargs.values())))
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", RecordingPool)
+    agents = {"a": DoNothingAgent(),
+              "b": ImmediateExecutionAgent(0.0, bench_params)}
+    reports = run_experiment(bench_params, marks_signal, agents, 9, 58,
+                             start_short, threads=2)
+    assert len(pools) == 1
+    assert all(isinstance(job, range) for job in jobs)
+    assert [i for paths in jobs for i in paths] == list(range(9))
+    assert [r.n_sim for r in reports.values()] == [9, 9]
 
 
 def test_run_experiment_validation(bench_params, marks_signal, start_short):

@@ -9,7 +9,7 @@ from artifact.hjb import Grid, Policy
 from artifact.market_core import MarketParams, MarketState, utility
 from artifact.order_flow import make_path_seed, simulate_path
 from artifact.policy import (Agent, DoNothingAgent, ImmediateExecutionAgent,
-                             TablePolicyAgent, TwapAgent, on_signal, on_state)
+                             TablePolicyAgent, TwapAgent)
 
 PARAMS = MarketParams()
 
@@ -127,14 +127,6 @@ def test_table_agent_next_impulse_walks_the_ticks(toy_table):
     # the window is open on the right
     assert toy_table.next_impulse(0.4, 0.5, state) is None
     assert toy_table.next_impulse(0.0, 1.0, _state(lam=0.3, q=2.0)) is None
-
-
-def test_module_hooks_guard_the_halted_market(toy_table):
-    live = _state(lam=0.3, q=-2.0)
-    assert on_signal(toy_table, 0.75, live, 1) == 2.0
-    assert on_state(toy_table, 0.5, live) == 1.0
-    with pytest.raises(ValueError, match="halted"):
-        on_signal(toy_table, 0.75, _state(halted=True), 1)
 
 
 def test_agent_base_class_contract():

@@ -115,6 +115,8 @@ class Grid:
         object.__setattr__(self, "_lam_values", lam_values)
         object.__setattr__(self, "_q_values", q_values)
         object.__setattr__(self, "_n_steps", n_steps)
+        # a Python float, so the simulator's per-event lookups stay scalar
+        object.__setattr__(self, "_lam_origin", float(lam_values[0]))
 
     @classmethod
     def from_params(cls, params: MarketParams, d_t: float, d_lambda: float,
@@ -151,17 +153,17 @@ class Grid:
 
     def lambda_index(self, lam: float) -> int:
         """Nearest liquidity node index (never the frozen row)."""
-        i = round((lam - float(self._lam_values[0])) / self.d_lambda)
-        return int(min(max(i, 1), self.n_lambda - 1))
+        i = round((lam - self._lam_origin) / self.d_lambda)
+        return int(min(max(i, 1), len(self._lam_values) - 1))
 
     def q_index(self, q: float) -> int:
         i = round((q - self.q_min) / self.d_q)
-        return int(min(max(i, 0), self.n_q - 1))
+        return int(min(max(i, 0), len(self._q_values) - 1))
 
     def time_index(self, t: float, horizon: float) -> int:
         """Nearest time-to-go slice for wall-clock time ``t``."""
         k = round((horizon - t) / self.d_t)
-        return int(min(max(k, 0), self.n_steps))
+        return int(min(max(k, 0), self._n_steps))
 
 
 @dataclass
@@ -179,10 +181,6 @@ class ValueSurface:
     values: np.ndarray
     alpha: float
     meta: dict
-
-    @property
-    def frozen_row(self) -> np.ndarray:
-        return self.values[:, 0, :]
 
     def start_value(self, lam: float, q: float) -> float:
         """``w`` at the full horizon for an off-grid liquidity level."""

@@ -220,6 +220,11 @@ def price_impact(delta, lam, params: MarketParams):
 
     Accepts scalars or broadcastable arrays for ``delta`` and ``lam``.
     """
+    if isinstance(delta, (float, int)) and isinstance(lam, (float, int)):
+        a = abs(delta)
+        full = (params.theta_iota + params.kappa_iota * lam) * a \
+            - 0.5 * params.kappa_iota * a * a
+        return float(_sgn(delta) * full)
     a = np.abs(delta)
     full = (params.theta_iota + params.kappa_iota * np.asarray(lam, dtype=float)
             ) * a - 0.5 * params.kappa_iota * a * a
@@ -237,6 +242,10 @@ def impact_cost(delta, lam, params: MarketParams):
     non-negative over the traversed range.  Closed cubic form for the affine
     marginal impact.
     """
+    if isinstance(delta, (float, int)) and isinstance(lam, (float, int)):
+        a = abs(delta)
+        return float(0.5 * (params.theta_iota + params.kappa_iota * lam) * a * a
+                     - params.kappa_iota * a * a * a / 6.0)
     a = np.abs(delta)
     out = 0.5 * (params.theta_iota
                  + params.kappa_iota * np.asarray(lam, dtype=float)) * a * a \

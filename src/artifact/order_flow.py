@@ -143,20 +143,6 @@ class MarkModel:
     def n_marks(self) -> int:
         return len(self.marks)
 
-    @property
-    def mean_limit_volume(self) -> float:
-        return float(np.sum(self._nus * self._rhos))
-
-    @property
-    def nu_market(self) -> float:
-        """Total weight of market-order marks."""
-        return float(np.sum(self._nus[self._etas != 0.0]))
-
-    @property
-    def nu_limit(self) -> float:
-        """Total weight of limit (post/cancel) marks."""
-        return float(np.sum(self._nus[self._rhos != 0.0]))
-
     def with_signal_prob(self, signal_prob: float) -> "MarkModel":
         return MarkModel(self.marks, signal_prob)
 
@@ -424,14 +410,15 @@ def simulate_path(params: MarketParams, marks: MarkModel, policy,
     rate_bar = params.f(params.lambda_upper) + params.g(params.lambda_lower)
     gen = _philox(seed)
     n = int(gen.poisson(rate_bar * horizon))
-    times = np.sort(gen.uniform(0.0, horizon, n))
-    mark_idx = gen.choice(marks.n_marks, size=n, p=marks.nus)
-    ys = gen.uniform(0.0, rate_bar, n)
-    vis = gen.uniform(0.0, 1.0, n)
+    # Python scalars from here on: the event loop does scalar arithmetic only
+    times = np.sort(gen.uniform(0.0, horizon, n)).tolist()
+    mark_idx = gen.choice(marks.n_marks, size=n, p=marks.nus).tolist()
+    ys = gen.uniform(0.0, rate_bar, n).tolist()
+    vis = gen.uniform(0.0, 1.0, n).tolist()
     auction_draw = float(gen.standard_normal())
 
     g_floor = params.g(params.lambda_lower)
-    etas, rhos = marks.etas, marks.rhos
+    etas, rhos = marks.etas.tolist(), marks.rhos.tolist()
     acc = _PathAccounting(params, marks, initial, record_events)
     vbar_rho_sum = 0.0
     n_live_mo = 0
@@ -444,10 +431,7 @@ def simulate_path(params: MarketParams, marks: MarkModel, policy,
             acc.apply_trade(0.0, d0)
 
     t_prev = 0.0
-    for i in range(n):
-        t = float(times[i])
-        e = int(mark_idx[i])
-        yv = float(ys[i])
+    for t, e, yv, vis_i in zip(times, mark_idx, ys, vis):
         if yv <= g_floor:
             vbar_rho_sum += abs(rhos[e])
         _run_tick_impulses(acc, policy, t_prev, t)
@@ -466,7 +450,7 @@ def simulate_path(params: MarketParams, marks: MarkModel, policy,
             n_live_mo += 1
         else:
             n_live_limit += 1
-        z = emit_signal(kind, bool(vis[i] < marks.signal_prob))
+        z = emit_signal(kind, vis_i < marks.signal_prob)
         if z != 0:
             n_signals += 1
         gamma_req = 0.0

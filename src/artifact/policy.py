@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from typing import Optional, Tuple
 
+import numpy as np
+
 from .hjb import Policy
 from .market_core import MarketParams, MarketState, clip_to_liquidity
 
@@ -124,6 +126,13 @@ class TablePolicyAgent(Agent):
         self.grid = policy.grid
         self.params = params
         self.name = name
+        # _next_trade[k, i, j]: the largest slice 0 < k' <= k with a non-zero
+        # delta_star[k', i, j], or 0 if there is none.  Slices count time to
+        # go, so k' is the first tick at or after slice k where (i, j) trades.
+        n_steps = self.grid.n_steps
+        ticks = np.arange(n_steps + 1, dtype=np.min_scalar_type(n_steps))
+        self._next_trade = np.maximum.accumulate(
+            (policy.delta_star != 0.0) * ticks[:, None, None], axis=0)
 
     def _slice(self, t: float) -> int:
         return self.grid.time_index(t, self.params.horizon)
@@ -155,15 +164,15 @@ class TablePolicyAgent(Agent):
         d_t = self.grid.d_t
         # earliest tick strictly after t_from: largest k with T - k*d_t > t_from
         k = math.ceil((horizon - t_from) / d_t - 1e-9) - 1
-        while k >= 1:
-            t_k = horizon - k * d_t
-            if t_k >= t_to - 1e-12:
-                return None
-            if t_k > t_from:
-                trade = self._lookup(self.policy.delta_star, t_k, state)
-                if trade != 0.0:
-                    return t_k, clip_to_liquidity(
-                        trade, state.lam, self.params.lambda_lower)
-            k -= 1
-        return None
-
+        if k < 1:
+            return None
+        i = self.grid.lambda_index(state.lam)
+        j = self.grid.q_index(state.q)
+        k = int(self._next_trade[k, i, j])
+        if k == 0:
+            return None
+        t_k = horizon - k * d_t
+        if t_k >= t_to - 1e-12:
+            return None
+        return t_k, clip_to_liquidity(float(self.policy.delta_star[k, i, j]),
+                                      state.lam, self.params.lambda_lower)

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from artifact.market_core import clip_to_liquidity
+
 # Cached Gauss-Legendre rule.  The integrands below are polynomials of
 # degree <= 3 in the integration variable, so a 64-point rule is exact to
 # machine precision (and orders of magnitude past what the tolerances ask).
@@ -194,3 +196,28 @@ def paired_variance_gain(a, b):
     d = ca - cb
     return (float(a.var() - b.var()),
             float(d.std(ddof=1) / math.sqrt(len(d))))
+
+
+def next_impulse_walk(agent, t_from, t_to, state):
+    """Reference for ``TablePolicyAgent.next_impulse``: walk the ticks.
+
+    Starts at the earliest tick strictly after ``t_from`` and looks up the
+    stored state trade at each tick in turn, stopping at the first tick not
+    strictly before ``t_to`` or the first non-zero trade.
+    """
+    grid, horizon = agent.grid, agent.params.horizon
+    i = grid.lambda_index(state.lam)
+    j = grid.q_index(state.q)
+    k = math.ceil((horizon - t_from) / grid.d_t - 1e-9) - 1
+    while k >= 1:
+        t_k = horizon - k * grid.d_t
+        if t_k >= t_to - 1e-12:
+            return None
+        slice_k = grid.time_index(t_k, horizon)
+        if t_k > t_from and slice_k > 0:
+            trade = float(agent.policy.delta_star[slice_k, i, j])
+            if trade != 0.0:
+                return t_k, clip_to_liquidity(trade, state.lam,
+                                              agent.params.lambda_lower)
+        k -= 1
+    return None

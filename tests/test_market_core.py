@@ -94,6 +94,17 @@ def test_cost_frozen_examples():
     assert impact_cost(-2.0, 0.0, PARAMS) == pytest.approx(hand, rel=1e-12)
 
 
+@pytest.mark.parametrize("fn", [price_impact, impact_cost])
+@pytest.mark.parametrize("delta", [0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 3.0, -3.0])
+def test_scalar_branch_is_bitwise_the_array_branch(fn, delta):
+    for lam in (-39.5, -7.3, 0.0, 12.25, 40.0):
+        array = float(fn(np.array([delta]), np.array([lam]), PARAMS)[0])
+        for lam_scalar in (lam, np.float64(lam)):
+            scalar = fn(delta, lam_scalar, PARAMS)
+            assert type(scalar) is float
+            assert scalar.hex() == array.hex(), (delta, lam_scalar)
+
+
 @given(delta=trade_floats, sign=signs, lam=lam_floats)
 def test_impact_antisymmetric_cost_symmetric(delta, sign, lam):
     d = sign * delta

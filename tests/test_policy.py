@@ -10,6 +10,7 @@ from artifact.market_core import MarketParams, MarketState, utility
 from artifact.order_flow import make_path_seed, simulate_path
 from artifact.policy import (Agent, DoNothingAgent, ImmediateExecutionAgent,
                              TablePolicyAgent, TwapAgent)
+from oracles import next_impulse_walk
 
 PARAMS = MarketParams()
 
@@ -127,6 +128,59 @@ def test_table_agent_next_impulse_walks_the_ticks(toy_table):
     # the window is open on the right
     assert toy_table.next_impulse(0.4, 0.5, state) is None
     assert toy_table.next_impulse(0.0, 1.0, _state(lam=0.3, q=2.0)) is None
+
+
+def _long_table():
+    """Sparse random trades on a 320-step grid, past a uint8 tick index."""
+    grid = Grid.from_params(PARAMS, d_t=1.0 / 320, d_lambda=10.0,
+                            q_min=-3.0, q_max=3.0)
+    rng = np.random.default_rng(7)
+    shape = (grid.n_steps + 1, grid.n_lambda, grid.n_q)
+    delta = np.where(rng.random(shape) < 0.02,
+                     rng.choice([-2.0, -1.0, 1.0, 2.0], shape), 0.0)
+    policy = Policy(grid=grid, gamma_star=np.zeros(shape + (2,)),
+                    delta_star=delta, meta={})
+    return TablePolicyAgent(policy, PARAMS)
+
+
+@pytest.mark.parametrize("table, dtype", [
+    ("toy_table", np.uint8), ("solved_signal", np.uint8), ("long", np.uint16)])
+def test_next_impulse_matches_the_tick_walk(table, dtype, request):
+    if table == "long":
+        agent = _long_table()
+    elif table == "solved_signal":
+        agent = TablePolicyAgent(request.getfixturevalue(table)[1], PARAMS)
+    else:
+        agent = request.getfixturevalue(table)
+    assert agent._next_trade.dtype == dtype
+    grid, horizon = agent.grid, PARAMS.horizon
+    ticks = horizon - grid.d_t * np.arange(grid.n_steps + 1)
+    trades = np.argwhere(agent.policy.delta_star[1:] != 0.0) + (1, 0, 0)
+    rng = np.random.default_rng(2024)
+    hits = misses = 0
+    for _ in range(3000):
+        # window ends on ticks, at the horizon, or anywhere in between
+        ends = [rng.choice(ticks) if rng.random() < 0.4 else
+                horizon if rng.random() < 0.1 else rng.uniform(0.0, horizon)
+                for _ in range(2)]
+        t_from, t_to = sorted(float(t) for t in ends)
+        if rng.random() < 0.5:
+            # a node with a stored trade, the window opening at or before
+            # its tick
+            k, i, j = trades[rng.integers(len(trades))]
+            lam, q = grid.lam_values[i], grid.q_values[j]
+            t_from = float(rng.choice(ticks[k:]) if rng.random() < 0.4
+                           else rng.uniform(0.0, ticks[k]))
+        else:
+            lam = rng.uniform(PARAMS.lambda_lower - 2, PARAMS.lambda_upper + 2)
+            q = rng.uniform(grid.q_min - 1.5, grid.q_max + 1.5)
+        state = _state(lam=float(lam), q=float(q))
+        expected = next_impulse_walk(agent, t_from, t_to, state)
+        assert agent.next_impulse(t_from, t_to, state) == expected, (
+            t_from, t_to, state)
+        hits += expected is not None
+        misses += expected is None
+    assert hits > 300 and misses > 300
 
 
 def test_agent_base_class_contract():

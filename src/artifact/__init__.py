@@ -47,7 +47,6 @@ from .order_flow import (
     MarkModel,
     PathRecord,
     benchmark_mark_model,
-    emit_signal,
     make_path_seed,
     simulate_path,
     vbar_bound,

@@ -45,6 +45,7 @@ from .market_core import MarketParams, impact_cost, price_impact
 from .order_flow import MarkModel
 
 __all__ = [
+    "SIGNALS",
     "Grid",
     "StabilityError",
     "ValueSurface",
@@ -61,6 +62,9 @@ __all__ = [
 ]
 
 _TOL = 1e-9
+
+#: Signal values in the order of the last axis of ``Policy.gamma_star``.
+SIGNALS = (-1, 1)
 
 
 class StabilityError(RuntimeError):
@@ -195,7 +199,7 @@ class Policy:
 
     ``gamma_star[k, i, j, s]`` is the signal-response trade at time-to-go
     ``k*d_t``, liquidity node ``i``, inventory node ``j``, for signal
-    ``z = -1`` (``s = 0``) or ``z = +1`` (``s = 1``).  ``delta_star[k, i, j]``
+    ``z = SIGNALS[s]``.  ``delta_star[k, i, j]``
     is the state-based block trade (0 = none).  Stored trades are the
     unclipped lattice volumes; execution clips them at the liquidity floor.
     """
@@ -426,14 +430,14 @@ class _TransportKernels:
         lam1 = lam - np.abs(gamma_exec)
         imp_gamma = price_impact(gamma_exec, lam, params)
 
-        # visible branches (weight p_hat, one gather per signal class): the
+        # visible branches (weight p_hat, one gather per signal): the
         # trader's trade executes ahead of the event's volume, clipped at the
         # floor; an unclipped overshoot halts the market and suppresses the
         # external volume.  The invisible branch (weight 1 - p_hat) is the
         # no-trade column: every mark lands, and the wealth jump is the
         # own-inventory markup by the external market order's impact.
         self.visible = {z: _Gather(grid, params.alpha, cols.shape)
-                        for z in (-1, 1)}
+                        for z in SIGNALS}
         self.invisible = _Gather(grid, params.alpha, cols[:1].shape)
         for m in marks.marks:
             is_mo = m.eta != 0.0
@@ -453,25 +457,23 @@ class _TransportKernels:
                 self.invisible.add(lam_next[:1], cols[:1],
                                    (1.0 - p_hat) * m.nu * rate, jump[:1])
             if p_hat > 0.0:
-                z_class = -1 if (is_mo or m.rho < 0.0) else 1
-                self.visible[z_class].add(lam_next, cols,
-                                          p_hat * m.nu * rate, jump)
+                self.visible[m.signal].add(lam_next, cols,
+                                           p_hat * m.nu * rate, jump)
 
     def apply(self, w: np.ndarray):
         """One generator step; returns the new slice and signal argmaxes."""
         grid = self.grid
         w_flat = w.reshape(-1)
         w_live = w[1:]
-        acc0 = self.invisible.apply(w_flat)[0]
-        gamma = np.zeros((grid.n_lambda, grid.n_q, 2))
-        best_m, gamma[1:, :, 0] = _best_trade(
-            self.visible[-1].apply(w_flat), self.valid, self.trades)
-        best_p, gamma[1:, :, 1] = _best_trade(
-            self.visible[1].apply(w_flat), self.valid, self.trades)
+        acc = self.invisible.apply(w_flat)[0]
+        gamma = np.zeros((grid.n_lambda, grid.n_q, len(SIGNALS)))
+        for s, z in enumerate(SIGNALS):
+            best, gamma[1:, :, s] = _best_trade(
+                self.visible[z].apply(w_flat), self.valid, self.trades)
+            acc += best
         out = np.empty_like(w)
         out[0] = w[0]
-        out[1:] = w_live + grid.d_t * (acc0 + best_m + best_p
-                                       - self.lam_coeff * w_live)
+        out[1:] = w_live + grid.d_t * (acc - self.lam_coeff * w_live)
         return out, gamma
 
 
@@ -591,7 +593,7 @@ def solve(params: MarketParams, marks: MarkModel, grid: Grid,
 
     n_t = grid.n_steps + 1
     values = np.empty((n_t, grid.n_lambda, grid.n_q))
-    gamma_star = np.zeros((n_t, grid.n_lambda, grid.n_q, 2))
+    gamma_star = np.zeros((n_t, grid.n_lambda, grid.n_q, len(SIGNALS)))
     delta_star = np.zeros((n_t, grid.n_lambda, grid.n_q))
     values[0] = _terminal_slice(grid, params)
 

@@ -16,6 +16,7 @@ activity stops until the terminal auction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -30,6 +31,7 @@ __all__ = [
     "price_impact",
     "impact_cost",
     "arrival_rates",
+    "squared_impact_coefficients",
     "price_volatility",
     "check_elasticity",
     "clip_to_liquidity",
@@ -260,26 +262,36 @@ def arrival_rates(lam, params: MarketParams):
     return params.f(lam), params.g(lam)
 
 
+@functools.lru_cache(maxsize=64)
+def squared_impact_coefficients(params: MarketParams, marks):
+    """Coefficients ``(c0, c1, c2)`` of the mark-averaged squared impact.
+
+    ``Isq(lam) = sum_e nu(e) * I(eta(e), lam)^2`` is quadratic in ``lam``
+    because the impact of a fixed volume is affine in ``lam``:
+    ``Isq(lam) = c0 + lam * (c1 + lam * c2)``.  ``marks`` is a hashable
+    object exposing ``etas`` and ``nus`` arrays (see
+    ``order_flow.MarkModel``); the result is cached per ``(params, marks)``.
+    """
+    a = np.abs(marks.etas)
+    b = params.theta_iota * a - 0.5 * params.kappa_iota * a * a
+    m = params.kappa_iota * a
+    nus = marks.nus
+    return (float(np.sum(nus * b * b)), float(np.sum(nus * 2.0 * b * m)),
+            float(np.sum(nus * m * m)))
+
+
 def price_volatility(lam, marks, params: MarketParams):
     """Instantaneous price volatility at liquidity ``lam``.
 
     The squared volatility is the market-order intensity times the
     mark-averaged squared impact,
-    ``sigma^2(lam) = f(lam) * sum_e nu(e) * I(eta(e), lam)^2``.
-    ``marks`` is any object exposing ``etas`` and ``nus`` arrays (see
-    ``order_flow.MarkModel``).  Accepts scalar or array ``lam``.
+    ``sigma^2(lam) = f(lam) * sum_e nu(e) * I(eta(e), lam)^2``
+    (see ``squared_impact_coefficients``).  Accepts scalar or array ``lam``.
     """
+    c0, c1, c2 = squared_impact_coefficients(params, marks)
     lam_arr = np.asarray(lam, dtype=float)
-    etas = np.asarray(marks.etas, dtype=float)
-    nus = np.asarray(marks.nus, dtype=float)
-    imp = price_impact(etas.reshape(-1, *([1] * lam_arr.ndim)),
-                       lam_arr[None, ...], params)
-    var = params.f(lam_arr) * np.sum(nus.reshape(-1, *([1] * lam_arr.ndim))
-                                     * np.square(imp), axis=0)
-    out = np.sqrt(var)
-    if np.ndim(lam) == 0:
-        return float(out)
-    return out
+    out = np.sqrt(params.f(lam_arr) * (c0 + lam_arr * (c1 + lam_arr * c2)))
+    return float(out) if np.ndim(lam) == 0 else out
 
 
 def check_elasticity(params: MarketParams, marks,
@@ -292,36 +304,23 @@ def check_elasticity(params: MarketParams, marks,
     the squared-impact decay dominate the intensity growth, so the price
     volatility ``sigma(lam)`` is strictly decreasing in liquidity.
 
-    ``f'/f`` is ``kappa_f`` exactly; the logarithmic derivative of ``Isq``
-    is formed by a central difference with step ``1e-4``.  Returns a boolean
+    ``f'/f`` is ``kappa_f`` and the logarithmic derivative of the quadratic
+    ``Isq`` is ``(c1 + 2 c2 lam) / Isq``, both exact.  Returns a boolean
     verdict per grid point.  Raises ``ValueError`` if ``Isq`` vanishes at
-    any probed point (the ratio is undefined there); a zero or negative
+    any grid point (the ratio is undefined there); a zero or negative
     denominator (e.g. ``kappa_iota = 0``) yields a ``False`` verdict, as
     does ``kappa_f = 0``.
     """
-    etas = np.asarray(marks.etas, dtype=float)
-    nus = np.asarray(marks.nus, dtype=float)
-
-    def isq(lam_pts):
-        imp = price_impact(etas[:, None], np.asarray(lam_pts, float)[None, :],
-                           params)
-        return np.sum(nus[:, None] * np.square(imp), axis=0)
-
+    c0, c1, c2 = squared_impact_coefficients(params, marks)
     grid = np.asarray(lambda_grid, dtype=float)
-    h = 1e-4
-    center = isq(grid)
-    if np.any(center <= 0.0):
-        bad = grid[np.asarray(center <= 0.0)][0]
+    isq = c0 + grid * (c1 + grid * c2)
+    if np.any(isq <= 0.0):
+        bad = grid[isq <= 0.0][0]
         raise ValueError(
             f"mark-averaged squared impact vanishes at lam={bad}; "
             "elasticity is undefined for an impact-free mark model"
         )
-    hi = isq(grid + h)
-    lo = isq(grid - h)
-    if np.any(hi <= 0.0) or np.any(lo <= 0.0):
-        raise ValueError("squared impact vanishes inside the difference stencil")
-    dlog = (hi - lo) / (2.0 * h) / center
-    denom = -dlog
+    denom = -(c1 + 2.0 * c2 * grid) / isq
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(denom > 0.0, params.kappa_f / denom, np.inf)
     return (denom > 0.0) & (ratio > 0.0) & (ratio < 1.0)
@@ -340,44 +339,29 @@ def clip_to_liquidity(delta: float, lam: float, lambda_lower: float) -> float:
 
 
 def apply_shock_detailed(state: MarketState, shock: ShockTriple,
-                         params: MarketParams,
-                         breaker: bool = True) -> ShockOutcome:
+                         params: MarketParams) -> ShockOutcome:
     """Apply one event's volumes to the state, reporting executions.
 
     Sequencing within the event: the trader's trade ``gamma`` executes
     first, then the external market-order volume ``eta`` against the
-    post-trade liquidity, then the limit flow ``rho``.  With
-    ``breaker=True`` every liquidity-taking volume is clipped at the floor
+    post-trade liquidity, then the limit flow ``rho``.  Every
+    liquidity-taking volume is clipped at the floor
     (``clip_to_liquidity``); an *unclipped* volume that would push
     liquidity strictly below the floor triggers the halt, in which case the
     trader's partial fill still executes but the same event's external
     volumes are suppressed, and the returned state is frozen at the floor.
-    With ``breaker=False`` volumes execute in full with no floor.
 
     Cash and price update with the executed volumes: the trader pays the
     pre-event price, the proportional cost and the impact friction; the
     price moves by the impact of the trader's fill plus that of the
     external market order against the reduced book.
     """
-    if state.halted and breaker:
+    if state.halted:
         return ShockOutcome(state, 0.0, 0.0, 0.0, 0.0, 0.0, False)
 
     lam0, q0, p0, x0 = state.lam, state.q, state.p, state.x
     floor = params.lambda_lower
     gamma, eta, rho = shock.gamma, shock.eta, shock.rho
-
-    if not breaker:
-        pj_g = price_impact(gamma, lam0, params)
-        pj_e = price_impact(eta, lam0 - abs(gamma), params)
-        new = MarketState(
-            lam=lam0 - abs(gamma) - abs(eta) + rho,
-            q=q0 + gamma,
-            p=p0 + pj_g + pj_e,
-            x=x0 - p0 * gamma - params.zeta * abs(gamma)
-            - impact_cost(gamma, lam0, params),
-            halted=state.halted,
-        )
-        return ShockOutcome(new, gamma, eta, rho, pj_g, pj_e, False)
 
     g_exec = clip_to_liquidity(gamma, lam0, floor)
     trader_trig = lam0 - abs(gamma) < floor - _FLOOR_TOL
@@ -416,10 +400,10 @@ def apply_shock_detailed(state: MarketState, shock: ShockTriple,
     return ShockOutcome(new, g_exec, e_exec, r_exec, pj_g, pj_e, triggered)
 
 
-def apply_shock(state: MarketState, shock: ShockTriple, params: MarketParams,
-                breaker: bool = True) -> MarketState:
+def apply_shock(state: MarketState, shock: ShockTriple,
+                params: MarketParams) -> MarketState:
     """State after one event (see ``apply_shock_detailed`` for sequencing)."""
-    return apply_shock_detailed(state, shock, params, breaker=breaker).state
+    return apply_shock_detailed(state, shock, params).state
 
 
 def terminal_wealth(state: MarketState, params: MarketParams,

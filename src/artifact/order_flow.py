@@ -34,6 +34,7 @@ from .market_core import (
     MarketState,
     ShockTriple,
     apply_shock_detailed,
+    squared_impact_coefficients,
     terminal_wealth,
 )
 
@@ -43,7 +44,6 @@ __all__ = [
     "benchmark_mark_model",
     "EventRecord",
     "PathRecord",
-    "emit_signal",
     "make_path_seed",
     "simulate_path",
     "vbar_bound",
@@ -61,7 +61,7 @@ class Mark:
 
     ``eta`` is the signed market-order volume, ``rho`` the signed limit
     volume (positive = post, negative = cancellation); exactly one of the
-    two may be non-zero.  ``nu`` is the mark's probability weight.
+    two is non-zero.  ``nu`` is the mark's probability weight.
     """
 
     eta: float
@@ -70,23 +70,29 @@ class Mark:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if self.eta != 0.0 and self.rho != 0.0:
+        if (self.eta != 0.0) == (self.rho != 0.0):
             raise ValueError(
-                f"mark {self.label!r}: eta={self.eta} and rho={self.rho} "
-                "cannot both be non-zero"
+                f"mark {self.label!r}: exactly one of eta={self.eta} and "
+                f"rho={self.rho} must be non-zero"
             )
         if self.nu < 0.0:
             raise ValueError(f"mark {self.label!r}: nu must be >= 0")
 
     @property
     def kind(self) -> str:
+        """``"market"``, ``"post"`` or ``"cancel"``."""
         if self.eta != 0.0:
             return "market"
-        if self.rho > 0.0:
-            return "post"
-        if self.rho < 0.0:
-            return "cancel"
-        return "null"
+        return "post" if self.rho > 0.0 else "cancel"
+
+    @property
+    def signal(self) -> int:
+        """Signal a visible live event of this mark sends the trader.
+
+        Liquidity-taking events (market orders and cancellations) signal
+        ``-1``, liquidity provision (posts) signals ``+1``.
+        """
+        return 1 if self.kind == "post" else -1
 
 
 @dataclass(frozen=True)
@@ -179,20 +185,6 @@ def benchmark_mark_model(signal_prob: float = 0.2,
     return MarkModel(tuple(marks), signal_prob)
 
 
-def emit_signal(event_kind: str, visible: bool) -> int:
-    """Signal sent to the trader ahead of a live event.
-
-    Liquidity-taking events (market orders and cancellations) signal ``-1``,
-    liquidity provision (posts) signals ``+1``; an invisible event signals
-    ``0`` (nothing is delivered).
-    """
-    if event_kind not in ("market", "post", "cancel"):
-        raise ValueError(f"unknown event kind {event_kind!r}")
-    if not visible:
-        return 0
-    return 1 if event_kind == "post" else -1
-
-
 def make_path_seed(base_seed: int, path_index: int) -> int:
     """Pack a base seed and a path index into one 128-bit stream key."""
     if not 0 <= base_seed < 2 ** 64:
@@ -223,7 +215,6 @@ class EventRecord:
     eta: float          # executed market-order volume
     rho: float          # executed net limit volume
     delta_r: float      # executed state-based trade after the event
-    pre_state: MarketState
     post_state: MarketState
 
 
@@ -272,91 +263,73 @@ class _PathAccounting:
         self.n_sell = 0
         self.min_lam = state.lam
         self.breaker_time = math.inf
-        # sum_e nu_e * I(eta_e, lam)^2 is quadratic in lam because the
-        # impact of a fixed volume is affine in lam: precompute its
-        # coefficients so sigma^2(lam) costs one exp per segment.
-        a = np.abs(marks.etas)
-        b = params.theta_iota * a - 0.5 * params.kappa_iota * a * a
-        m = params.kappa_iota * a
-        nus = marks.nus
-        self._isq_c0 = float(np.sum(nus * b * b))
-        self._isq_c1 = float(np.sum(nus * 2.0 * b * m))
-        self._isq_c2 = float(np.sum(nus * m * m))
-
-    def _sigma2(self, lam: float) -> float:
-        isq = self._isq_c0 + lam * (self._isq_c1 + lam * self._isq_c2)
-        return self.params.f(lam) * isq
+        self._isq_c0, self._isq_c1, self._isq_c2 = \
+            squared_impact_coefficients(params, marks)
 
     def advance(self, t: float) -> None:
         """Accumulate the variance integral up to time ``t``."""
         if not self.state.halted and t > self.t_seg:
-            self.integ_var += self._sigma2(self.state.lam) * (t - self.t_seg)
+            lam = self.state.lam
+            isq = self._isq_c0 + lam * (self._isq_c1 + lam * self._isq_c2)
+            self.integ_var += self.params.f(lam) * isq * (t - self.t_seg)
         self.t_seg = max(self.t_seg, t)
 
-    def _tally_trade(self, executed: float) -> None:
+    def _tally(self, t: float, outcome) -> None:
+        """Book an applied shock whose resulting state is ``self.state``."""
+        executed = outcome.executed_gamma
         if executed > 0.0:
             self.n_buy += 1
         elif executed < 0.0:
             self.n_sell += 1
         self.v_q += abs(executed)
-
-    def _post_step(self, t: float, outcome) -> None:
         self.qv += outcome.price_jump_gamma ** 2 + outcome.price_jump_eta ** 2
         if outcome.triggered and math.isinf(self.breaker_time):
             self.breaker_time = t
         self.min_lam = min(self.min_lam, self.state.lam)
 
+    def _trade(self, t: float, delta: float) -> float:
+        """Execute a trader trade at time ``t``; returns the executed volume."""
+        out = apply_shock_detailed(self.state, ShockTriple(gamma=delta),
+                                   self.params)
+        self.state = out.state
+        self._tally(t, out)
+        return out.executed_gamma
+
     def apply_trade(self, t: float, delta: float) -> None:
         """Execute a stand-alone trader trade at time ``t``."""
         self.advance(t)
-        pre = self.state
-        out = apply_shock_detailed(pre, ShockTriple(gamma=delta), self.params)
-        self.state = out.state
-        self._tally_trade(out.executed_gamma)
-        self._post_step(t, out)
+        executed = self._trade(t, delta)
         if self.record:
             self.events.append(EventRecord(
                 time=t, kind="impulse", outcome="trade", z=0, mark_index=-1,
-                y=math.nan, gamma=0.0, eta=0.0, rho=0.0,
-                delta_r=out.executed_gamma, pre_state=pre,
+                y=math.nan, gamma=0.0, eta=0.0, rho=0.0, delta_r=executed,
                 post_state=self.state))
 
     def apply_event(self, t: float, mark_index: int, kind: str, y: float,
                     z: int, shock: ShockTriple, policy) -> None:
         """Execute one live candidate: signal trade, volumes, state trade."""
         self.advance(t)
-        pre = self.state
-        out = apply_shock_detailed(pre, shock, self.params)
+        out = apply_shock_detailed(self.state, shock, self.params)
         state = out.state
         if state.lam > self.params.lambda_upper:
             # posted liquidity beyond the cap is discarded
             state = replace(state, lam=self.params.lambda_upper)
         self.state = state
-        self._tally_trade(out.executed_gamma)
+        self._tally(t, out)
         self.v_m += abs(out.executed_eta)
         self.v_lminus += max(-out.executed_rho, 0.0)
-        self._post_step(t, out)
 
         delta_r = 0.0
         if policy is not None and not self.state.halted:
             delta_r = float(policy.on_state(t, self.state))
             if delta_r != 0.0:
-                out2 = apply_shock_detailed(
-                    self.state, ShockTriple(gamma=delta_r), self.params)
-                self.state = out2.state
-                delta_r = out2.executed_gamma
-                self._tally_trade(delta_r)
-                self.qv += out2.price_jump_gamma ** 2
-                if out2.triggered and math.isinf(self.breaker_time):
-                    self.breaker_time = t
-                self.min_lam = min(self.min_lam, self.state.lam)
+                delta_r = self._trade(t, delta_r)
 
         if self.record:
             self.events.append(EventRecord(
                 time=t, kind=kind, outcome="live", z=z, mark_index=mark_index,
                 y=y, gamma=out.executed_gamma, eta=out.executed_eta,
-                rho=out.executed_rho, delta_r=delta_r, pre_state=pre,
-                post_state=self.state))
+                rho=out.executed_rho, delta_r=delta_r, post_state=self.state))
 
     def skip(self, t: float, mark_index: int, kind: str, y: float,
              outcome: str) -> None:
@@ -365,7 +338,7 @@ class _PathAccounting:
             self.events.append(EventRecord(
                 time=t, kind=kind, outcome=outcome, z=0, mark_index=mark_index,
                 y=y, gamma=0.0, eta=0.0, rho=0.0, delta_r=0.0,
-                pre_state=self.state, post_state=self.state))
+                post_state=self.state))
 
 
 def _run_tick_impulses(acc: _PathAccounting, policy, t_from: float,
@@ -419,6 +392,8 @@ def simulate_path(params: MarketParams, marks: MarkModel, policy,
 
     g_floor = params.g(params.lambda_lower)
     etas, rhos = marks.etas.tolist(), marks.rhos.tolist()
+    kinds = [m.kind for m in marks.marks]
+    signals = [m.signal for m in marks.marks]
     acc = _PathAccounting(params, marks, initial, record_events)
     vbar_rho_sum = 0.0
     n_live_mo = 0
@@ -437,7 +412,7 @@ def simulate_path(params: MarketParams, marks: MarkModel, policy,
         _run_tick_impulses(acc, policy, t_prev, t)
         t_prev = t
         is_mo = etas[e] != 0.0
-        kind = "market" if is_mo else ("post" if rhos[e] > 0.0 else "cancel")
+        kind = kinds[e]
         if acc.state.halted:
             acc.skip(t, e, kind, yv, "halted")
             continue
@@ -450,7 +425,7 @@ def simulate_path(params: MarketParams, marks: MarkModel, policy,
             n_live_mo += 1
         else:
             n_live_limit += 1
-        z = emit_signal(kind, vis_i < marks.signal_prob)
+        z = signals[e] if vis_i < marks.signal_prob else 0
         if z != 0:
             n_signals += 1
         gamma_req = 0.0

@@ -20,7 +20,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .hjb import Policy
+from .hjb import SIGNALS, Policy
 from .market_core import MarketParams, MarketState, clip_to_liquidity
 
 __all__ = [
@@ -146,10 +146,10 @@ class TablePolicyAgent(Agent):
         return float(table[(k, i, j) + extra])
 
     def on_signal(self, t: float, state: MarketState, z: int) -> float:
-        if z not in (-1, 1):
-            raise ValueError(f"signal z must be -1 or +1, got {z}")
+        if z not in SIGNALS:
+            raise ValueError(f"signal z must be one of {SIGNALS}, got {z}")
         trade = self._lookup(self.policy.gamma_star, t, state,
-                             0 if z == -1 else 1)
+                             SIGNALS.index(z))
         return clip_to_liquidity(trade, state.lam, self.params.lambda_lower)
 
     def on_state(self, t: float, state: MarketState) -> float:

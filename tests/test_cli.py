@@ -98,6 +98,7 @@ def test_config_hash_ignores_threads_and_directory(tmp_path):
     ({"experiment": {"lambda0": 90.0}}, "liquidity band"),
     ({"marks": {"signal_prob": 1.5}}, "marks section invalid"),
     ({"market": "not-a-section"}, "must be a section"),
+    ({"marks": {"custom": [[0, 0, 1]]}}, "marks section invalid"),
 ])
 def test_invalid_configs_are_rejected_with_their_path(tmp_path, payload,
                                                       fragment):

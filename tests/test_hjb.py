@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from artifact.hjb import (
+    SIGNALS,
     Grid,
     StabilityError,
     certainty_equivalent,
@@ -400,6 +401,20 @@ def test_signal_branches_collapse_without_inventory_freedom(bench_params):
     seen, _ = solve(bench_params, benchmark_mark_model(1.0), grid)
     blind, _ = solve(bench_params, benchmark_mark_model(0.0), grid)
     np.testing.assert_allclose(seen.values, blind.values, rtol=0, atol=1e-14)
+
+
+def test_cancellations_fill_the_liquidity_taking_signal_slot():
+    # Market orders and cancellations both take liquidity: every visible
+    # event of this model signals -1, so the +1 slot never trades.
+    with pytest.warns(UserWarning, match="resilient"):
+        marks = MarkModel((Mark(eta=1.0, rho=0.0, nu=0.25),
+                           Mark(eta=-1.0, rho=0.0, nu=0.25),
+                           Mark(eta=0.0, rho=-1.0, nu=0.5)), 1.0)
+    grid = Grid.from_params(PARAMS, d_t=0.01, d_lambda=4.0,
+                            q_min=-2.0, q_max=2.0)
+    _, policy = solve(PARAMS, marks, grid)
+    assert not np.any(policy.gamma_star[..., SIGNALS.index(1)])
+    assert np.any(policy.gamma_star[..., SIGNALS.index(-1)])
 
 
 def test_narrow_policies_never_trade_from_flat(narrow_policies, desk_grid):

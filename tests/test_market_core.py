@@ -139,11 +139,11 @@ def test_split_execution_reaches_identical_state(first, second, sign, lam):
     a, b = sign * first, sign * second
     start = MarketState(lam=lam, q=0.0, p=100.0, x=0.0)
     one = apply_shock(start, ShockTriple(gamma=a + b, eta=0.0, rho=0.0),
-                      PARAMS, breaker=False)
+                      PARAMS)
     two = apply_shock(start, ShockTriple(gamma=a, eta=0.0, rho=0.0),
-                      PARAMS, breaker=False)
+                      PARAMS)
     two = apply_shock(two, ShockTriple(gamma=b, eta=0.0, rho=0.0),
-                      PARAMS, breaker=False)
+                      PARAMS)
     assert two.lam == pytest.approx(one.lam, abs=1e-12)
     assert two.q == pytest.approx(one.q, abs=1e-12)
     assert two.p == pytest.approx(one.p, rel=1e-12)
@@ -245,7 +245,7 @@ def test_apply_shock_identity():
 def test_apply_shock_buy_one_lot_example():
     start = MarketState(lam=0.0, q=0.0, p=100.0, x=0.0)
     out = apply_shock(start, ShockTriple(gamma=1.0, eta=0.0, rho=0.0),
-                      PARAMS, breaker=False)
+                      PARAMS)
     assert out.lam == -1.0
     assert out.q == 1.0
     assert out.p == pytest.approx(100.0101, rel=1e-14)
@@ -255,8 +255,7 @@ def test_apply_shock_buy_one_lot_example():
 
 def test_apply_shock_clips_market_order_and_halts():
     start = MarketState(lam=-39.0, q=0.0, p=100.0, x=0.0)
-    out = apply_shock_detailed(start, ShockTriple(0.0, -3.0, 0.0), PARAMS,
-                               breaker=True)
+    out = apply_shock_detailed(start, ShockTriple(0.0, -3.0, 0.0), PARAMS)
     assert out.executed_eta == -1.0
     assert out.triggered
     assert out.state.halted
@@ -277,25 +276,16 @@ def test_halted_market_ignores_further_shocks():
     assert halted.halted
     for shock in (ShockTriple(1.0, 0.0, 0.0), ShockTriple(0.0, -2.0, 0.0),
                   ShockTriple(0.0, 0.0, 3.0)):
-        after = apply_shock_detailed(halted, shock, PARAMS, breaker=True)
+        after = apply_shock_detailed(halted, shock, PARAMS)
         assert after.state == halted
         assert after.executed_gamma == after.executed_eta \
             == after.executed_rho == 0.0
 
 
-def test_breaker_false_ignores_floor():
-    start = MarketState(lam=-39.0, q=0.0, p=100.0, x=0.0)
-    out = apply_shock(start, ShockTriple(0.0, -3.0, 0.0), PARAMS,
-                      breaker=False)
-    assert out.lam == -42.0
-    assert not out.halted
-
-
 def test_trader_overshoot_suppresses_external_volume():
     """A clipped signal trade halts the market before the event lands."""
     start = MarketState(lam=-38.0, q=0.0, p=100.0, x=0.0)
-    out = apply_shock_detailed(start, ShockTriple(5.0, -1.0, 0.0), PARAMS,
-                               breaker=True)
+    out = apply_shock_detailed(start, ShockTriple(5.0, -1.0, 0.0), PARAMS)
     assert out.executed_gamma == 2.0
     assert out.executed_eta == 0.0
     assert out.triggered and out.state.halted
@@ -305,8 +295,7 @@ def test_trader_overshoot_suppresses_external_volume():
 
 def test_cancellation_can_trigger_the_breaker():
     start = MarketState(lam=-39.5, q=0.0, p=100.0, x=0.0)
-    out = apply_shock_detailed(start, ShockTriple(0.0, 0.0, -1.0), PARAMS,
-                               breaker=True)
+    out = apply_shock_detailed(start, ShockTriple(0.0, 0.0, -1.0), PARAMS)
     assert out.executed_rho == -0.5
     assert out.state.lam == -40.0
     assert out.state.halted

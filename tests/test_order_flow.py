@@ -16,7 +16,6 @@ from artifact.order_flow import (
     Mark,
     MarkModel,
     benchmark_mark_model,
-    emit_signal,
     make_path_seed,
     simulate_path,
     vbar_bound,
@@ -57,8 +56,10 @@ def test_benchmark_mark_model_structure():
 def test_mark_model_validation():
     with pytest.raises(ValueError, match="sum to 1"):
         MarkModel((Mark(eta=1.0, rho=0.0, nu=0.5),), 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exactly one"):
         MarkModel((Mark(eta=1.0, rho=1.0, nu=1.0),), 0.0)
+    with pytest.raises(ValueError, match="exactly one"):
+        Mark(eta=0.0, rho=0.0, nu=1.0)
     with pytest.raises(ValueError):
         MarkModel((Mark(eta=1.0, rho=0.0, nu=-0.2),
                    Mark(eta=0.0, rho=1.0, nu=1.2)), 0.0)
@@ -81,14 +82,12 @@ def test_with_signal_prob_rebuilds():
 # signals and seeds
 # ---------------------------------------------------------------------------
 
-def test_emit_signal_examples():
-    assert emit_signal("market", True) == -1
-    assert emit_signal("post", True) == 1
-    assert emit_signal("cancel", True) == -1
-    assert emit_signal("cancel", False) == 0
-    assert emit_signal("market", False) == 0
-    with pytest.raises(ValueError):
-        emit_signal("auction", True)
+def test_mark_signal_examples():
+    examples = [((2.0, 0.0), "market", -1), ((-1.0, 0.0), "market", -1),
+                ((0.0, 3.0), "post", 1), ((0.0, -1.0), "cancel", -1)]
+    for (eta, rho), kind, signal in examples:
+        mark = Mark(eta=eta, rho=rho, nu=1.0)
+        assert (mark.kind, mark.signal) == (kind, signal)
 
 
 def test_make_path_seed_layout():
@@ -379,6 +378,18 @@ def test_signal_visibility_extremes(bench_params):
                           initial, make_path_seed(8, 0), record_events=True)
     assert blind.n_signals == 0
     assert all(e.z == 0 for e in blind.events)
+
+
+def test_visible_events_send_their_mark_signal(bench_params):
+    initial = MarketState(lam=0.0, q=0.0, p=100.0, x=0.0)
+    marks = benchmark_mark_model(0.5)
+    rec = simulate_path(bench_params, marks, None, initial,
+                        make_path_seed(8, 1), record_events=True)
+    visible = [e for e in rec.events if e.outcome == "live" and e.z != 0]
+    assert rec.n_signals == len(visible) > 0
+    assert {e.kind for e in visible} == {"market", "post", "cancel"}
+    for e in visible:
+        assert e.z == marks.marks[e.mark_index].signal
 
 
 # ---------------------------------------------------------------------------

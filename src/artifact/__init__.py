@@ -28,11 +28,7 @@ __version__ = "0.1.0"
 from .market_core import (
     MarketParams,
     MarketState,
-    ShockOutcome,
-    ShockTriple,
-    apply_shock,
     apply_shock_detailed,
-    arrival_rates,
     check_elasticity,
     clip_to_liquidity,
     impact_cost,

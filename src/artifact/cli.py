@@ -380,8 +380,7 @@ def _run_simulate(config: RunConfig) -> int:
                                   os.path.join(out_dir, "paths.csv"))
         reports = evaluation.build_reports(
             config.params, config.marks,
-            {"table": [evaluation.path_outcome(path, target_q)
-                       for path in paths]},
+            {"table": [evaluation.path_outcome(path) for path in paths]},
             seed, config.initial_state(), target_q=target_q,
             histogram_bin_width=bin_width)
     else:
@@ -511,8 +510,12 @@ def _run_check(config: RunConfig) -> int:
     stability = check_stability(config.grid, params, marks)
     expect(stability <= 1.0, f"stability number {stability:.4f} <= 1")
     lam_grid = np.linspace(params.lambda_lower, params.lambda_upper, 17)
-    verdicts = check_elasticity(params, marks, lam_grid)
-    expect(bool(np.all(verdicts)), "volatility elasticity on the band")
+    label = "volatility elasticity on the band"
+    try:
+        elastic = bool(np.all(check_elasticity(params, marks, lam_grid)))
+    except ValueError as exc:   # undefined, e.g. without market orders
+        elastic, label = False, f"{label} ({exc})"
+    expect(elastic, label)
     rng = np.random.Generator(np.random.Philox(key=np.array([7, 0],
                                                             dtype=np.uint64)))
     worst = 0.0

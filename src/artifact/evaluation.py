@@ -69,7 +69,7 @@ class ConsistencyResult:
     tolerance: float
 
 
-def detect_speculation(path: PathRecord, target_q: float = 0.0) -> bool:
+def detect_speculation(path: PathRecord) -> bool:
     """Whether the path trades in both directions.
 
     Counts the executed signal- and state-based trades plus the implicit
@@ -92,10 +92,9 @@ def _histogram(wealth: np.ndarray, bin_width: float):
     return edges, counts
 
 
-def path_outcome(path: PathRecord,
-                 target_q: float = 0.0) -> Tuple[float, bool, bool]:
+def path_outcome(path: PathRecord) -> Tuple[float, bool, bool]:
     """A path's terminal wealth, speculation flag and breaker flag."""
-    return (path.terminal_wealth, detect_speculation(path, target_q),
+    return (path.terminal_wealth, detect_speculation(path),
             math.isfinite(path.breaker_time))
 
 
@@ -149,10 +148,10 @@ def _share(*inputs) -> None:
 
 def _simulate_chunk(paths: range, inputs: tuple = ()) -> list:
     """Every agent's path outcomes on ``paths``, agent by agent."""
-    params, marks, agents, initial, base_seed, target_q = inputs or _shared
+    params, marks, agents, initial, base_seed = inputs or _shared
     return [[path_outcome(simulate_path(params, marks, agent, initial,
-                                        make_path_seed(base_seed, i)),
-                          target_q) for i in paths]
+                                        make_path_seed(base_seed, i)))
+             for i in paths]
             for agent in agents.values()]
 
 
@@ -174,7 +173,7 @@ def run_experiment(params: MarketParams, marks: MarkModel,
         raise ValueError("n_sim must be positive")
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    inputs = (params, marks, agents, initial, base_seed, target_q)
+    inputs = (params, marks, agents, initial, base_seed)
     if threads == 1:
         chunks = [_simulate_chunk(range(n_sim), inputs)]
     else:

@@ -41,7 +41,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .market_core import MarketParams, impact_cost, price_impact
+from .market_core import MarketParams, _sgn, impact_cost, price_impact
 from .order_flow import MarkModel
 
 __all__ = [
@@ -285,10 +285,6 @@ def certainty_equivalent(w_with, w_without, alpha: float):
     if np.ndim(w_with) == 0 and np.ndim(w_without) == 0:
         return float(out)
     return out
-
-
-def _sgn(v: float) -> float:
-    return 1.0 if v > 0.0 else (-1.0 if v < 0.0 else 0.0)
 
 
 def _scan_trades(grid: Grid) -> np.ndarray:

@@ -8,10 +8,13 @@ impact function ``iota`` over the consumed depth, and the cash friction of
 the same trade is the integral of the impact itself.  Both integrals have
 closed forms for the affine marginal impact used throughout.
 
-A circuit breaker freezes the market when an executed liquidity-taking
-volume would push ``lam`` strictly below ``lambda_lower``: the offending
-volume is filled partially (down to the floor exactly) and all subsequent
-activity stops until the terminal auction.
+Liquidity lives on the band ``[lambda_lower, lambda_upper]``, and
+``apply_shock_detailed`` enforces both ends.  At the floor a circuit breaker
+freezes the market when an executed liquidity-taking volume would push
+``lam`` strictly below ``lambda_lower``: the offending volume is filled
+partially (down to the floor exactly) and all subsequent activity stops
+until the terminal auction.  At the cap, posted liquidity beyond
+``lambda_upper`` is discarded.
 """
 
 from __future__ import annotations
@@ -26,16 +29,12 @@ import numpy as np
 __all__ = [
     "MarketParams",
     "MarketState",
-    "ShockTriple",
-    "ShockOutcome",
     "price_impact",
     "impact_cost",
-    "arrival_rates",
     "squared_impact_coefficients",
     "price_volatility",
     "check_elasticity",
     "clip_to_liquidity",
-    "apply_shock",
     "apply_shock_detailed",
     "terminal_wealth",
     "utility",
@@ -170,41 +169,6 @@ class MarketState:
     halted: bool = False
 
 
-@dataclass(frozen=True)
-class ShockTriple:
-    """One event's volumes: trader trade, external market order, limit flow.
-
-    ``gamma`` is the trader's signed trade, ``eta`` the signed volume of an
-    external market order, and ``rho`` the signed limit-order-book change
-    (positive = posted liquidity, negative = cancellation).  A single event
-    carries either market-order volume or limit volume, never both.
-    """
-
-    gamma: float = 0.0
-    eta: float = 0.0
-    rho: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.eta != 0.0 and self.rho != 0.0:
-            raise ValueError(
-                f"degenerate shock: eta={self.eta} and rho={self.rho} cannot "
-                "both be non-zero in one event"
-            )
-
-
-@dataclass(frozen=True)
-class ShockOutcome:
-    """Executed volumes and resulting state of one applied shock."""
-
-    state: MarketState
-    executed_gamma: float
-    executed_eta: float
-    executed_rho: float
-    price_jump_gamma: float
-    price_jump_eta: float
-    triggered: bool
-
-
 def _sgn(v: float) -> float:
     if v > 0.0:
         return 1.0
@@ -255,11 +219,6 @@ def impact_cost(delta, lam, params: MarketParams):
     if np.ndim(out) == 0:
         return float(out)
     return out
-
-
-def arrival_rates(lam, params: MarketParams):
-    """Pair ``(f(lam), g(lam))`` of market-order and limit-flow intensities."""
-    return params.f(lam), params.g(lam)
 
 
 @functools.lru_cache(maxsize=64)
@@ -338,9 +297,17 @@ def clip_to_liquidity(delta: float, lam: float, lambda_lower: float) -> float:
     return _sgn(delta) * max(lam - lambda_lower, 0.0)
 
 
-def apply_shock_detailed(state: MarketState, shock: ShockTriple,
-                         params: MarketParams) -> ShockOutcome:
+def apply_shock_detailed(state: MarketState, gamma: float, eta: float,
+                         rho: float, params: MarketParams) -> tuple:
     """Apply one event's volumes to the state, reporting executions.
+
+    ``gamma`` is the trader's signed trade, ``eta`` the signed volume of an
+    external market order and ``rho`` the signed limit-order-book change
+    (positive = posted liquidity, negative = cancellation); one event
+    carries market-order volume or limit volume, never both.  Returns
+    ``(state, executed_gamma, executed_eta, executed_rho, price_jump_gamma,
+    price_jump_eta)``; a halted state is returned unchanged with nothing
+    executed.
 
     Sequencing within the event: the trader's trade ``gamma`` executes
     first, then the external market-order volume ``eta`` against the
@@ -350,60 +317,52 @@ def apply_shock_detailed(state: MarketState, shock: ShockTriple,
     liquidity strictly below the floor triggers the halt, in which case the
     trader's partial fill still executes but the same event's external
     volumes are suppressed, and the returned state is frozen at the floor.
+    Posts still execute in full, but liquidity stops at the cap.
 
     Cash and price update with the executed volumes: the trader pays the
     pre-event price, the proportional cost and the impact friction; the
     price moves by the impact of the trader's fill plus that of the
     external market order against the reduced book.
     """
+    if eta != 0.0 and rho != 0.0:
+        raise ValueError(
+            f"degenerate shock: eta={eta} and rho={rho} cannot both be "
+            "non-zero in one event")
     if state.halted:
-        return ShockOutcome(state, 0.0, 0.0, 0.0, 0.0, 0.0, False)
+        return state, 0.0, 0.0, 0.0, 0.0, 0.0
 
     lam0, q0, p0, x0 = state.lam, state.q, state.p, state.x
     floor = params.lambda_lower
-    gamma, eta, rho = shock.gamma, shock.eta, shock.rho
 
     g_exec = clip_to_liquidity(gamma, lam0, floor)
-    trader_trig = lam0 - abs(gamma) < floor - _FLOOR_TOL
     lam1 = lam0 - abs(g_exec)
     pj_g = price_impact(g_exec, lam0, params)
     q1 = q0 + g_exec
     x1 = x0 - p0 * g_exec - params.zeta * abs(g_exec) \
         - impact_cost(g_exec, lam0, params)
 
-    if trader_trig:
-        return ShockOutcome(
-            MarketState(lam=lam1, q=q1, p=p0 + pj_g, x=x1, halted=True),
-            g_exec, 0.0, 0.0, pj_g, 0.0, True,
-        )
+    if lam0 - abs(gamma) < floor - _FLOOR_TOL:
+        return (MarketState(lam=lam1, q=q1, p=p0 + pj_g, x=x1, halted=True),
+                g_exec, 0.0, 0.0, pj_g, 0.0)
 
     e_exec = clip_to_liquidity(eta, lam1, floor)
-    mo_trig = eta != 0.0 and lam1 - abs(eta) < floor - _FLOOR_TOL
     pj_e = price_impact(e_exec, lam1, params)
     lam2 = lam1 - abs(e_exec)
 
-    cancel = max(-rho, 0.0)
-    post = max(rho, 0.0)
-    if mo_trig:
+    if eta != 0.0 and lam1 - abs(eta) < floor - _FLOOR_TOL:
         r_exec = 0.0
         lam3 = lam2
-        triggered = True
+        halted = True
     else:
+        cancel = max(-rho, 0.0)
+        post = max(rho, 0.0)
         c_exec = min(cancel, max(lam2 - floor, 0.0))
-        cancel_trig = cancel > 0.0 and lam2 - cancel < floor - _FLOOR_TOL
         r_exec = post - c_exec
-        lam3 = lam2 - c_exec + post
-        triggered = cancel_trig
+        lam3 = min(lam2 - c_exec + post, params.lambda_upper)
+        halted = cancel > 0.0 and lam2 - cancel < floor - _FLOOR_TOL
 
-    new = MarketState(lam=lam3, q=q1, p=p0 + pj_g + pj_e, x=x1,
-                      halted=triggered)
-    return ShockOutcome(new, g_exec, e_exec, r_exec, pj_g, pj_e, triggered)
-
-
-def apply_shock(state: MarketState, shock: ShockTriple,
-                params: MarketParams) -> MarketState:
-    """State after one event (see ``apply_shock_detailed`` for sequencing)."""
-    return apply_shock_detailed(state, shock, params).state
+    new = MarketState(lam=lam3, q=q1, p=p0 + pj_g + pj_e, x=x1, halted=halted)
+    return new, g_exec, e_exec, r_exec, pj_g, pj_e
 
 
 def terminal_wealth(state: MarketState, params: MarketParams,

@@ -24,7 +24,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -32,7 +32,6 @@ import numpy as np
 from .market_core import (
     MarketParams,
     MarketState,
-    ShockTriple,
     apply_shock_detailed,
     squared_impact_coefficients,
     terminal_wealth,
@@ -222,8 +221,6 @@ class EventRecord:
 class PathRecord:
     """Scalar summary (and optional event log) of one simulated path."""
 
-    seed: int
-    initial_state: MarketState
     terminal_state: MarketState
     terminal_wealth: float
     auction_draw: float
@@ -274,31 +271,31 @@ class _PathAccounting:
             self.integ_var += self.params.f(lam) * isq * (t - self.t_seg)
         self.t_seg = max(self.t_seg, t)
 
-    def _tally(self, t: float, outcome) -> None:
-        """Book an applied shock whose resulting state is ``self.state``."""
-        executed = outcome.executed_gamma
-        if executed > 0.0:
+    def _shock(self, t: float, gamma: float, eta: float,
+               rho: float) -> tuple:
+        """Apply and book one shock at time ``t``; returns what executed.
+
+        The result is ``(executed_gamma, executed_eta, executed_rho)``.
+        """
+        self.state, g_exec, e_exec, r_exec, pj_g, pj_e = \
+            apply_shock_detailed(self.state, gamma, eta, rho, self.params)
+        if g_exec > 0.0:
             self.n_buy += 1
-        elif executed < 0.0:
+        elif g_exec < 0.0:
             self.n_sell += 1
-        self.v_q += abs(executed)
-        self.qv += outcome.price_jump_gamma ** 2 + outcome.price_jump_eta ** 2
-        if outcome.triggered and math.isinf(self.breaker_time):
+        self.v_q += abs(g_exec)
+        self.v_m += abs(e_exec)
+        self.v_lminus += max(-r_exec, 0.0)
+        self.qv += pj_g ** 2 + pj_e ** 2
+        if self.state.halted and math.isinf(self.breaker_time):
             self.breaker_time = t
         self.min_lam = min(self.min_lam, self.state.lam)
-
-    def _trade(self, t: float, delta: float) -> float:
-        """Execute a trader trade at time ``t``; returns the executed volume."""
-        out = apply_shock_detailed(self.state, ShockTriple(gamma=delta),
-                                   self.params)
-        self.state = out.state
-        self._tally(t, out)
-        return out.executed_gamma
+        return g_exec, e_exec, r_exec
 
     def apply_trade(self, t: float, delta: float) -> None:
         """Execute a stand-alone trader trade at time ``t``."""
         self.advance(t)
-        executed = self._trade(t, delta)
+        executed = self._shock(t, delta, 0.0, 0.0)[0]
         if self.record:
             self.events.append(EventRecord(
                 time=t, kind="impulse", outcome="trade", z=0, mark_index=-1,
@@ -306,30 +303,23 @@ class _PathAccounting:
                 post_state=self.state))
 
     def apply_event(self, t: float, mark_index: int, kind: str, y: float,
-                    z: int, shock: ShockTriple, policy) -> None:
+                    z: int, gamma: float, eta: float, rho: float,
+                    policy) -> None:
         """Execute one live candidate: signal trade, volumes, state trade."""
         self.advance(t)
-        out = apply_shock_detailed(self.state, shock, self.params)
-        state = out.state
-        if state.lam > self.params.lambda_upper:
-            # posted liquidity beyond the cap is discarded
-            state = replace(state, lam=self.params.lambda_upper)
-        self.state = state
-        self._tally(t, out)
-        self.v_m += abs(out.executed_eta)
-        self.v_lminus += max(-out.executed_rho, 0.0)
+        g_exec, e_exec, r_exec = self._shock(t, gamma, eta, rho)
 
         delta_r = 0.0
         if policy is not None and not self.state.halted:
             delta_r = float(policy.on_state(t, self.state))
             if delta_r != 0.0:
-                delta_r = self._trade(t, delta_r)
+                delta_r = self._shock(t, delta_r, 0.0, 0.0)[0]
 
         if self.record:
             self.events.append(EventRecord(
                 time=t, kind=kind, outcome="live", z=z, mark_index=mark_index,
-                y=y, gamma=out.executed_gamma, eta=out.executed_eta,
-                rho=out.executed_rho, delta_r=delta_r, post_state=self.state))
+                y=y, gamma=g_exec, eta=e_exec, rho=r_exec, delta_r=delta_r,
+                post_state=self.state))
 
     def skip(self, t: float, mark_index: int, kind: str, y: float,
              outcome: str) -> None:
@@ -431,18 +421,15 @@ def simulate_path(params: MarketParams, marks: MarkModel, policy,
         gamma_req = 0.0
         if z != 0 and policy is not None and t < horizon:
             gamma_req = float(policy.on_signal(t, acc.state, z))
-        shock = ShockTriple(gamma=gamma_req,
-                            eta=etas[e] if is_mo else 0.0,
-                            rho=rhos[e] if not is_mo else 0.0)
-        acc.apply_event(t, e, kind, yv, z, shock, policy)
+        acc.apply_event(t, e, kind, yv, z, gamma_req,
+                        etas[e] if is_mo else 0.0,
+                        rhos[e] if not is_mo else 0.0, policy)
 
     _run_tick_impulses(acc, policy, t_prev, horizon)
     acc.advance(horizon)
 
     wealth = terminal_wealth(acc.state, params, auction_draw)
     return PathRecord(
-        seed=seed,
-        initial_state=initial,
         terminal_state=acc.state,
         terminal_wealth=wealth,
         auction_draw=auction_draw,

@@ -331,6 +331,21 @@ def test_check_flags_inelastic_volatility(tmp_path):
     assert "check(s) failed" in _all_output(result)
 
 
+def test_check_reports_undefined_elasticity_as_a_failed_check(tmp_path):
+    """Without market orders the elasticity ratio is undefined: a verdict."""
+    runner = CliRunner()
+    cfg = _write_config(tmp_path, {
+        "marks": {"custom": [[0, 1, 1]]},
+        "grid": TINY_GRID,
+        "experiment": {"n_sim": 30, "q0": 0.0},
+    })
+    result = runner.invoke(main, ["check", "-c", cfg])
+    assert result.exit_code == 4, _all_output(result)
+    assert ("[FAIL] volatility elasticity on the band (mark-averaged "
+            "squared impact vanishes at lam=-40.0") in result.output
+    assert "check(s) failed" in _all_output(result)
+
+
 def test_seed_override_lands_in_the_stamp(tmp_path):
     runner = CliRunner()
     cfg = _tiny_config(tmp_path)

@@ -12,10 +12,7 @@ from scipy import integrate
 from artifact.market_core import (
     MarketParams,
     MarketState,
-    ShockTriple,
-    apply_shock,
     apply_shock_detailed,
-    arrival_rates,
     check_elasticity,
     clip_to_liquidity,
     impact_cost,
@@ -28,6 +25,12 @@ from artifact.order_flow import Mark, MarkModel, benchmark_mark_model
 from oracles import cost_oracle, impact_oracle, volatility_oracle
 
 PARAMS = MarketParams()
+
+
+def _after(state, gamma, eta, rho, params=PARAMS):
+    """State after one shock of plain volumes."""
+    return apply_shock_detailed(state, gamma, eta, rho, params)[0]
+
 
 lam_floats = st.floats(min_value=-39.0, max_value=40.0)
 trade_floats = st.floats(min_value=0.01, max_value=6.0)
@@ -138,12 +141,9 @@ def test_split_execution_reaches_identical_state(first, second, sign, lam):
     """Full state equality of one-shot vs two-tranche execution."""
     a, b = sign * first, sign * second
     start = MarketState(lam=lam, q=0.0, p=100.0, x=0.0)
-    one = apply_shock(start, ShockTriple(gamma=a + b, eta=0.0, rho=0.0),
-                      PARAMS)
-    two = apply_shock(start, ShockTriple(gamma=a, eta=0.0, rho=0.0),
-                      PARAMS)
-    two = apply_shock(two, ShockTriple(gamma=b, eta=0.0, rho=0.0),
-                      PARAMS)
+    one = _after(start, a + b, 0.0, 0.0)
+    two = _after(start, a, 0.0, 0.0)
+    two = _after(two, b, 0.0, 0.0)
     assert two.lam == pytest.approx(one.lam, abs=1e-12)
     assert two.q == pytest.approx(one.q, abs=1e-12)
     assert two.p == pytest.approx(one.p, rel=1e-12)
@@ -172,8 +172,8 @@ def test_instantaneous_roundtrip_loses_money(zeta):
     for delta in (1.0, 2.0, 3.0, 4.0, 5.0):
         for lam in np.arange(params.lambda_lower + 2 * delta, 41.0, 7.0):
             start = MarketState(lam=float(lam), q=0.0, p=100.0, x=0.0)
-            mid = apply_shock(start, ShockTriple(delta, 0.0, 0.0), params)
-            end = apply_shock(mid, ShockTriple(-delta, 0.0, 0.0), params)
+            mid = _after(start, delta, 0.0, 0.0, params)
+            end = _after(mid, -delta, 0.0, 0.0, params)
             assert end.q == start.q
             assert end.x < start.x, (
                 f"roundtrip of {delta} lots at lam={lam} did not lose")
@@ -184,11 +184,10 @@ def test_instantaneous_roundtrip_loses_money(zeta):
 # ---------------------------------------------------------------------------
 
 def test_arrival_rates_examples():
-    f0, g0 = arrival_rates(0.0, PARAMS)
-    assert (f0, g0) == (20.0, 40.0)
+    assert (PARAMS.f(0.0), PARAMS.g(0.0)) == (20.0, 40.0)
     flat = dataclasses.replace(PARAMS, kappa_f=0.0, kappa_g=0.0)
-    assert arrival_rates(0.0, flat) == (flat.theta_f, flat.theta_g)
-    f40, g40 = arrival_rates(40.0, PARAMS)
+    assert (flat.f(0.0), flat.g(0.0)) == (flat.theta_f, flat.theta_g)
+    f40, g40 = PARAMS.f(40.0), PARAMS.g(40.0)
     assert f40 == pytest.approx(20.0 * math.exp(0.4), rel=1e-14)
     assert g40 == pytest.approx(40.0 * math.exp(-0.4), rel=1e-14)
 
@@ -239,13 +238,12 @@ def test_clip_to_liquidity_examples():
 
 def test_apply_shock_identity():
     state = MarketState(lam=3.0, q=-2.0, p=101.0, x=7.0)
-    assert apply_shock(state, ShockTriple(0.0, 0.0, 0.0), PARAMS) == state
+    assert _after(state, 0.0, 0.0, 0.0) == state
 
 
 def test_apply_shock_buy_one_lot_example():
     start = MarketState(lam=0.0, q=0.0, p=100.0, x=0.0)
-    out = apply_shock(start, ShockTriple(gamma=1.0, eta=0.0, rho=0.0),
-                      PARAMS)
+    out = _after(start, 1.0, 0.0, 0.0)
     assert out.lam == -1.0
     assert out.q == 1.0
     assert out.p == pytest.approx(100.0101, rel=1e-14)
@@ -255,50 +253,61 @@ def test_apply_shock_buy_one_lot_example():
 
 def test_apply_shock_clips_market_order_and_halts():
     start = MarketState(lam=-39.0, q=0.0, p=100.0, x=0.0)
-    out = apply_shock_detailed(start, ShockTriple(0.0, -3.0, 0.0), PARAMS)
-    assert out.executed_eta == -1.0
-    assert out.triggered
-    assert out.state.halted
-    assert out.state.lam == -40.0
-    assert out.state.q == 0.0
-    assert out.state.p == pytest.approx(100.0 - 0.0179, rel=1e-14)
+    state, _, executed_eta, _, _, _ = apply_shock_detailed(
+        start, 0.0, -3.0, 0.0, PARAMS)
+    assert executed_eta == -1.0
+    assert state.halted
+    assert state.lam == -40.0
+    assert state.q == 0.0
+    assert state.p == pytest.approx(100.0 - 0.0179, rel=1e-14)
 
 
 def test_apply_shock_rejects_mixed_volumes():
     state = MarketState(lam=0.0, q=0.0, p=100.0, x=0.0)
     with pytest.raises(ValueError):
-        apply_shock(state, ShockTriple(0.0, 1.0, 1.0), PARAMS)
+        apply_shock_detailed(state, 0.0, 1.0, 1.0, PARAMS)
 
 
 def test_halted_market_ignores_further_shocks():
     start = MarketState(lam=-39.0, q=0.0, p=100.0, x=0.0)
-    halted = apply_shock(start, ShockTriple(0.0, -3.0, 0.0), PARAMS)
+    halted = _after(start, 0.0, -3.0, 0.0)
     assert halted.halted
-    for shock in (ShockTriple(1.0, 0.0, 0.0), ShockTriple(0.0, -2.0, 0.0),
-                  ShockTriple(0.0, 0.0, 3.0)):
-        after = apply_shock_detailed(halted, shock, PARAMS)
-        assert after.state == halted
-        assert after.executed_gamma == after.executed_eta \
-            == after.executed_rho == 0.0
+    for shock in ((1.0, 0.0, 0.0), (0.0, -2.0, 0.0), (0.0, 0.0, 3.0)):
+        after, g_exec, e_exec, r_exec, _, _ = apply_shock_detailed(
+            halted, *shock, PARAMS)
+        assert after == halted
+        assert g_exec == e_exec == r_exec == 0.0
 
 
 def test_trader_overshoot_suppresses_external_volume():
     """A clipped signal trade halts the market before the event lands."""
     start = MarketState(lam=-38.0, q=0.0, p=100.0, x=0.0)
-    out = apply_shock_detailed(start, ShockTriple(5.0, -1.0, 0.0), PARAMS)
-    assert out.executed_gamma == 2.0
-    assert out.executed_eta == 0.0
-    assert out.triggered and out.state.halted
-    assert out.state.lam == -40.0
-    assert out.state.q == 2.0
+    state, g_exec, e_exec, _, _, _ = apply_shock_detailed(
+        start, 5.0, -1.0, 0.0, PARAMS)
+    assert g_exec == 2.0
+    assert e_exec == 0.0
+    assert state.halted
+    assert state.lam == -40.0
+    assert state.q == 2.0
 
 
 def test_cancellation_can_trigger_the_breaker():
     start = MarketState(lam=-39.5, q=0.0, p=100.0, x=0.0)
-    out = apply_shock_detailed(start, ShockTriple(0.0, 0.0, -1.0), PARAMS)
-    assert out.executed_rho == -0.5
-    assert out.state.lam == -40.0
-    assert out.state.halted
+    state, _, _, r_exec, _, _ = apply_shock_detailed(
+        start, 0.0, 0.0, -1.0, PARAMS)
+    assert r_exec == -0.5
+    assert state.lam == -40.0
+    assert state.halted
+
+
+def test_posts_beyond_the_cap_are_discarded():
+    """Liquidity stops at the cap; the post still books in full."""
+    start = MarketState(lam=39.0, q=0.0, p=100.0, x=0.0)
+    state, g_exec, e_exec, r_exec, pj_g, pj_e = apply_shock_detailed(
+        start, 0.0, 0.0, 3.0, PARAMS)
+    assert state == MarketState(lam=40.0, q=0.0, p=100.0, x=0.0)
+    assert r_exec == 3.0
+    assert g_exec == e_exec == pj_g == pj_e == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from artifact.market_core import (MarketParams, MarketState, ShockTriple,
-                                  apply_shock)
+from artifact.market_core import (MarketParams, MarketState,
+                                  apply_shock_detailed)
 from artifact.order_flow import (
     PATH_LOG_COLUMNS,
     Mark,
@@ -168,7 +168,7 @@ def test_zero_rates_twap_matches_manual_replay():
     rec = simulate_path(ZERO_RATE, marks, agent, initial, make_path_seed(5, 1))
     state = initial
     for _ in range(8):
-        state = apply_shock(state, ShockTriple(1.0, 0.0, 0.0), ZERO_RATE)
+        state = apply_shock_detailed(state, 1.0, 0.0, 0.0, ZERO_RATE)[0]
     assert state.q == 0.0
     assert rec.terminal_state.q == 0.0
     assert rec.terminal_wealth == pytest.approx(state.x, rel=1e-12)

@@ -1,8 +1,8 @@
 """Print sha256 digests of every file the CLI writes on two fixed configs.
 
 Runs ``solve``, ``simulate`` (with ``record_events``), ``evaluate`` at
-``--threads`` 1 and 2, and ``check`` on the tiny CLI-test config (200
-paths) and on the desk config (300 paths), each command in a fresh
+``--threads`` 1 and 2, ``sweep`` and ``check`` on the tiny CLI-test config
+(200 paths) and on the desk config (300 paths), each command in a fresh
 interpreter with the package imported from ``src/`` of a checkout, and
 prints one ``sha256  name`` line per output file and per command's stdout
 (with its exit code).  Everything runs in a temporary directory that is
@@ -77,11 +77,14 @@ def _digests(src: Path, name: str, config: dict, work: Path) -> list:
         for sol in SOLUTIONS:
             shutil.copy(solved / sol, out / sol)
         stdout[out_name] = _run(src, args + ["-o", str(out)], base)
+    # sweep solves for every signal probability itself
+    stdout["sweep"] = _run(src, ["sweep", "-c", str(cfg), "-o",
+                                 str(base / "sweep")], base)
     stdout["check"] = _run(src, ["check", "-c", str(cfg)], base)
 
     lines = [f"{_sha256(data)}  {name}/{cmd}.stdout"
              for cmd, data in stdout.items()]
-    for out_name in ("solve", *runs):
+    for out_name in ("solve", *runs, "sweep"):
         for path in sorted((base / out_name).iterdir()):
             lines.append(f"{_sha256(path.read_bytes())}  "
                          f"{name}/{out_name}/{path.name}")

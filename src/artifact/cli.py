@@ -39,6 +39,7 @@ from .order_flow import MarkModel, benchmark_mark_model
 __all__ = ["ConfigError", "RunConfig", "load_config", "run", "main"]
 
 SCHEMA_VERSION = 1
+_AGENTS = ("table", "do-nothing", "immediate", "twap")
 
 _DEFAULTS = {
     "schema_version": SCHEMA_VERSION,
@@ -78,7 +79,7 @@ _DEFAULTS = {
         "x0": 0.0,
         "target_q": 0.0,
         "p_hat_values": [0.0, 0.1, 0.2, 0.3, 0.4],
-        "agents": ["table", "do-nothing", "immediate", "twap"],
+        "agents": list(_AGENTS),
         "threads": 1,
         "record_events": False,
         "spread_override": None,
@@ -95,6 +96,10 @@ SOLUTION_NOSIGNAL = "solution_nosignal.npz"
 
 class ConfigError(Exception):
     """Invalid or unreadable configuration."""
+
+
+def _is_number(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
 
 
 def _merge(defaults: dict, given: dict, path: str = "") -> dict:
@@ -198,15 +203,31 @@ def _build(raw: dict) -> RunConfig:
         raise ConfigError(f"grid section invalid: {exc}") from exc
 
     exp = raw["experiment"]
-    if exp["n_sim"] < 1:
-        raise ConfigError("experiment.n_sim must be >= 1")
-    if exp["threads"] < 1:
-        raise ConfigError("experiment.threads must be >= 1")
-    if not 0 <= int(exp["base_seed"]) < 2 ** 64:
+    for key, low in (("n_sim", 1), ("threads", 1), ("base_seed", 0)):
+        if not (_is_number(exp[key]) and exp[key] % 1 == 0
+                and exp[key] >= low):
+            raise ConfigError(f"experiment.{key} must be a whole number "
+                              f">= {low}")
+    if exp["base_seed"] >= 2 ** 64:
         raise ConfigError("experiment.base_seed must fit in 64 bits")
     lam0 = float(exp["lambda0"])
     if lam0 < params.lambda_lower or lam0 > params.lambda_upper:
         raise ConfigError("experiment.lambda0 outside the liquidity band")
+    p_hats = exp["p_hat_values"]
+    if not (isinstance(p_hats, list)
+            and all(_is_number(p) and 0 <= p <= 1 for p in p_hats)):
+        raise ConfigError(
+            "experiment.p_hat_values must be a list of numbers in [0, 1]")
+    agents = exp["agents"]
+    if not (isinstance(agents, list) and all(a in _AGENTS for a in agents)):
+        raise ConfigError(f"experiment.agents must list only {_AGENTS}")
+    if "twap" in agents:
+        try:
+            policy_mod.TwapAgent(float(exp["target_q"]), float(exp["q0"]),
+                                 params)
+        except ValueError as exc:
+            raise ConfigError(
+                f"experiment.target_q - q0 for twap: {exc}") from exc
     return RunConfig(raw=raw, params=params, marks=marks, grid=grid)
 
 
@@ -266,44 +287,54 @@ def _q_symmetry_residual(surface: hjb.ValueSurface) -> Optional[float]:
                                - surface.values[:, :, ::-1])))
 
 
-def _solved_for(meta: dict, config: RunConfig, marks: MarkModel) -> bool:
-    """Whether a loaded solution was solved for the config's solver inputs."""
-    return all(meta.get(key) == value for key, value in hjb.solver_inputs(
-        config.params, marks, config.grid).items())
+def _stored_solution(path: str, config: RunConfig, marks: MarkModel):
+    """The solution at ``path`` if it exists and was solved for the config's
+    market and grid with ``marks``, else ``None``."""
+    if not os.path.exists(path):
+        return None
+    surface, pol = hjb.load_solution(path)
+    inputs = hjb.solver_inputs(config.params, marks, config.grid)
+    if any(surface.meta.get(key) != value for key, value in inputs.items()):
+        return None
+    return surface, pol
 
 
-def _solve_pair(config: RunConfig, out_dir: str):
-    """Solve (or reload) the configured and the signal-free problems."""
-    solutions = {}
-    for fname, p_hat in ((SOLUTION_SIGNAL, config.marks.signal_prob),
-                         (SOLUTION_NOSIGNAL, 0.0)):
-        path = os.path.join(out_dir, fname)
-        marks = config.marks.with_signal_prob(p_hat)
-        if os.path.exists(path):
-            surface, pol = hjb.load_solution(path)
-            if _solved_for(surface.meta, config, marks):
-                solutions[fname] = (surface, pol)
-                continue
-        surface, pol = hjb.solve(config.params, marks, config.grid,
-                                 meta=config.stamp())
-        hjb.save_solution(path, surface, pol)
-        solutions[fname] = (surface, pol)
-    return solutions[SOLUTION_SIGNAL], solutions[SOLUTION_NOSIGNAL]
+def _solve_or_load(config: RunConfig, fname: str, marks: MarkModel):
+    """The solution stored as ``fname`` in the output directory when it
+    matches the solver inputs; otherwise solve, save there and return it."""
+    path = os.path.join(config.output["directory"], fname)
+    solution = _stored_solution(path, config, marks)
+    if solution is None:
+        solution = hjb.solve(config.params, marks, config.grid,
+                             meta=config.stamp())
+        hjb.save_solution(path, *solution)
+    return solution
 
 
-def _ce_surface(surface_with: hjb.ValueSurface,
-                surface_without: hjb.ValueSurface) -> np.ndarray:
-    k = surface_with.grid.n_steps
-    return hjb.certainty_equivalent(surface_with.values[k, 1:, :],
-                                    surface_without.values[k, 1:, :],
-                                    surface_with.alpha)
+def _solve_pair(config: RunConfig):
+    """The configured and the signal-free solutions, solved or reloaded."""
+    return (_solve_or_load(config, SOLUTION_SIGNAL, config.marks),
+            _solve_or_load(config, SOLUTION_NOSIGNAL,
+                           config.marks.with_signal_prob(0.0)))
+
+
+def _experiment(config: RunConfig, marks: MarkModel, agents: dict,
+                n_sim: Optional[int] = None):
+    """``evaluation.run_experiment`` on the configured experiment section
+    (``n_sim`` paths when given, else the configured count)."""
+    exp = config.experiment
+    return evaluation.run_experiment(
+        config.params, marks, agents, n_sim or int(exp["n_sim"]),
+        int(exp["base_seed"]), config.initial_state(),
+        target_q=float(exp["target_q"]), threads=int(exp["threads"]),
+        histogram_bin_width=float(config.output["histogram_bin_width"]))
 
 
 def _run_solve(config: RunConfig) -> int:
     out_dir = config.output["directory"]
     os.makedirs(out_dir, exist_ok=True)
     stability = check_stability(config.grid, config.params, config.marks)
-    (surface, _), (surface0, _) = _solve_pair(config, out_dir)
+    (surface, _), (surface0, _) = _solve_pair(config)
     exp = config.experiment
 
     summary = dict(config.stamp())
@@ -312,7 +343,9 @@ def _run_solve(config: RunConfig) -> int:
     summary["w_start"] = surface.start_value(float(exp["lambda0"]),
                                              float(exp["q0"]))
     if config.params.alpha > 0.0:
-        ce = _ce_surface(surface, surface0)
+        ce = hjb.certainty_equivalent(surface.values[-1, 1:, :],
+                                      surface0.values[-1, 1:, :],
+                                      config.params.alpha)
         grid = config.grid
         summary["max_certainty_equivalent"] = float(np.max(ce))
         with open(os.path.join(out_dir, "ce_table.csv"), "w",
@@ -330,7 +363,7 @@ def _run_solve(config: RunConfig) -> int:
 
 
 def _make_agents(config: RunConfig, table_policy: hjb.Policy,
-                 reference_policy: Optional[hjb.Policy] = None) -> Dict[str, object]:
+                 reference_policy: hjb.Policy) -> Dict[str, object]:
     exp = config.experiment
     params = config.params
     target_q = float(exp["target_q"])
@@ -345,11 +378,8 @@ def _make_agents(config: RunConfig, table_policy: hjb.Policy,
             agents[name] = policy_mod.ImmediateExecutionAgent(target_q, params)
         elif name == "twap":
             agents[name] = policy_mod.TwapAgent(target_q, q0, params)
-        else:
-            raise ConfigError(f"unknown agent {name!r} in experiment.agents")
-    if reference_policy is not None:
-        agents["table-nosignal"] = policy_mod.TablePolicyAgent(
-            reference_policy, params, name="table-nosignal")
+    agents["table-nosignal"] = policy_mod.TablePolicyAgent(
+        reference_policy, params, name="table-nosignal")
     return agents
 
 
@@ -360,18 +390,16 @@ def _run_simulate(config: RunConfig) -> int:
     if not os.path.exists(path):
         raise ConfigError(
             f"policy file not found: {path} (run `artifact solve` first)")
-    _, pol = hjb.load_solution(path)
-    if not _solved_for(pol.meta, config, config.marks):
+    solution = _stored_solution(path, config, config.marks)
+    if solution is None:
         raise ConfigError(
             f"policy file {path} was solved for other market, mark or grid "
             f"settings than this config (run `artifact solve` again)")
     exp = config.experiment
-    agent = policy_mod.TablePolicyAgent(pol, config.params)
+    agent = policy_mod.TablePolicyAgent(solution[1], config.params)
     n_sim = int(exp["n_sim"])
-    seed = int(exp["base_seed"])
-    target_q = float(exp["target_q"])
-    bin_width = float(config.output["histogram_bin_width"])
     if exp["record_events"]:
+        seed = int(exp["base_seed"])
         paths = [order_flow.simulate_path(
             config.params, config.marks, agent, config.initial_state(),
             order_flow.make_path_seed(seed, i), record_events=True)
@@ -381,13 +409,10 @@ def _run_simulate(config: RunConfig) -> int:
         reports = evaluation.build_reports(
             config.params, config.marks,
             {"table": [evaluation.path_outcome(path) for path in paths]},
-            seed, config.initial_state(), target_q=target_q,
-            histogram_bin_width=bin_width)
+            seed, config.initial_state(), target_q=float(exp["target_q"]),
+            histogram_bin_width=float(config.output["histogram_bin_width"]))
     else:
-        reports = evaluation.run_experiment(
-            config.params, config.marks, {"table": agent}, n_sim, seed,
-            config.initial_state(), target_q=target_q,
-            threads=int(exp["threads"]), histogram_bin_width=bin_width)
+        reports = _experiment(config, config.marks, {"table": agent})
     report = reports["table"]
     report.config_echo.update(config.stamp())
     evaluation.write_report_json(
@@ -401,14 +426,9 @@ def _run_simulate(config: RunConfig) -> int:
 def _run_evaluate(config: RunConfig) -> int:
     out_dir = config.output["directory"]
     os.makedirs(out_dir, exist_ok=True)
-    (surface, pol), (surface0, pol0) = _solve_pair(config, out_dir)
-    exp = config.experiment
-    agents = _make_agents(config, pol, reference_policy=pol0)
-    reports = evaluation.run_experiment(
-        config.params, config.marks, agents, int(exp["n_sim"]),
-        int(exp["base_seed"]), config.initial_state(),
-        target_q=float(exp["target_q"]), threads=int(exp["threads"]),
-        histogram_bin_width=float(config.output["histogram_bin_width"]))
+    (surface, pol), (surface0, pol0) = _solve_pair(config)
+    agents = _make_agents(config, pol, pol0)
+    reports = _experiment(config, config.marks, agents)
     if "table" in reports and "table-nosignal" in reports:
         reports["table"].ssr = evaluation.signal_sharpe_ratio(
             reports["table"].wealth, reports["table-nosignal"].wealth)
@@ -447,35 +467,21 @@ def _run_evaluate(config: RunConfig) -> int:
 def _run_sweep(config: RunConfig) -> int:
     out_dir = config.output["directory"]
     os.makedirs(out_dir, exist_ok=True)
-    exp = config.experiment
-    initial = config.initial_state()
-    n_sim = int(exp["n_sim"])
-    seed = int(exp["base_seed"])
-    threads = int(exp["threads"])
-    target_q = float(exp["target_q"])
 
-    marks0 = config.marks.with_signal_prob(0.0)
-    _, pol0 = hjb.solve(config.params, marks0, config.grid,
-                        meta=config.stamp())
-    ref = evaluation.run_experiment(
-        config.params, marks0,
-        {"ref": policy_mod.TablePolicyAgent(pol0, config.params)},
-        n_sim, seed, initial, target_q=target_q, threads=threads)["ref"]
+    def table_report(p_hat: float) -> evaluation.EvalReport:
+        # the signal-free and the configured solutions keep the names
+        # `solve` gives them, so a sweep reuses what `solve` wrote
+        fname = {config.marks.signal_prob: SOLUTION_SIGNAL,
+                 0.0: SOLUTION_NOSIGNAL}.get(p_hat, f"solution_p{p_hat!r}.npz")
+        marks = config.marks.with_signal_prob(p_hat)
+        _, pol = _solve_or_load(config, fname, marks)
+        return _experiment(config, marks, {
+            "table": policy_mod.TablePolicyAgent(pol, config.params)})["table"]
 
+    ref = table_report(0.0)
     rows = []
-    for p_hat in exp["p_hat_values"]:
-        p_hat = float(p_hat)
-        if p_hat == 0.0:
-            report = ref
-        else:
-            marks = config.marks.with_signal_prob(p_hat)
-            _, pol = hjb.solve(config.params, marks, config.grid,
-                               meta=config.stamp())
-            report = evaluation.run_experiment(
-                config.params, marks,
-                {"table": policy_mod.TablePolicyAgent(pol, config.params)},
-                n_sim, seed, initial, target_q=target_q,
-                threads=threads)["table"]
+    for p_hat in map(float, config.experiment["p_hat_values"]):
+        report = ref if p_hat == 0.0 else table_report(p_hat)
         ssr = evaluation.signal_sharpe_ratio(report.wealth, ref.wealth)
         rows.append((p_hat, report.mean, report.variance, ssr,
                      report.speculation_fraction, report.breaker_fraction))
@@ -544,13 +550,9 @@ def _run_check(config: RunConfig) -> int:
            "negative reduced values")
 
     click.echo("simulation consistency (reduced sample):")
-    exp = config.experiment
-    n_check = min(int(exp["n_sim"]), 2000)
-    report = evaluation.run_experiment(
-        params, marks, {"table": policy_mod.TablePolicyAgent(pol, params)},
-        n_check, int(exp["base_seed"]), config.initial_state(),
-        target_q=float(exp["target_q"]),
-        threads=int(exp["threads"]))["table"]
+    report = _experiment(
+        config, marks, {"table": policy_mod.TablePolicyAgent(pol, params)},
+        n_sim=min(int(config.experiment["n_sim"]), 2000))["table"]
     result = evaluation.consistency_check(surface, report, params.alpha,
                                           config.initial_state())
     expect(result.passed,

@@ -251,9 +251,9 @@ def consistency_check(surface: ValueSurface, report: EvalReport,
     )
 
 
-def report_to_dict(report: EvalReport, include_samples: bool = False) -> dict:
-    """JSON-ready view of a report (samples elided by default)."""
-    out = {
+def report_to_dict(report: EvalReport) -> dict:
+    """JSON-ready view of a report; the per-path wealth goes to the CSV."""
+    return {
         "schema_version": 1,
         "agent": report.agent,
         "n_sim": report.n_sim,
@@ -269,16 +269,11 @@ def report_to_dict(report: EvalReport, include_samples: bool = False) -> dict:
         },
         "config_echo": report.config_echo,
     }
-    if include_samples:
-        out["wealth"] = [float(w) for w in report.wealth]
-    return out
 
 
-def write_report_json(report: EvalReport, path,
-                      include_samples: bool = False) -> None:
+def write_report_json(report: EvalReport, path) -> None:
     with open(path, "w") as handle:
-        json.dump(report_to_dict(report, include_samples), handle,
-                  sort_keys=True, indent=2)
+        json.dump(report_to_dict(report), handle, sort_keys=True, indent=2)
         handle.write("\n")
 
 

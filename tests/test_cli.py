@@ -99,12 +99,28 @@ def test_config_hash_ignores_threads_and_directory(tmp_path):
     ({"marks": {"signal_prob": 1.5}}, "marks section invalid"),
     ({"market": "not-a-section"}, "must be a section"),
     ({"marks": {"custom": [[0, 0, 1]]}}, "marks section invalid"),
+    ({"experiment": {"p_hat_values": [0.0, 1.5]}}, "p_hat_values"),
+    ({"experiment": {"p_hat_values": "abc"}}, "p_hat_values"),
+    ({"experiment": {"agents": ["table", "vwap"]}}, "experiment.agents"),
+    ({"experiment": {"n_sim": "x"}}, "n_sim must be a whole number"),
+    ({"experiment": {"threads": 1.5}}, "threads must be a whole number"),
+    ({"experiment": {"base_seed": 2.5}}, "base_seed must be a whole number"),
+    ({"experiment": {"q0": 0.5}}, "twap"),
 ])
 def test_invalid_configs_are_rejected_with_their_path(tmp_path, payload,
                                                       fragment):
     path = _write_config(tmp_path, payload)
     with pytest.raises(ConfigError, match=fragment):
         load_config(path)
+
+
+def test_whole_number_floats_load(tmp_path):
+    config = load_config(_write_config(tmp_path, {"experiment": {
+        "n_sim": 300.0, "threads": 2.0, "base_seed": 7.0}}))
+    assert config.experiment["n_sim"] == 300
+    assert config.stamp()["base_seed"] == 7
+    assert load_config(_write_config(tmp_path, {"experiment": {
+        "n_sim": 300}}, "int.json")).experiment["n_sim"] == 300
 
 
 def test_malformed_json_is_a_config_error(tmp_path):
@@ -300,7 +316,8 @@ def test_sweep_writes_one_row_per_signal_probability(tmp_path):
     assert "swept 2 signal probabilities" in result.output
 
 
-def test_check_passes_on_a_well_posed_configuration(tmp_path, monkeypatch):
+def _count_solves(monkeypatch):
+    """Record the arguments of every ``hjb.solve`` call."""
     real_solve = hjb.solve
     solves = []
 
@@ -309,6 +326,48 @@ def test_check_passes_on_a_well_posed_configuration(tmp_path, monkeypatch):
         return real_solve(*args, **kwargs)
 
     monkeypatch.setattr(hjb, "solve", counted_solve)
+    return solves
+
+
+def test_sweep_reuses_the_solutions_in_its_directory(tmp_path, monkeypatch):
+    solves = _count_solves(monkeypatch)
+    runner = CliRunner()
+    cfg = _tiny_config(tmp_path, n_sim=20, p_hat_values=[0.0, 0.2, 0.3])
+    out = tmp_path / "out"
+    assert runner.invoke(main, ["solve", "-c", cfg,
+                                "-o", str(out)]).exit_code == 0
+    names = ("solution_signal.npz", "solution_nosignal.npz")
+    before = [(out / name).stat().st_mtime_ns for name in names]
+    del solves[:]
+    result = runner.invoke(main, ["sweep", "-c", cfg, "-o", str(out)])
+    assert result.exit_code == 0, _all_output(result)
+    assert [args[1].signal_prob for args in solves] == [0.3]
+    assert [(out / name).stat().st_mtime_ns for name in names] == before
+    assert (out / "solution_p0.3.npz").is_file()
+    rows = (out / "ssr_sweep.csv").read_bytes()
+
+    del solves[:]
+    result = runner.invoke(main, ["sweep", "-c", cfg, "-o", str(out)])
+    assert result.exit_code == 0, _all_output(result)
+    assert solves == []
+    assert (out / "ssr_sweep.csv").read_bytes() == rows
+
+    lot2 = _write_config(tmp_path, {
+        "market": {"lot_size": 2.0},
+        "grid": TINY_GRID,
+        "experiment": dict(n_sim=20, base_seed=99, q0=-2.0, threads=1,
+                           p_hat_values=[0.0, 0.2, 0.3]),
+    }, "lot2.json")
+    result = runner.invoke(main, ["sweep", "-c", lot2, "-o", str(out)])
+    assert result.exit_code == 0, _all_output(result)
+    assert sorted(args[1].signal_prob for args in solves) == [0.0, 0.2, 0.3]
+    assert all(args[0].lot_size == 2.0 for args in solves)
+    lines = (out / "ssr_sweep.csv").read_text().strip().splitlines()
+    assert [float(line.split(",")[0]) for line in lines[1:]] == [0.0, 0.2, 0.3]
+
+
+def test_check_passes_on_a_well_posed_configuration(tmp_path, monkeypatch):
+    solves = _count_solves(monkeypatch)
     runner = CliRunner()
     cfg = _tiny_config(tmp_path, q0=0.0, n_sim=60)
     result = runner.invoke(main, ["check", "-c", cfg])

@@ -230,10 +230,6 @@ def test_report_writers_roundtrip(tmp_path, bench_params, marks_signal,
     assert sum(data["histogram"]["counts"]) == 50
     assert data["config_echo"]["params"]["zeta"] == bench_params.zeta
 
-    write_report_json(report, jpath, include_samples=True)
-    data = json.loads(jpath.read_text())
-    assert data["wealth"] == [float(w) for w in report.wealth]
-
     cpath = tmp_path / "wealth.csv"
     write_wealth_csv(report, cpath)
     with open(cpath, newline="") as handle:

@@ -5,7 +5,9 @@ Runs ``solve``, ``simulate`` (with ``record_events``), ``evaluate`` at
 (200 paths) and on the desk config (300 paths), each command in a fresh
 interpreter with the package imported from ``src/`` of a checkout, and
 prints one ``sha256  name`` line per output file and per command's stdout
-(with its exit code).  Everything runs in a temporary directory that is
+(with its exit code).  ``simulate``, ``evaluate`` and ``sweep`` each start
+from a copy of the two solutions ``solve`` wrote, so the listing covers the
+reuse of stored solutions.  Everything runs in a temporary directory that is
 removed afterwards.
 
 A refactor that must keep outputs byte-identical is checked by diffing the
@@ -67,24 +69,23 @@ def _digests(src: Path, name: str, config: dict, work: Path) -> list:
     solved = base / "solve"
     stdout = {"solve": _run(src, ["solve", "-c", str(cfg), "-o", str(solved)],
                             base)}
-    # the other commands reuse the solutions, whose metadata match
+    # the other commands reuse the solutions, whose metadata match; sweep
+    # solves only its other signal probabilities
     runs = {"simulate": ["simulate", "-c", str(rec)],
             "evaluate_t1": ["evaluate", "-c", str(cfg), "--threads", "1"],
-            "evaluate_t2": ["evaluate", "-c", str(cfg), "--threads", "2"]}
+            "evaluate_t2": ["evaluate", "-c", str(cfg), "--threads", "2"],
+            "sweep": ["sweep", "-c", str(cfg)]}
     for out_name, args in runs.items():
         out = base / out_name
         out.mkdir()
         for sol in SOLUTIONS:
             shutil.copy(solved / sol, out / sol)
         stdout[out_name] = _run(src, args + ["-o", str(out)], base)
-    # sweep solves for every signal probability itself
-    stdout["sweep"] = _run(src, ["sweep", "-c", str(cfg), "-o",
-                                 str(base / "sweep")], base)
     stdout["check"] = _run(src, ["check", "-c", str(cfg)], base)
 
     lines = [f"{_sha256(data)}  {name}/{cmd}.stdout"
              for cmd, data in stdout.items()]
-    for out_name in ("solve", *runs, "sweep"):
+    for out_name in ("solve", *runs):
         for path in sorted((base / out_name).iterdir()):
             lines.append(f"{_sha256(path.read_bytes())}  "
                          f"{name}/{out_name}/{path.name}")

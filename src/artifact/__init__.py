@@ -24,6 +24,8 @@ cli
 """
 
 __version__ = "0.1.0"
+# version of the config and of every output file's layout
+SCHEMA_VERSION = 1
 
 from .market_core import (
     MarketParams,

@@ -1,9 +1,10 @@
 """Configuration loading and the command-line interface.
 
-Configs are JSON with four sections (``market``, ``marks``, ``grid``,
+Configs are JSON with five sections (``market``, ``marks``, ``grid``,
 ``experiment``, ``output``); every omitted key takes its benchmark default,
-unknown keys are rejected with their path, and an empty file is the full
-benchmark.  The quoted ``spread`` is the round-trip cost ``2*zeta``.
+every given value must be of its default's kind, unknown keys are rejected
+with their path, and an empty file is the full benchmark.  The quoted
+``spread`` is the round-trip cost ``2*zeta``.
 
 Commands: ``solve`` (value surface + policy tables + summary),
 ``simulate`` (paths under the solved policy), ``evaluate`` (paired agent
@@ -30,7 +31,8 @@ from typing import Dict, Optional
 import click
 import numpy as np
 
-from . import __version__, evaluation, hjb, order_flow, policy as policy_mod
+from . import (SCHEMA_VERSION, __version__, evaluation, hjb, order_flow,
+               policy as policy_mod)
 from .hjb import Grid, StabilityError, check_stability
 from .market_core import (MarketParams, MarketState, check_elasticity,
                           price_impact)
@@ -38,9 +40,10 @@ from .order_flow import MarkModel, benchmark_mark_model
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "run", "main"]
 
-SCHEMA_VERSION = 1
 _AGENTS = ("table", "do-nothing", "immediate", "twap")
 
+# Each default declares its key's type (see _KINDS); the two null defaults,
+# marks.custom and experiment.spread_override, are checked in _build.
 _DEFAULTS = {
     "schema_version": SCHEMA_VERSION,
     "market": {
@@ -99,53 +102,67 @@ class ConfigError(Exception):
 
 
 def _is_number(val) -> bool:
-    return isinstance(val, (int, float)) and not isinstance(val, bool)
+    """A number a float holds: not NaN or infinite (``json`` reads both as
+    ``NaN``/``Infinity``) and no integer too large for a float."""
+    return (isinstance(val, (int, float)) and not isinstance(val, bool)
+            and abs(val) <= sys.float_info.max)
+
+
+# type of a default -> (test of a given value, what the value must be)
+_KINDS = {bool: (lambda val: isinstance(val, bool), "true or false"),
+          int: (lambda val: _is_number(val) and val % 1 == 0,
+                "a whole number"),
+          float: (_is_number, "a number"),
+          str: (lambda val: isinstance(val, str), "a string"),
+          list: (lambda val: isinstance(val, list), "a list")}
 
 
 def _merge(defaults: dict, given: dict, path: str = "") -> dict:
-    out = {}
-    for key, default in defaults.items():
-        if key in given:
-            val = given[key]
-            if isinstance(default, dict) and default and not isinstance(val, dict):
-                raise ConfigError(f"config key {path}{key} must be a section")
-            if isinstance(default, dict) and default:
-                out[key] = _merge(default, val, f"{path}{key}.")
-            else:
-                out[key] = val
-        else:
-            out[key] = default
-    for key in given:
+    """The defaults with the given values in, each of its default's kind."""
+    out = dict(defaults)
+    for key, val in given.items():
         if key not in defaults:
             raise ConfigError(f"unknown config key: {path}{key}")
+        default = defaults[key]
+        if isinstance(default, dict):
+            if not isinstance(val, dict):
+                raise ConfigError(f"config key {path}{key} must be a section")
+            val = _merge(default, val, f"{path}{key}.")
+        admits, kind = _KINDS.get(type(default), (None, None))
+        if admits and not admits(val):
+            raise ConfigError(f"config key {path}{key} must be {kind}")
+        out[key] = val
     return out
+
+
+def _typed(defaults: dict, values: dict) -> dict:
+    """``values`` with each int- or float-defaulted number in that type."""
+    return {key: type(defaults[key])(val)
+            if type(defaults[key]) in (int, float) else val
+            for key, val in values.items()}
 
 
 @dataclass
 class RunConfig:
-    """Resolved run configuration (raw dict plus constructed objects)."""
+    """Resolved run configuration: the merged JSON as given (``raw``, which
+    the config hash covers), the objects built from it, and the
+    ``experiment`` and ``output`` sections in their defaults' types."""
 
     raw: dict
     params: MarketParams
     marks: MarkModel
     grid: Grid
-
-    @property
-    def experiment(self) -> dict:
-        return self.raw["experiment"]
-
-    @property
-    def output(self) -> dict:
-        return self.raw["output"]
+    experiment: dict
+    output: dict
 
     @property
     def mode(self) -> str:
-        return self.raw["experiment"]["mode"]
+        return self.experiment["mode"]
 
     def initial_state(self) -> MarketState:
         exp = self.experiment
-        return MarketState(lam=float(exp["lambda0"]), q=float(exp["q0"]),
-                           p=float(exp["p0"]), x=float(exp["x0"]))
+        return MarketState(lam=exp["lambda0"], q=exp["q0"], p=exp["p0"],
+                           x=exp["x0"])
 
     def config_hash(self) -> str:
         """Hash of the scientific content (no directories, no threading)."""
@@ -159,38 +176,46 @@ class RunConfig:
         return {
             "schema_version": SCHEMA_VERSION,
             "config_hash": self.config_hash(),
-            "base_seed": int(self.experiment["base_seed"]),
+            "base_seed": self.experiment["base_seed"],
         }
 
 
 def _build(raw: dict) -> RunConfig:
-    market = dict(raw["market"])
     spread_override = raw["experiment"]["spread_override"]
     if spread_override is not None:
-        market["spread"] = float(spread_override)
+        if not _is_number(spread_override):
+            raise ConfigError("config key experiment.spread_override must "
+                              "be a number or null")
         raw = json.loads(json.dumps(raw))
         raw["market"]["spread"] = float(spread_override)
         raw["experiment"]["spread_override"] = None
-    spread = float(market.pop("spread"))
+    market = dict(raw["market"])
+    spread = market.pop("spread")
     if spread < 0.0:
         raise ConfigError("market.spread must be >= 0")
     try:
         params = MarketParams(zeta=spread / 2.0, **market)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"market section invalid: {exc}") from exc
 
     marks_cfg = raw["marks"]
+    custom = marks_cfg["custom"]
+    if custom is not None and not (isinstance(custom, list) and all(
+            isinstance(mark, list) and len(mark) == 3
+            and all(map(_is_number, mark)) for mark in custom)):
+        raise ConfigError("config key marks.custom must be null or a list "
+                          "of [eta, rho, nu] number triples")
     try:
-        if marks_cfg["custom"] is not None:
+        if custom is not None:
             marks = MarkModel(
                 tuple(order_flow.Mark(eta=float(e), rho=float(r), nu=float(v))
-                      for e, r, v in marks_cfg["custom"]),
+                      for e, r, v in custom),
                 float(marks_cfg["signal_prob"]))
         else:
             marks = benchmark_mark_model(
                 signal_prob=float(marks_cfg["signal_prob"]),
                 post_fraction=float(marks_cfg["post_fraction"]))
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"marks section invalid: {exc}") from exc
 
     gc = raw["grid"]
@@ -202,37 +227,38 @@ def _build(raw: dict) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"grid section invalid: {exc}") from exc
 
-    exp = raw["experiment"]
+    exp = _typed(_DEFAULTS["experiment"], raw["experiment"])
     for key, low in (("n_sim", 1), ("threads", 1), ("base_seed", 0)):
-        if not (_is_number(exp[key]) and exp[key] % 1 == 0
-                and exp[key] >= low):
-            raise ConfigError(f"experiment.{key} must be a whole number "
-                              f">= {low}")
+        if exp[key] < low:
+            raise ConfigError(f"experiment.{key} must be >= {low}")
     if exp["base_seed"] >= 2 ** 64:
         raise ConfigError("experiment.base_seed must fit in 64 bits")
-    lam0 = float(exp["lambda0"])
-    if lam0 < params.lambda_lower or lam0 > params.lambda_upper:
+    if not params.lambda_lower <= exp["lambda0"] <= params.lambda_upper:
         raise ConfigError("experiment.lambda0 outside the liquidity band")
-    p_hats = exp["p_hat_values"]
-    if not (isinstance(p_hats, list)
-            and all(_is_number(p) and 0 <= p <= 1 for p in p_hats)):
+    if not all(_is_number(p) and 0 <= p <= 1 for p in exp["p_hat_values"]):
         raise ConfigError(
             "experiment.p_hat_values must be a list of numbers in [0, 1]")
-    agents = exp["agents"]
-    if not (isinstance(agents, list) and all(a in _AGENTS for a in agents)):
+    exp["p_hat_values"] = [float(p) for p in exp["p_hat_values"]]
+    if not all(a in _AGENTS for a in exp["agents"]):
         raise ConfigError(f"experiment.agents must list only {_AGENTS}")
-    if "twap" in agents:
+    if "twap" in exp["agents"]:
         try:
-            policy_mod.TwapAgent(float(exp["target_q"]), float(exp["q0"]),
-                                 params)
+            policy_mod.TwapAgent(exp["target_q"], exp["q0"], params)
         except ValueError as exc:
             raise ConfigError(
                 f"experiment.target_q - q0 for twap: {exc}") from exc
-    return RunConfig(raw=raw, params=params, marks=marks, grid=grid)
+    output = _typed(_DEFAULTS["output"], raw["output"])
+    if output["histogram_bin_width"] <= 0.0:
+        raise ConfigError("output.histogram_bin_width must be > 0")
+    return RunConfig(raw=raw, params=params, marks=marks, grid=grid,
+                     experiment=exp, output=output)
 
 
-def load_config(path: Optional[str]) -> RunConfig:
-    """Load a JSON config; ``None`` or an empty file is the full benchmark."""
+def load_config(path: Optional[str],
+                flags: Optional[dict] = None) -> RunConfig:
+    """Load a JSON config; ``None`` or an empty file is the full benchmark.
+    ``flags`` maps sections to values that replace the given ones unless
+    ``None`` (the command-line overrides)."""
     if path is None:
         text = "{}"
     else:
@@ -253,24 +279,12 @@ def load_config(path: Optional[str]) -> RunConfig:
         raise ConfigError(
             f"unsupported schema_version {given['schema_version']}; "
             f"this build reads version {SCHEMA_VERSION}")
-    raw = _merge(_DEFAULTS, given)
-    return _build(raw)
-
-
-def _apply_overrides(config: RunConfig, mode: str, out_dir: Optional[str],
-                     seed: Optional[int], threads: Optional[int],
-                     n_sim: Optional[int] = None) -> RunConfig:
-    raw = json.loads(json.dumps(config.raw))
-    raw["experiment"]["mode"] = mode
-    if out_dir is not None:
-        raw["output"]["directory"] = out_dir
-    if seed is not None:
-        raw["experiment"]["base_seed"] = int(seed)
-    if threads is not None:
-        raw["experiment"]["threads"] = int(threads)
-    if n_sim is not None:
-        raw["experiment"]["n_sim"] = int(n_sim)
-    return _build(raw)
+    for section, values in (flags or {}).items():
+        # a section that is not an object is left for _merge to reject
+        if isinstance(given.setdefault(section, {}), dict):
+            given[section].update((key, val) for key, val in values.items()
+                                  if val is not None)
+    return _build(_merge(_DEFAULTS, given))
 
 
 def _write_json(path, payload: dict) -> None:
@@ -324,10 +338,10 @@ def _experiment(config: RunConfig, marks: MarkModel, agents: dict,
     (``n_sim`` paths when given, else the configured count)."""
     exp = config.experiment
     return evaluation.run_experiment(
-        config.params, marks, agents, n_sim or int(exp["n_sim"]),
-        int(exp["base_seed"]), config.initial_state(),
-        target_q=float(exp["target_q"]), threads=int(exp["threads"]),
-        histogram_bin_width=float(config.output["histogram_bin_width"]))
+        config.params, marks, agents, n_sim or exp["n_sim"],
+        exp["base_seed"], config.initial_state(), target_q=exp["target_q"],
+        threads=exp["threads"],
+        histogram_bin_width=config.output["histogram_bin_width"])
 
 
 def _run_solve(config: RunConfig) -> int:
@@ -340,8 +354,7 @@ def _run_solve(config: RunConfig) -> int:
     summary = dict(config.stamp())
     summary["stability_number"] = stability
     summary["q_symmetry_residual"] = _q_symmetry_residual(surface)
-    summary["w_start"] = surface.start_value(float(exp["lambda0"]),
-                                             float(exp["q0"]))
+    summary["w_start"] = surface.start_value(exp["lambda0"], exp["q0"])
     if config.params.alpha > 0.0:
         ce = hjb.certainty_equivalent(surface.values[-1, 1:, :],
                                       surface0.values[-1, 1:, :],
@@ -366,8 +379,7 @@ def _make_agents(config: RunConfig, table_policy: hjb.Policy,
                  reference_policy: hjb.Policy) -> Dict[str, object]:
     exp = config.experiment
     params = config.params
-    target_q = float(exp["target_q"])
-    q0 = float(exp["q0"])
+    target_q = exp["target_q"]
     agents: Dict[str, object] = {}
     for name in exp["agents"]:
         if name == "table":
@@ -377,7 +389,7 @@ def _make_agents(config: RunConfig, table_policy: hjb.Policy,
         elif name == "immediate":
             agents[name] = policy_mod.ImmediateExecutionAgent(target_q, params)
         elif name == "twap":
-            agents[name] = policy_mod.TwapAgent(target_q, q0, params)
+            agents[name] = policy_mod.TwapAgent(target_q, exp["q0"], params)
     agents["table-nosignal"] = policy_mod.TablePolicyAgent(
         reference_policy, params, name="table-nosignal")
     return agents
@@ -397,20 +409,20 @@ def _run_simulate(config: RunConfig) -> int:
             f"settings than this config (run `artifact solve` again)")
     exp = config.experiment
     agent = policy_mod.TablePolicyAgent(solution[1], config.params)
-    n_sim = int(exp["n_sim"])
     if exp["record_events"]:
-        seed = int(exp["base_seed"])
         paths = [order_flow.simulate_path(
             config.params, config.marks, agent, config.initial_state(),
-            order_flow.make_path_seed(seed, i), record_events=True)
-            for i in range(n_sim)]
+            order_flow.make_path_seed(exp["base_seed"], i),
+            record_events=True)
+            for i in range(exp["n_sim"])]
         order_flow.write_path_log(paths,
                                   os.path.join(out_dir, "paths.csv"))
         reports = evaluation.build_reports(
             config.params, config.marks,
             {"table": [evaluation.path_outcome(path) for path in paths]},
-            seed, config.initial_state(), target_q=float(exp["target_q"]),
-            histogram_bin_width=float(config.output["histogram_bin_width"]))
+            exp["base_seed"], config.initial_state(),
+            target_q=exp["target_q"],
+            histogram_bin_width=config.output["histogram_bin_width"])
     else:
         reports = _experiment(config, config.marks, {"table": agent})
     report = reports["table"]
@@ -419,7 +431,8 @@ def _run_simulate(config: RunConfig) -> int:
         report, os.path.join(out_dir, "simulate_report.json"))
     evaluation.write_wealth_csv(
         report, os.path.join(out_dir, "simulate_wealth.csv"))
-    click.echo(f"simulated {n_sim} paths; mean wealth = {report.mean:.4f}")
+    click.echo(f"simulated {exp['n_sim']} paths; "
+               f"mean wealth = {report.mean:.4f}")
     return 0
 
 
@@ -480,7 +493,7 @@ def _run_sweep(config: RunConfig) -> int:
 
     ref = table_report(0.0)
     rows = []
-    for p_hat in map(float, config.experiment["p_hat_values"]):
+    for p_hat in config.experiment["p_hat_values"]:
         report = ref if p_hat == 0.0 else table_report(p_hat)
         ssr = evaluation.signal_sharpe_ratio(report.wealth, ref.wealth)
         rows.append((p_hat, report.mean, report.variance, ssr,
@@ -552,7 +565,7 @@ def _run_check(config: RunConfig) -> int:
     click.echo("simulation consistency (reduced sample):")
     report = _experiment(
         config, marks, {"table": policy_mod.TablePolicyAgent(pol, params)},
-        n_sim=min(int(config.experiment["n_sim"]), 2000))["table"]
+        n_sim=min(config.experiment["n_sim"], 2000))["table"]
     result = evaluation.consistency_check(surface, report, params.alpha,
                                           config.initial_state())
     expect(result.passed,
@@ -583,23 +596,6 @@ def run(config: RunConfig) -> int:
     return runner(config)
 
 
-def _execute(mode: str, config_path: Optional[str], out_dir: Optional[str],
-             seed: Optional[int], threads: Optional[int],
-             n_sim: Optional[int] = None) -> None:
-    try:
-        config = load_config(config_path)
-        config = _apply_overrides(config, mode, out_dir, seed, threads,
-                                  n_sim)
-        code = run(config)
-    except ConfigError as exc:
-        click.echo(f"configuration error: {exc}", err=True)
-        sys.exit(2)
-    except StabilityError as exc:
-        click.echo(f"numerical error: {exc}", err=True)
-        sys.exit(3)
-    sys.exit(code)
-
-
 def _common_options(fn):
     fn = click.option("--config", "-c", "config_path", type=click.Path(),
                       default=None, help="JSON config (empty = benchmark)")(fn)
@@ -618,42 +614,43 @@ def main() -> None:
     """Liquidity-driven order-flow model: solver, simulator, evaluation."""
 
 
-@main.command("solve")
-@_common_options
-def _cmd_solve(config_path, out_dir, seed, threads):
-    """Solve the control problem; write the surface, policy and summary."""
-    _execute("solve", config_path, out_dir, seed, threads)
+def _command(mode: str, doc: str, with_n_sim: bool = False) -> None:
+    """Register ``artifact <mode>``: its flags are merged into the config,
+    which is loaded once, and the runner's code is the exit code."""
+
+    def execute(config_path, out_dir, seed, threads, n_sim=None) -> None:
+        flags = {"experiment": {"mode": mode, "base_seed": seed,
+                                "threads": threads, "n_sim": n_sim},
+                 "output": {"directory": out_dir}}
+        try:
+            code = run(load_config(config_path, flags))
+        except ConfigError as exc:
+            click.echo(f"configuration error: {exc}", err=True)
+            sys.exit(2)
+        except StabilityError as exc:
+            click.echo(f"numerical error: {exc}", err=True)
+            sys.exit(3)
+        sys.exit(code)
+
+    execute.__doc__ = doc
+    if with_n_sim:
+        execute = click.option("--n-sim", type=int, default=None,
+                               help="path count override")(execute)
+    main.command(mode)(_common_options(execute))
 
 
-@main.command("simulate")
-@_common_options
-@click.option("--n-sim", type=int, default=None, help="path count override")
-def _cmd_simulate(config_path, out_dir, seed, threads, n_sim):
-    """Simulate paths under the solved policy (requires `solve` output)."""
-    _execute("simulate", config_path, out_dir, seed, threads, n_sim)
-
-
-@main.command("evaluate")
-@_common_options
-@click.option("--n-sim", type=int, default=None, help="path count override")
-def _cmd_evaluate(config_path, out_dir, seed, threads, n_sim):
-    """Paired agent comparison plus the solver-consistency check."""
-    _execute("evaluate", config_path, out_dir, seed, threads, n_sim)
-
-
-@main.command("sweep")
-@_common_options
-@click.option("--n-sim", type=int, default=None, help="path count override")
-def _cmd_sweep(config_path, out_dir, seed, threads, n_sim):
-    """Sweep the signal probability; write the SSR table."""
-    _execute("sweep", config_path, out_dir, seed, threads, n_sim)
-
-
-@main.command("check")
-@_common_options
-def _cmd_check(config_path, out_dir, seed, threads):
-    """Fast self-diagnostics (invariants + reduced consistency check)."""
-    _execute("check", config_path, out_dir, seed, threads)
+_command("solve",
+         "Solve the control problem; write the surface, policy and summary.")
+_command("simulate",
+         "Simulate paths under the solved policy (requires `solve` output).",
+         with_n_sim=True)
+_command("evaluate",
+         "Paired agent comparison plus the solver-consistency check.",
+         with_n_sim=True)
+_command("sweep", "Sweep the signal probability; write the SSR table.",
+         with_n_sim=True)
+_command("check",
+         "Fast self-diagnostics (invariants + reduced consistency check).")
 
 
 if __name__ == "__main__":

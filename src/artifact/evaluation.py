@@ -20,6 +20,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from . import SCHEMA_VERSION
 from .hjb import ValueSurface
 from .market_core import MarketParams, MarketState, utility
 from .order_flow import MarkModel, PathRecord, make_path_seed, simulate_path
@@ -123,7 +124,7 @@ def build_reports(params: MarketParams, marks: MarkModel,
             histogram_edges=edges,
             histogram_counts=counts,
             config_echo={
-                "schema_version": 1,
+                "schema_version": SCHEMA_VERSION,
                 "params": asdict(params),
                 "marks": marks.fingerprint(),
                 "initial": {"lam": initial.lam, "q": initial.q,
@@ -254,7 +255,7 @@ def consistency_check(surface: ValueSurface, report: EvalReport,
 def report_to_dict(report: EvalReport) -> dict:
     """JSON-ready view of a report; the per-path wealth goes to the CSV."""
     return {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "agent": report.agent,
         "n_sim": report.n_sim,
         "base_seed": report.base_seed,

@@ -41,6 +41,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from . import SCHEMA_VERSION
 from .market_core import MarketParams, _sgn, impact_cost, price_impact
 from .order_flow import MarkModel
 
@@ -258,14 +259,10 @@ def interpolate_lambda(w_slice: np.ndarray, lam: float, grid: Grid):
     if lam > top + _TOL:
         warnings.warn(f"liquidity {lam} above the cap {top}; clamping",
                       stacklevel=2)
-        lam = top
-    pos = (lam - base) / grid.d_lambda
-    lo = int(math.floor(pos + _TOL))
-    lo = min(max(lo, 0), grid.n_lambda - 1)
-    frac = pos - lo
-    if frac <= _TOL or lo == grid.n_lambda - 1:
+    (lo,), (hi,), (frac,) = _lambda_gather(grid, np.array([lam]))
+    if frac == 0.0:
         return w_slice[lo].copy() if w_slice.ndim > 1 else float(w_slice[lo])
-    out = (1.0 - frac) * w_slice[lo] + frac * w_slice[lo + 1]
+    out = (1.0 - frac) * w_slice[lo] + frac * w_slice[hi]
     return out if w_slice.ndim > 1 else float(out)
 
 
@@ -598,7 +595,7 @@ def solve(params: MarketParams, marks: MarkModel, grid: Grid,
         values[k], delta_star[k] = impulse.apply(tilde)
         gamma_star[k] = gamma
 
-    full_meta = {"schema_version": 1, "alpha": params.alpha,
+    full_meta = {"schema_version": SCHEMA_VERSION, "alpha": params.alpha,
                  **solver_inputs(params, marks, grid)}
     if meta:
         full_meta.update(meta)

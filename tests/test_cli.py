@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from artifact import evaluation, hjb, order_flow
+from artifact import cli, evaluation, hjb, order_flow
 from artifact.cli import ConfigError, load_config, main
 
 BENCH_HASH_KEYS = {"schema_version", "config_hash", "base_seed"}
@@ -106,6 +106,24 @@ def test_config_hash_ignores_threads_and_directory(tmp_path):
     ({"experiment": {"threads": 1.5}}, "threads must be a whole number"),
     ({"experiment": {"base_seed": 2.5}}, "base_seed must be a whole number"),
     ({"experiment": {"q0": 0.5}}, "twap"),
+    ({"output": {"histogram_bin_width": 0}}, "output.histogram_bin_width"),
+    ({"output": {"histogram_bin_width": -1}}, "output.histogram_bin_width"),
+    ({"experiment": {"lambda0": "x"}}, "experiment.lambda0 must be a number"),
+    ({"experiment": {"q0": "x"}}, "experiment.q0 must be a number"),
+    ({"experiment": {"p0": "x"}}, "experiment.p0 must be a number"),
+    ({"experiment": {"x0": "x"}}, "experiment.x0 must be a number"),
+    ({"experiment": {"target_q": "x"}},
+     "experiment.target_q must be a number"),
+    ({"market": {"spread": "x"}}, "market.spread must be a number"),
+    ({"experiment": {"spread_override": "x"}},
+     "experiment.spread_override must be a number"),
+    ({"grid": {"d_t": None}}, "grid.d_t must be a number"),
+    ({"experiment": {"record_events": "no"}},
+     "experiment.record_events must be true or false"),
+    ({"output": {"directory": 5}}, "output.directory must be a string"),
+    ({"experiment": {"p0": float("inf")}}, "experiment.p0 must be a number"),
+    ({"experiment": {"q0": float("nan")}}, "experiment.q0 must be a number"),
+    ({"market": {"horizon": 10 ** 400}}, "market.horizon must be a number"),
 ])
 def test_invalid_configs_are_rejected_with_their_path(tmp_path, payload,
                                                       fragment):
@@ -296,6 +314,45 @@ def test_evaluate_reuses_solutions_solved_for_the_same_inputs(tmp_path):
                                   "--seed", "5"])
     assert result.exit_code == 0, _all_output(result)
     assert [(out / name).stat().st_mtime_ns for name in names] == before
+
+
+def test_a_bad_value_exits_before_anything_is_solved(tmp_path):
+    runner = CliRunner()
+    cfg = _tiny_config(tmp_path, p0="x")
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["evaluate", "-c", cfg, "-o", str(out)])
+    assert result.exit_code == 2, _all_output(result)
+    assert "experiment.p0 must be a number" in _all_output(result)
+    assert not list(tmp_path.glob("**/*.npz"))
+
+
+def test_a_non_object_experiment_is_rejected_with_flags_given(tmp_path):
+    runner = CliRunner()
+    cfg = _write_config(tmp_path, {"experiment": "x"})
+    result = runner.invoke(main, ["solve", "-c", cfg, "--seed", "3"])
+    assert result.exit_code == 2
+    assert "experiment must be a section" in _all_output(result)
+
+
+@pytest.mark.filterwarnings("ignore:degenerate wealth sample")
+def test_each_command_builds_its_config_once(tmp_path, monkeypatch):
+    real_build = cli._build
+    builds = []
+
+    def counted_build(raw):
+        builds.append(raw["experiment"]["mode"])
+        return real_build(raw)
+
+    monkeypatch.setattr(cli, "_build", counted_build)
+    runner = CliRunner()
+    cfg = _tiny_config(tmp_path, q0=0.0, n_sim=10, p_hat_values=[0.0, 0.2])
+    out = str(tmp_path / "out")
+    commands = ("solve", "simulate", "evaluate", "sweep", "check")
+    for command in commands:
+        result = runner.invoke(main, [command, "-c", cfg, "-o", out,
+                                      "--seed", "5", "--threads", "1"])
+        assert result.exit_code == 0, _all_output(result)
+    assert builds == list(commands)
 
 
 def test_sweep_writes_one_row_per_signal_probability(tmp_path):

@@ -1,14 +1,17 @@
-"""Print sha256 digests of every file the CLI writes on two fixed configs.
+"""Print sha256 digests of every file the CLI writes on three fixed configs.
 
 Runs ``solve``, ``simulate`` (with ``record_events``), ``evaluate`` at
 ``--threads`` 1 and 2, ``sweep`` and ``check`` on the tiny CLI-test config
-(200 paths) and on the desk config (300 paths), each command in a fresh
+(200 paths), on the desk config (300 paths) and on ``typed``, the tiny
+config spelled with ints for float keys and whole floats for int keys
+(``n_sim: 200.0``, ``q0: -2``, ...), each command in a fresh
 interpreter with the package imported from ``src/`` of a checkout, and
 prints one ``sha256  name`` line per output file and per command's stdout
 (with its exit code).  ``simulate``, ``evaluate`` and ``sweep`` each start
 from a copy of the two solutions ``solve`` wrote, so the listing covers the
-reuse of stored solutions.  Everything runs in a temporary directory that is
-removed afterwards.
+reuse of stored solutions, and ``typed`` checks byte for byte that the
+config's values are converted to their defaults' types once, at load.
+Everything runs in a temporary directory that is removed afterwards.
 
 A refactor that must keep outputs byte-identical is checked by diffing the
 listing of the parent and of the change::
@@ -39,7 +42,10 @@ TINY = {"grid": {"d_t": 0.01, "d_lambda": 4.0, "q_min": -2.0, "q_max": 2.0},
         "experiment": {"n_sim": 200, "base_seed": 99, "q0": -2.0,
                        "threads": 1}}
 DESK = {"experiment": {"n_sim": 300}}
-CONFIGS = {"tiny": TINY, "desk": DESK}
+TYPED = {"grid": TINY["grid"],
+         "experiment": {"n_sim": 200.0, "base_seed": 99.0, "q0": -2,
+                        "threads": 1.0, "lambda0": 0, "target_q": 0}}
+CONFIGS = {"tiny": TINY, "desk": DESK, "typed": TYPED}
 SOLUTIONS = ("solution_signal.npz", "solution_nosignal.npz")
 
 

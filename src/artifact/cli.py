@@ -396,8 +396,9 @@ def _make_agents(config: RunConfig, table_policy: hjb.Policy,
 
 
 def _run_simulate(config: RunConfig) -> int:
+    # the stored solution must already sit in the output directory, so a
+    # refused run creates nothing
     out_dir = config.output["directory"]
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, SOLUTION_SIGNAL)
     if not os.path.exists(path):
         raise ConfigError(

@@ -16,17 +16,24 @@ Grids are regular; trades live on the inventory lattice; liquidity
 arguments falling between nodes are linearly interpolated, clamped at the
 cap and floored at the frozen row.
 
-The kernels precompute every gather of a step on one stacked
-``(trade, row, q)`` layout, trades in the scan order ``0, -1, +1, -2, +2,
-...``: per mark, the flat indices of the interpolation rows and their
-multipliers, with intensity, branch weight and utility jump folded in.  A
-step loops over marks only, adding each mark's lower-row, upper-row and (for
-``alpha = 0``) additive terms in mark order, so every node's float sum is
-formed in the same order whatever the layout.  The best trade per node is
-the first maximum over the trade axis, so a later trade in scan order
-replaces an earlier one only when strictly better.  The scheme stays
-monotone with positive coefficients under the stability bound, which is
-what its convergence rests on (Barles and Souganidis, 1991).
+The kernels precompute every gather of a step on a per-node compacted
+``(row, q, slot)`` layout: the slots of a live node are its admissible
+trades, still in the scan order ``0, -1, +1, -2, +2, ...``, padded to the
+longest list with slots that start at ``-inf``.  (A trade that halts at the
+floor executes the same volume as an ordinary trade, so one node can reach
+one target inventory twice; the slots are trades, not targets.)  Per mark
+the kernels hold flat indices of the interpolation rows and their
+multipliers, with intensity, branch weight and utility jump folded in;
+marks that land on the same rows share one index slab, gathered once per
+step into a buffer reused across steps.  A step loops over marks only,
+adding each mark's lower-row, upper-row and (for ``alpha = 0``) additive
+terms in mark order into a zeroed accumulator, so every node's float sum
+is formed in the same order whatever the layout.  Holding is the zero
+trade, slot 0 of the block-trade kernel, so transport and impulse share one
+best-trade reduction: the first maximum over the slots, so a later trade in
+scan order replaces an earlier one only when strictly better.  The scheme
+stays monotone with positive coefficients under the stability bound, which
+is what its convergence rests on (Barles and Souganidis, 1991).
 """
 
 from __future__ import annotations
@@ -323,79 +330,159 @@ def _lambda_gather(grid: Grid, lam_target: np.ndarray):
     return lo, hi, frac
 
 
-def _shifted_cols(grid: Grid, shift: np.ndarray):
-    """Inventory columns ``j + shift``, clamped, and whether they are on grid.
+class _Slots:
+    """The per-node compacted trade axis of a kernel, ``(row, q, slot)``.
 
-    ``shift`` has shape ``(trade, row)``; both results ``(trade, row, q)``.
-    """
-    cols = np.arange(grid.n_q) + shift[..., None]
-    on_grid = (cols >= 0) & (cols <= grid.n_q - 1)
-    return np.clip(cols, 0, grid.n_q - 1), on_grid
-
-
-def _jump_grid(grid: Grid, params: MarketParams, gamma_exec: np.ndarray,
-               impact_sum: np.ndarray) -> np.ndarray:
-    """Trader wealth jump ``-zeta|g| - Xi(g,lam) + impact*(q+g)`` per node."""
-    lam = grid.lam_values[1:]
-    a_part = (-params.zeta * np.abs(gamma_exec)
-              - impact_cost(gamma_exec, lam, params))
-    return a_part[..., None] + impact_sum[..., None] * (
-        grid.q_values + gamma_exec[..., None])
-
-
-class _Gather:
-    """Gather-multiply slabs of the scheme on the ``(trade, row, q)`` layout.
-
-    Each added mark contributes ``w[lo] * m_lo + w[hi] * m_hi (+ add)``:
-    linear interpolation between the rows around the post-event liquidity,
-    with intensities, branch weights and (for ``alpha > 0``) the utility
-    jump factor folded into the multipliers.  The upper slab is kept only
-    when the mark's interpolation weights are not all zero, and the additive
-    slab only for ``alpha = 0``.
+    The slots of a live node are its admissible trades among ``n * d_q``
+    (``n`` in scan order), still in scan order, padded to the longest such
+    list.  Padding slots repeat the zero trade, so everything computed on
+    them is finite and in range; their candidates start at ``-inf`` and
+    never win.
     """
 
-    def __init__(self, grid: Grid, alpha: float, shape: tuple):
+    def __init__(self, grid: Grid, params: MarketParams, n: np.ndarray,
+                 geometry: tuple):
+        """``geometry`` is ``_trade_geometry(grid, n)``."""
         self.grid = grid
-        self.alpha = alpha
-        self.shape = shape
-        self.slabs = []
+        ok, _, gamma_exec, shift, _ = geometry
+        # admissible (trade, row) pairs that land on the inventory grid, on
+        # (row, q, trade)
+        j = np.arange(grid.n_q)[:, None]
+        to = shift.T[:, None, :]
+        valid = ok.T[:, None, :] & (j >= -to) & (j < grid.n_q - to)
+        count = valid.sum(axis=-1)
+        width = int(count.max())
+        pad = np.arange(width) >= count[..., None]
+        # flat (trade, live row) index of every slot: each node's admissible
+        # trades fill its first slots in scan order (both masks enumerate
+        # nodes in the same order); padding slots keep trade 0
+        n_rows = grid.n_lambda - 1
+        rows = np.arange(n_rows)[:, None, None]
+        self.index = np.broadcast_to(rows, pad.shape).copy()
+        self.index[~pad] = np.broadcast_to(
+            np.arange(len(n)) * n_rows + rows, valid.shape)[valid]
+        self.trades = self.take(
+            np.broadcast_to((n * grid.d_q)[:, None], ok.shape)).reshape(-1)
+        self.shift = shift
+        # the wealth jump -zeta|g| - Xi(g, lam) + impact * (q + g) is
+        # jump_fixed + impact * q_after; the impact depends on the mark
+        lam = grid.lam_values[1:]
+        self.jump_fixed = self.take(-params.zeta * np.abs(gamma_exec)
+                                    - impact_cost(gamma_exec, lam, params))
+        self.q_after = grid.q_values[:, None] + self.take(gamma_exec)
+        self.start = np.where(pad, -np.inf, 0.0)
+        # flat index of each node's first slot
+        self.node_start = np.arange(0, pad.size, width).reshape(count.shape)
 
-    def add(self, lam_next, cols, base, jump) -> None:
-        """Add a mark landing at ``(lam_next, cols)`` with weight ``base``."""
-        lo, hi, frac = _lambda_gather(self.grid, lam_next)
-        n_q = self.grid.n_q
+    def take(self, a: np.ndarray) -> np.ndarray:
+        """An array on ``(trade, live row)``, on ``(row, q, slot)``."""
+        return np.take(a, self.index)
+
+
+class _Kernel:
+    """Gather-multiply slabs of the scheme on a compacted trade axis.
+
+    Each added mark contributes ``w[lo] * m_lo + w[hi] * m_hi (+ add)`` per
+    slot: linear interpolation between the rows around the post-event
+    liquidity, with intensities, branch weights and (for ``alpha > 0``) the
+    utility jump factor folded into the multipliers.  The upper slab is
+    kept only when the mark's interpolation weights are not all zero, and
+    the additive slab only for ``alpha = 0``.  Marks landing on the same
+    rows share one index slab, gathered once per step.  Index slabs stay
+    ``intp``: ``np.take`` would convert narrower ones on every call.  Index
+    ranges are checked once, at build time, so a step gathers without
+    bounds checks into buffers allocated here.
+    """
+
+    def __init__(self, slots: _Slots, alpha: float):
+        self.slots = slots
+        self.alpha = alpha
+        self.acc = np.empty(slots.start.shape)
+        self.tmp = np.empty(slots.start.shape)
+        self.rows = []
+        self.slabs = []
+        self.gathered = []
+        self.terms = []
+
+    def add(self, lam_next, impact, base) -> None:
+        """Add a mark landing at ``lam_next`` with weight ``base``.
+
+        ``lam_next`` (post-event liquidity) and ``impact`` (price move
+        marking the post-trade inventory) are on ``(trade, live row)``,
+        ``base`` per live row or a scalar.
+        """
+        slots = self.slots
+        lo, hi, frac = _lambda_gather(slots.grid, lam_next)
+        base = np.reshape(base, (-1, 1, 1))
+        jump = slots.take(impact)
+        jump *= slots.q_after
+        jump += slots.jump_fixed
         if self.alpha > 0.0:
-            factor, add = base * np.exp(-self.alpha * jump), None
+            jump *= -self.alpha
+            factor, add = np.exp(jump, out=jump), None
+            factor *= base
         else:
             factor, add = base, base * jump
-        upper = None
+        self._add_term(lo, factor * slots.take(1.0 - frac))
         if frac.any():
-            upper = (hi[..., None] * n_q + cols, factor * frac[..., None])
-        self.slabs.append((lo[..., None] * n_q + cols,
-                           factor * (1.0 - frac)[..., None], upper, add))
+            self._add_term(hi, factor * slots.take(frac))
+        if add is not None:
+            self.terms.append((None, add))
 
-    def apply(self, w_flat: np.ndarray) -> np.ndarray:
-        """Sum of the marks' terms, accumulated mark by mark in mark order."""
-        out = np.zeros(self.shape)
-        for idx_lo, m_lo, upper, add in self.slabs:
-            out += np.take(w_flat, idx_lo) * m_lo
-            if upper is not None:
-                out += np.take(w_flat, upper[0]) * upper[1]
-            if add is not None:
-                out += add
-        return out
+    def _add_term(self, rows, multiplier) -> None:
+        for slab, known in enumerate(self.rows):
+            if np.array_equal(known, rows):
+                break
+        else:
+            grid = self.slots.grid
+            # flat index of the landing row at the post-trade column
+            idx = self.slots.take(rows * grid.n_q + self.slots.shift)
+            idx += np.arange(grid.n_q)[:, None]
+            if idx.min() < 0 or idx.max() >= grid.n_lambda * grid.n_q:
+                raise IndexError("gather index off the value slice")
+            slab = len(self.slabs)
+            self.rows.append(rows)
+            self.slabs.append(idx)
+            self.gathered.append(np.empty(idx.shape))
+        self.terms.append((slab, multiplier))
 
+    def accumulate(self, w: np.ndarray) -> np.ndarray:
+        """Sum of the marks' terms per slot, added mark by mark in mark order.
 
-def _best_trade(values: np.ndarray, valid: np.ndarray, trades: np.ndarray):
-    """Best admissible candidate per node over the leading trade axis.
+        Returns the kernel's own buffer, overwritten by the next call.
+        """
+        grid = self.slots.grid
+        if w.shape != (grid.n_lambda, grid.n_q):
+            raise ValueError(f"value slice of shape {w.shape}, grid needs "
+                             f"{(grid.n_lambda, grid.n_q)}")
+        w_flat = w.reshape(-1)
+        for idx, buf in zip(self.slabs, self.gathered):
+            # indices were range-checked at build time
+            np.take(w_flat, idx, out=buf, mode="clip")
+        acc, tmp = self.acc, self.tmp
+        # start from +0.0 (not the first product) so a -0.0 product sums
+        # to +0.0 as in a plain sum
+        np.copyto(acc, self.slots.start)
+        for slab, multiplier in self.terms:
+            if slab is None:
+                acc += multiplier
+            else:
+                np.multiply(self.gathered[slab], multiplier, out=tmp)
+                acc += tmp
+        return acc
 
-    ``np.argmax`` keeps the first maximum, so on the scan-ordered axis a
-    later trade wins only when it is strictly better.  Returns the best
-    value and its trade.
-    """
-    values = np.where(valid, values, -np.inf)
-    arg = np.argmax(values, axis=0)
-    return np.take_along_axis(values, arg[None], axis=0)[0], trades[arg]
+    def best(self, w: np.ndarray, value_out: np.ndarray,
+             trade_out: np.ndarray) -> None:
+        """Best candidate per node and its trade, written into the outputs.
+
+        ``np.argmax`` keeps the first maximum, so on the scan-ordered slots
+        a later trade wins only when it is strictly better.
+        """
+        acc = self.accumulate(w)
+        arg = acc.argmax(axis=-1)
+        arg += self.slots.node_start
+        value_out[...] = acc.reshape(-1)[arg]
+        trade_out[...] = self.slots.trades[arg]
 
 
 class _TransportKernels:
@@ -416,25 +503,25 @@ class _TransportKernels:
         self.lam_coeff = lam_coeff[:, None]
 
         n = _scan_trades(grid)
-        self.trades = n * grid.d_q
-        ok, trig, gamma_exec, shift, lam_after_raw = _trade_geometry(grid, n)
-        cols, on_grid = _shifted_cols(grid, shift)
-        self.valid = ok[..., None] & on_grid
+        geometry = _trade_geometry(grid, n)
+        _, trig, gamma_exec, _, lam_after_raw = geometry
         lam1 = lam - np.abs(gamma_exec)
         imp_gamma = price_impact(gamma_exec, lam, params)
 
-        # visible branches (weight p_hat, one gather per signal): the
+        # visible branches (weight p_hat, one kernel per signal): the
         # trader's trade executes ahead of the event's volume, clipped at the
         # floor; an unclipped overshoot halts the market and suppresses the
         # external volume.  The invisible branch (weight 1 - p_hat) is the
-        # no-trade column: every mark lands, and the wealth jump is the
+        # no-trade slot: every mark lands, and the wealth jump is the
         # own-inventory markup by the external market order's impact.
-        self.visible = {z: _Gather(grid, params.alpha, cols.shape)
-                        for z in SIGNALS}
-        self.invisible = _Gather(grid, params.alpha, cols[:1].shape)
+        slots = _Slots(grid, params, n, geometry)
+        self.visible = {z: _Kernel(slots, params.alpha) for z in SIGNALS}
+        self.invisible = _Kernel(
+            _Slots(grid, params, n[:1], tuple(g[:1] for g in geometry)),
+            params.alpha)
         for m in marks.marks:
             is_mo = m.eta != 0.0
-            rate = (f_lam if is_mo else g_lam)[:, None]
+            rate = f_lam if is_mo else g_lam
             if is_mo:
                 eta_exec = np.where(
                     trig, 0.0,
@@ -445,58 +532,58 @@ class _TransportKernels:
             else:
                 imp = imp_gamma
                 lam_next = np.where(trig, lam_after_raw, lam1 + m.rho)
-            jump = _jump_grid(grid, params, gamma_exec, imp)
             if p_hat < 1.0:
-                self.invisible.add(lam_next[:1], cols[:1],
-                                   (1.0 - p_hat) * m.nu * rate, jump[:1])
+                self.invisible.add(lam_next[:1], imp[:1],
+                                   (1.0 - p_hat) * m.nu * rate)
             if p_hat > 0.0:
-                self.visible[m.signal].add(lam_next, cols,
-                                           p_hat * m.nu * rate, jump)
+                self.visible[m.signal].add(lam_next, imp,
+                                           p_hat * m.nu * rate)
+        self.branch_value = np.empty((grid.n_lambda - 1, grid.n_q))
 
-    def apply(self, w: np.ndarray):
-        """One generator step; returns the new slice and signal argmaxes."""
-        grid = self.grid
-        w_flat = w.reshape(-1)
+    def apply(self, w: np.ndarray, out: np.ndarray,
+              gamma: np.ndarray) -> None:
+        """One generator step of ``w`` into ``out``.
+
+        The signal trades go into ``gamma[1:, :, s]``.  A branch without
+        marks is skipped: it would add ``+0.0`` (trade 0), which changes no
+        sum that starts from ``+0.0``, and leaves its zero trades.
+        """
         w_live = w[1:]
-        acc = self.invisible.apply(w_flat)[0]
-        gamma = np.zeros((grid.n_lambda, grid.n_q, len(SIGNALS)))
+        acc = self.invisible.accumulate(w)[..., 0]
         for s, z in enumerate(SIGNALS):
-            best, gamma[1:, :, s] = _best_trade(
-                self.visible[z].apply(w_flat), self.valid, self.trades)
-            acc += best
-        out = np.empty_like(w)
+            if self.visible[z].terms:
+                self.visible[z].best(w, self.branch_value, gamma[1:, :, s])
+                acc += self.branch_value
         out[0] = w[0]
-        out[1:] = w_live + grid.d_t * (acc - self.lam_coeff * w_live)
-        return out, gamma
+        out[1:] = w_live + self.grid.d_t * (acc - self.lam_coeff * w_live)
 
 
 class _ImpulseKernels:
-    """Precomputed block-trade comparison terms."""
+    """Precomputed block-trade comparison terms.
+
+    Holding is slot 0, the zero trade: it stays on its own node with no
+    wealth jump, so it is a gather of ``w`` itself with multiplier 1 and
+    zero upper and additive terms.  It reads back ``w`` (bar the sign of a
+    ``-0.0``, which live rows of a transport step never hold) and wins
+    unless a trade is strictly better.
+    """
 
     def __init__(self, grid: Grid, params: MarketParams):
-        self.grid = grid
-        n = _scan_trades(grid)[1:]
-        ok, _, gamma_exec, shift, lam_after_raw = _trade_geometry(grid, n)
-        cols, on_grid = _shifted_cols(grid, shift)
-        imp = price_impact(gamma_exec, grid.lam_values[1:], params)
-        self.gather = _Gather(grid, params.alpha, cols.shape)
-        self.gather.add(lam_after_raw, cols, 1.0,
-                        _jump_grid(grid, params, gamma_exec, imp))
-        # candidate 0 is holding: always admissible, trade 0
-        hold = np.ones((1,) + on_grid.shape[1:], dtype=bool)
-        self.valid = np.concatenate((hold, ok[..., None] & on_grid))
-        self.trades = np.concatenate(([0.0], n * grid.d_q))
+        n = _scan_trades(grid)
+        geometry = _trade_geometry(grid, n)
+        _, _, gamma_exec, _, lam_after_raw = geometry
+        self.kernel = _Kernel(_Slots(grid, params, n, geometry),
+                              params.alpha)
+        self.kernel.add(lam_after_raw,
+                        price_impact(gamma_exec, grid.lam_values[1:], params),
+                        1.0)
 
-    def apply(self, w: np.ndarray):
-        """Pointwise max over block trades; returns new slice and trades."""
-        grid = self.grid
-        candidates = np.concatenate(
-            (w[None, 1:], self.gather.apply(w.reshape(-1))))
-        out = np.empty_like(w)
+    def apply(self, w: np.ndarray, out: np.ndarray,
+              delta: np.ndarray) -> None:
+        """Pointwise max over block trades of ``w`` into ``out``; the trades
+        go into ``delta[1:]``."""
         out[0] = w[0]
-        delta = np.zeros((grid.n_lambda, grid.n_q))
-        out[1:], delta[1:] = _best_trade(candidates, self.valid, self.trades)
-        return out, delta
+        self.kernel.best(w, out[1:], delta[1:])
 
 
 def _check_grid_params(grid: Grid, params: MarketParams) -> None:
@@ -539,8 +626,10 @@ def transport_step(w_slice: np.ndarray, grid: Grid, params: MarketParams,
     them across all steps.
     """
     check_stability(grid, params, marks)
-    out, _ = _TransportKernels(grid, params, marks).apply(
-        np.asarray(w_slice, dtype=float))
+    w = np.ascontiguousarray(w_slice, dtype=float)
+    out = np.empty_like(w)
+    _TransportKernels(grid, params, marks).apply(
+        w, out, np.zeros(w.shape + (len(SIGNALS),)))
     return out
 
 
@@ -550,8 +639,11 @@ def impulse_step(w_slice: np.ndarray, grid: Grid, params: MarketParams):
     Returns ``(values, delta_star)`` where ``delta_star`` is the improving
     trade per node (0 where no trade improves on holding).
     """
-    return _ImpulseKernels(grid, params).apply(
-        np.asarray(w_slice, dtype=float))
+    w = np.ascontiguousarray(w_slice, dtype=float)
+    out = np.empty_like(w)
+    delta = np.zeros_like(w)
+    _ImpulseKernels(grid, params).apply(w, out, delta)
+    return out, delta
 
 
 def solver_inputs(params: MarketParams, marks: MarkModel,
@@ -589,11 +681,11 @@ def solve(params: MarketParams, marks: MarkModel, grid: Grid,
     gamma_star = np.zeros((n_t, grid.n_lambda, grid.n_q, len(SIGNALS)))
     delta_star = np.zeros((n_t, grid.n_lambda, grid.n_q))
     values[0] = _terminal_slice(grid, params)
+    tilde = np.empty((grid.n_lambda, grid.n_q))
 
     for k in range(1, n_t):
-        tilde, gamma = transport.apply(values[k - 1])
-        values[k], delta_star[k] = impulse.apply(tilde)
-        gamma_star[k] = gamma
+        transport.apply(values[k - 1], tilde, gamma_star[k])
+        impulse.apply(tilde, values[k], delta_star[k])
 
     full_meta = {"schema_version": SCHEMA_VERSION, "alpha": params.alpha,
                  **solver_inputs(params, marks, grid)}

@@ -134,6 +134,115 @@ def impulse_dp_oracle(params, lam_values, q_values, n_rounds):
     return values, frozen
 
 
+def transport_oracle(w, grid, params, marks):
+    """One generator step by a per-node loop, with the best signal trades.
+
+    At each live row and inventory node the invisible branch (weight
+    ``1 - p``) lands every mark with no trade.  Each visible branch (weight
+    ``p``, one per signal) scans the lattice trades in the order ``0, -1,
+    +1, -2, +2, ...`` and keeps a later trade only when its sum over the
+    branch's marks, added in mark order, is strictly greater.  The trade
+    executes ahead of the event.  A trade that overshoots the floor by at
+    most one liquidity step fills to the floor and halts the market: the
+    event's own volume does not execute and the value continues at the
+    trade's raw post-trade liquidity.  Otherwise a market order executes up
+    to the floor and moves the price by its own impact too.  Continuation
+    values are interpolated linearly in liquidity, clamped to the grid.
+
+    Returns the new slice (frozen row unchanged), the best trade per node
+    and signal (``(n_lambda, n_q, 2)``, signals ``-1, +1``; the unclipped
+    lattice volume) and the gap between the best two candidates relative
+    to the best (``inf`` with a single candidate).
+    """
+    lam_values = [float(v) for v in grid.lam_values]
+    q_values = [float(v) for v in grid.q_values]
+    frozen, cap = lam_values[0], lam_values[-1]
+    floor, d_lam, d_q = params.lambda_lower, grid.d_lambda, grid.d_q
+    p_hat = marks.signal_prob
+    n_max = len(q_values) - 1
+    scan = [0] + [s * k for k in range(1, n_max + 1) for s in (-1, 1)]
+    impact = {}
+
+    def impact_of(g, lam):
+        if (g, lam) not in impact:
+            impact[g, lam] = (impact_oracle(g, lam, params),
+                              cost_oracle(g, lam, params))
+        return impact[g, lam]
+
+    def continuation(lam, j):
+        pos = (min(max(lam, frozen), cap) - frozen) / d_lam
+        lo = min(int(math.floor(pos + 1e-9)), len(lam_values) - 1)
+        frac = pos - lo
+        if frac <= 1e-9:
+            return float(w[lo, j])
+        return (1.0 - frac) * float(w[lo, j]) + frac * float(w[lo + 1, j])
+
+    def landing(lam, q, g, mark):
+        """Jump-weighted continuation of trade ``g`` then ``mark``."""
+        raw = lam - abs(g)
+        halted = raw < floor - 1e-9
+        g_exec = math.copysign(lam - floor, g) if halted else g
+        j = round((q + g_exec - q_values[0]) / d_q)
+        lam1 = lam - abs(g_exec)
+        move, friction = impact_of(g_exec, lam)
+        if halted:
+            lam_next = raw
+        elif mark.eta != 0.0:
+            eta_exec = math.copysign(min(abs(mark.eta),
+                                         max(lam1 - floor, 0.0)), mark.eta)
+            move += impact_of(eta_exec, lam1)[0]
+            lam_next = lam1 - abs(mark.eta)
+        else:
+            lam_next = lam1 + mark.rho
+        jump = -params.zeta * abs(g_exec) - friction + move * (q + g_exec)
+        cont = continuation(lam_next, j)
+        if params.alpha > 0.0:
+            return cont * math.exp(-params.alpha * jump)
+        return cont + jump
+
+    def admissible(lam, q, g):
+        raw = lam - abs(g)
+        if raw < frozen - 1e-9:
+            return False
+        g_exec = math.copysign(lam - floor, g) if raw < floor - 1e-9 else g
+        j = (q + g_exec - q_values[0]) / d_q
+        return abs(j - round(j)) <= 1e-9 and 0 <= round(j) <= n_max
+
+    out = np.array(w, dtype=float)
+    trades = np.zeros(w.shape + (2,))
+    gaps = np.full(w.shape + (2,), np.inf)
+    for i in range(1, len(lam_values)):
+        lam = lam_values[i]
+        rates = [params.f(lam) if m.eta != 0.0 else params.g(lam)
+                 for m in marks.marks]
+        total_rate = sum(m.nu * r for m, r in zip(marks.marks, rates))
+        for j, q in enumerate(q_values):
+            acc = 0.0
+            for m, r in zip(marks.marks, rates):
+                acc += (1.0 - p_hat) * m.nu * r * landing(lam, q, 0.0, m)
+            for s, z in enumerate((-1, 1)):
+                branch = [(m, r) for m, r in zip(marks.marks, rates)
+                          if m.signal == z]
+                best, second, best_g = -math.inf, -math.inf, 0.0
+                for n in scan:
+                    g = n * d_q
+                    if not admissible(lam, q, g):
+                        continue
+                    value = 0.0
+                    for m, r in branch:
+                        value += p_hat * m.nu * r * landing(lam, q, g, m)
+                    if value > best:
+                        best, second, best_g = value, best, g
+                    elif value > second:
+                        second = value
+                acc += best
+                trades[i, j, s] = best_g
+                if second > -math.inf:
+                    gaps[i, j, s] = (best - second) / max(abs(best), 1e-300)
+            out[i, j] = w[i, j] + grid.d_t * (acc - total_rate * w[i, j])
+    return out, trades, gaps
+
+
 def euler_thinning_oracle(params, marks, initial_lam, n_paths, dt, seed):
     """Fixed-step thinning simulator, independent of the event-driven one.
 

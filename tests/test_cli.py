@@ -224,6 +224,8 @@ def test_simulate_requires_a_solved_policy(tmp_path):
                                   "-o", str(tmp_path / "fresh")])
     assert result.exit_code == 2
     assert "policy file not found" in _all_output(result)
+    # a refused run leaves no output directory behind
+    assert not (tmp_path / "fresh").exists()
 
 
 def test_simulate_refuses_a_policy_solved_for_other_inputs(tmp_path):

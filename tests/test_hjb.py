@@ -22,7 +22,7 @@ from artifact.hjb import (
 )
 from artifact.market_core import MarketParams, impact_cost, price_impact
 from artifact.order_flow import Mark, MarkModel, benchmark_mark_model
-from oracles import impulse_dp_oracle, terminal_oracle
+from oracles import impulse_dp_oracle, terminal_oracle, transport_oracle
 
 PARAMS = MarketParams()
 
@@ -242,6 +242,72 @@ def test_transport_step_preserves_flat_inventory():
     out = transport_step(w, grid, PARAMS, benchmark_mark_model(0.2))
     j0 = grid.q_index(0.0)
     np.testing.assert_allclose(out[:, j0], -1.0, rtol=1e-13)
+
+
+@pytest.mark.parametrize("p_hat", [0.2, 1.0])
+@pytest.mark.parametrize("alpha", [0.1, 0.0])
+@pytest.mark.parametrize("d_lambda", [1.0, 4.0])
+def test_transport_step_matches_the_per_node_oracle(d_lambda, alpha, p_hat):
+    """Values and stored signal trades of a mid-horizon step agree with a
+    per-node scan, on grids whose low rows admit trades that halt at the
+    floor."""
+    params = dataclasses.replace(PARAMS, alpha=alpha)
+    marks = benchmark_mark_model(p_hat)
+    grid = Grid.from_params(params, d_t=0.01, d_lambda=d_lambda,
+                            q_min=-2.0, q_max=2.0)
+    surface, policy = solve(params, marks, grid)
+    k = grid.n_steps // 2
+    w = surface.values[k - 1]
+    want, trades, gaps = transport_oracle(w, grid, params, marks)
+
+    np.testing.assert_allclose(transport_step(w, grid, params, marks), want,
+                               rtol=1e-12, atol=0.0)
+    clear = gaps > 1e-9
+    np.testing.assert_array_equal(policy.gamma_star[k][clear], trades[clear])
+    assert np.any(trades[1:] != 0.0)
+    # the lowest live rows hold trades that overshoot the floor and halt
+    lam_low = grid.lam_values[1]
+    assert lam_low - 2.0 * grid.d_q < params.lambda_lower
+
+
+def test_steps_reject_a_slice_of_another_grid():
+    grid = Grid.from_params(PARAMS, d_t=0.01, d_lambda=4.0,
+                            q_min=-2.0, q_max=2.0)
+    marks = benchmark_mark_model(0.2)
+    for rows in (grid.n_lambda - 1, grid.n_lambda + 1):
+        w = np.full((rows, grid.n_q), -1.0)
+        with pytest.raises(ValueError, match="shape"):
+            transport_step(w, grid, PARAMS, marks)
+        with pytest.raises(ValueError, match="shape"):
+            impulse_step(w, grid, PARAMS)
+
+
+def test_exact_tie_keeps_the_sell_scanned_first():
+    """A sell and a buy of one lot that tie exactly, both beating holding:
+    the sell comes first in the scan order 0, -1, +1 and is kept."""
+    params = dataclasses.replace(PARAMS, alpha=0.0)
+    grid = Grid.from_params(params, d_t=0.005, d_lambda=1.0,
+                            q_min=-2.0, q_max=2.0)
+    i, j = grid.n_lambda - 1, grid.q_index(0.0)
+    lam = float(grid.lam_values[i])
+    # symmetric in inventory, with holding at flat made expensive
+    w = -np.abs(grid.q_values)[None, :].repeat(grid.n_lambda, axis=0)
+    w[i, j] = -10.0
+
+    def candidate(g):
+        jump = (-params.zeta * abs(g) - impact_cost(g, lam, params)
+                + price_impact(g, lam, params) * g)
+        return w[i - 1, grid.q_index(g)] + jump
+
+    assert candidate(-1.0) == candidate(1.0) > w[i, j]
+    out, delta = impulse_step(w, grid, params)
+    assert delta[i, j] == -1.0
+    assert out[i, j] == candidate(-1.0)
+    # a buy that is better by one ulp wins
+    w[i - 1, grid.q_index(1.0)] = np.nextafter(w[i - 1, grid.q_index(1.0)],
+                                                0.0)
+    _, delta = impulse_step(w, grid, params)
+    assert delta[i, j] == 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
-"""Print sha256 digests of every file the CLI writes on three fixed configs.
+"""Print sha256 digests of every file the CLI writes on four fixed configs.
 
 Runs ``solve``, ``simulate`` (with ``record_events``), ``evaluate`` at
 ``--threads`` 1 and 2, ``sweep`` and ``check`` on the tiny CLI-test config
-(200 paths), on the desk config (300 paths) and on ``typed``, the tiny
-config spelled with ints for float keys and whole floats for int keys
-(``n_sim: 200.0``, ``q0: -2``, ...), each command in a fresh
+(200 paths, ``d_lambda = 4``), on the desk config (300 paths), on
+``typed``, the tiny config spelled with ints for float keys and whole
+floats for int keys (``n_sim: 200.0``, ``q0: -2``, ...), and on
+``alpha0``, the tiny config with ``market.alpha: 0.0`` (the risk-neutral,
+additive branch of the solver), each command in a fresh
 interpreter with the package imported from ``src/`` of a checkout, and
 prints one ``sha256  name`` line per output file and per command's stdout
 (with its exit code).  ``simulate``, ``evaluate`` and ``sweep`` each start
@@ -45,7 +47,8 @@ DESK = {"experiment": {"n_sim": 300}}
 TYPED = {"grid": TINY["grid"],
          "experiment": {"n_sim": 200.0, "base_seed": 99.0, "q0": -2,
                         "threads": 1.0, "lambda0": 0, "target_q": 0}}
-CONFIGS = {"tiny": TINY, "desk": DESK, "typed": TYPED}
+ALPHA0 = dict(TINY, market={"alpha": 0.0})
+CONFIGS = {"tiny": TINY, "desk": DESK, "typed": TYPED, "alpha0": ALPHA0}
 SOLUTIONS = ("solution_signal.npz", "solution_nosignal.npz")
 
 

@@ -12,7 +12,8 @@ Modules
 market_core
     Closed-form primitives: intensities, impact, costs, state transitions.
 order_flow
-    Marked-Poisson event simulation with thinning, signals and the breaker.
+    Marked-Poisson event simulation with thinning, signals and the breaker,
+    a block of paths at a time.
 hjb
     Backward-induction solver for the reduced value surface and policy.
 policy
@@ -47,6 +48,7 @@ from .order_flow import (
     benchmark_mark_model,
     make_path_seed,
     simulate_path,
+    simulate_paths,
     vbar_bound,
     write_path_log,
 )

@@ -411,11 +411,10 @@ def _run_simulate(config: RunConfig) -> int:
     exp = config.experiment
     agent = policy_mod.TablePolicyAgent(solution[1], config.params)
     if exp["record_events"]:
-        paths = [order_flow.simulate_path(
+        paths = order_flow.simulate_paths(
             config.params, config.marks, agent, config.initial_state(),
-            order_flow.make_path_seed(exp["base_seed"], i),
-            record_events=True)
-            for i in range(exp["n_sim"])]
+            [order_flow.make_path_seed(exp["base_seed"], i)
+             for i in range(exp["n_sim"])], record_events=True)
         order_flow.write_path_log(paths,
                                   os.path.join(out_dir, "paths.csv"))
         reports = evaluation.build_reports(

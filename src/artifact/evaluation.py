@@ -2,10 +2,11 @@
 
 Experiments simulate a set of agents over a common collection of seeded
 paths: path ``i`` of every agent uses the same 128-bit stream key, so the
-candidate event streams coincide and comparisons are paired.  Per-path
-scalars are assembled in path order and every statistic is reduced
-single-threaded from the assembled arrays, which makes results bit-identical
-whatever the worker count.
+candidate event streams coincide and comparisons are paired: each block
+of paths is drawn once and simulated for every agent.  Per-path scalars
+are assembled in path order and every statistic is reduced
+single-threaded from the assembled arrays, which makes results
+bit-identical whatever the worker count.
 """
 
 from __future__ import annotations
@@ -23,7 +24,10 @@ import numpy as np
 from . import SCHEMA_VERSION
 from .hjb import ValueSurface
 from .market_core import MarketParams, MarketState, utility
-from .order_flow import MarkModel, PathRecord, make_path_seed, simulate_path
+from .order_flow import (BLOCK_PATHS, MarkModel, PathRecord, draw_candidates,
+                         make_path_seed, simulate_block)
+# one path at a time, for callers that time or trace single paths
+from .order_flow import simulate_path  # noqa: F401
 
 __all__ = [
     "EvalReport",
@@ -148,12 +152,18 @@ def _share(*inputs) -> None:
 
 
 def _simulate_chunk(paths: range, inputs: tuple = ()) -> list:
-    """Every agent's path outcomes on ``paths``, agent by agent."""
+    """Every agent's path outcomes on ``paths``, one block at a time."""
     params, marks, agents, initial, base_seed = inputs or _shared
-    return [[path_outcome(simulate_path(params, marks, agent, initial,
-                                        make_path_seed(base_seed, i)))
-             for i in paths]
-            for agent in agents.values()]
+    outcomes = [[] for _ in agents]
+    for start in range(paths.start, paths.stop, BLOCK_PATHS):
+        block = draw_candidates(params, marks, [
+            make_path_seed(base_seed, i)
+            for i in range(start, min(start + BLOCK_PATHS, paths.stop))])
+        for rows, agent in zip(outcomes, agents.values()):
+            rows += map(path_outcome, simulate_block(params, marks, agent,
+                                                     initial, block))
+        del block  # before the next block is drawn: one block in memory
+    return outcomes
 
 
 def run_experiment(params: MarketParams, marks: MarkModel,
@@ -164,11 +174,11 @@ def run_experiment(params: MarketParams, marks: MarkModel,
     """Simulate every agent over the same ``n_sim`` seeded paths.
 
     Returns one report per agent (insertion order preserved).  ``threads``
-    workers share one process pool: each receives the inputs once, and a
-    job is a range of path indices on which it simulates every agent.
-    Results are independent of the worker count because path seeds are
-    absolute and statistics are reduced from the path-ordered arrays in
-    one thread.
+    workers share one process pool: each receives the inputs once and one
+    contiguous range of path indices, on which it simulates every agent
+    (the block engine runs faster on fewer, larger ranges).  Results are
+    independent of the worker count because path seeds are absolute and
+    statistics are reduced from the path-ordered arrays in one thread.
     """
     if n_sim <= 0:
         raise ValueError("n_sim must be positive")
@@ -178,7 +188,7 @@ def run_experiment(params: MarketParams, marks: MarkModel,
     if threads == 1:
         chunks = [_simulate_chunk(range(n_sim), inputs)]
     else:
-        size = -(-n_sim // (threads * 4))
+        size = -(-n_sim // threads)
         ranges = [range(s, min(s + size, n_sim))
                   for s in range(0, n_sim, size)]
         with ProcessPoolExecutor(threads, initializer=_share,

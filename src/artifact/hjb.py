@@ -127,7 +127,6 @@ class Grid:
         object.__setattr__(self, "_lam_values", lam_values)
         object.__setattr__(self, "_q_values", q_values)
         object.__setattr__(self, "_n_steps", n_steps)
-        # a Python float, so the simulator's per-event lookups stay scalar
         object.__setattr__(self, "_lam_origin", float(lam_values[0]))
 
     @classmethod
@@ -163,19 +162,25 @@ class Grid:
     def time_to_go(self) -> np.ndarray:
         return self.d_t * np.arange(self._n_steps + 1)
 
-    def lambda_index(self, lam: float) -> int:
-        """Nearest liquidity node index (never the frozen row)."""
-        i = round((lam - self._lam_origin) / self.d_lambda)
-        return int(min(max(i, 1), len(self._lam_values) - 1))
+    def lambda_index(self, lam):
+        """Nearest liquidity node index (never the frozen row).
 
-    def q_index(self, q: float) -> int:
-        i = round((q - self.q_min) / self.d_q)
-        return int(min(max(i, 0), len(self._q_values) - 1))
+        Like ``q_index`` and ``time_index``, elementwise over arrays:
+        ``np.rint`` rounds half to even, as Python's ``round`` does.
+        """
+        i = np.rint((lam - self._lam_origin) / self.d_lambda)
+        return np.minimum(np.maximum(i, 1), len(self._lam_values) - 1
+                          ).astype(np.intp)
 
-    def time_index(self, t: float, horizon: float) -> int:
+    def q_index(self, q):
+        i = np.rint((q - self.q_min) / self.d_q)
+        return np.minimum(np.maximum(i, 0), len(self._q_values) - 1
+                          ).astype(np.intp)
+
+    def time_index(self, t, horizon: float):
         """Nearest time-to-go slice for wall-clock time ``t``."""
-        k = round((horizon - t) / self.d_t)
-        return int(min(max(k, 0), self._n_steps))
+        k = np.rint((horizon - t) / self.d_t)
+        return np.minimum(np.maximum(k, 0), self._n_steps).astype(np.intp)
 
 
 @dataclass
@@ -703,15 +708,25 @@ def solve(params: MarketParams, marks: MarkModel, grid: Grid,
 
 
 def _write_deterministic_zip(path, arrays: dict) -> None:
-    """Write arrays as a valid .npz with fixed timestamps (stable bytes)."""
+    """Write arrays as a valid .npz with fixed timestamps (stable bytes).
+
+    Each entry is the ``.npy`` header followed by the array's own buffer,
+    streamed into the zip: saving copies no array, so the peak memory of a
+    solve does not depend on where the allocator puts such copies.
+    """
+    fmt = np.lib.format
     with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
         for name in sorted(arrays):
-            buf = io.BytesIO()
-            np.lib.format.write_array(buf, np.ascontiguousarray(arrays[name]),
-                                      allow_pickle=False)
+            array = np.ascontiguousarray(arrays[name])
+            header = io.BytesIO()
+            fmt.write_array_header_1_0(header,
+                                       fmt.header_data_from_array_1_0(array))
             info = zipfile.ZipInfo(name + ".npy",
                                    date_time=(1980, 1, 1, 0, 0, 0))
-            zf.writestr(info, buf.getvalue())
+            info.file_size = header.tell() + array.nbytes
+            with zf.open(info, "w") as entry:
+                entry.write(header.getvalue())
+                entry.write(array.reshape(-1).view(np.uint8))
 
 
 def save_solution(path, surface: ValueSurface, policy: Policy) -> None:

@@ -147,6 +147,9 @@ class MarketParams:
 class MarketState:
     """Instantaneous market/trader state.
 
+    The fields are scalars for one path, or equal-length arrays with one
+    entry per path for a block of paths (see ``order_flow.simulate_block``).
+
     Attributes
     ----------
     lam
@@ -285,20 +288,26 @@ def check_elasticity(params: MarketParams, marks,
     return (denom > 0.0) & (ratio > 0.0) & (ratio < 1.0)
 
 
-def clip_to_liquidity(delta: float, lam: float, lambda_lower: float) -> float:
+def _max0(v):
+    """Elementwise ``max(v, 0.0)`` with Python's tie rule (``v`` on ties)."""
+    return np.where(v < 0.0, 0.0, v)
+
+
+def clip_to_liquidity(delta, lam, lambda_lower: float):
     """Largest partial execution of ``delta`` that keeps ``lam`` above floor.
 
     Returns ``delta`` unchanged when ``lam - |delta| >= lambda_lower``;
     otherwise the same-signed volume that depletes liquidity to exactly
     ``lambda_lower`` (zero if liquidity is already at or below the floor).
+    Elementwise over scalars or broadcastable arrays.
     """
-    if lam - abs(delta) >= lambda_lower - _FLOOR_TOL:
-        return delta
-    return _sgn(delta) * max(lam - lambda_lower, 0.0)
+    fits = np.subtract(lam, np.abs(delta)) >= lambda_lower - _FLOOR_TOL
+    headroom = _max0(np.subtract(lam, lambda_lower))
+    return np.where(fits, delta, np.sign(delta) * headroom)
 
 
-def apply_shock_detailed(state: MarketState, gamma: float, eta: float,
-                         rho: float, params: MarketParams) -> tuple:
+def apply_shock_detailed(state: MarketState, gamma, eta, rho,
+                         params: MarketParams) -> tuple:
     """Apply one event's volumes to the state, reporting executions.
 
     ``gamma`` is the trader's signed trade, ``eta`` the signed volume of an
@@ -307,7 +316,9 @@ def apply_shock_detailed(state: MarketState, gamma: float, eta: float,
     carries market-order volume or limit volume, never both.  Returns
     ``(state, executed_gamma, executed_eta, executed_rho, price_jump_gamma,
     price_jump_eta)``; a halted state is returned unchanged with nothing
-    executed.
+    executed.  Elementwise: the state's fields and the volumes may be
+    arrays over a block of paths (or scalars), and every path follows the
+    rules below on its own.
 
     Sequencing within the event: the trader's trade ``gamma`` executes
     first, then the external market-order volume ``eta`` against the
@@ -324,62 +335,68 @@ def apply_shock_detailed(state: MarketState, gamma: float, eta: float,
     price moves by the impact of the trader's fill plus that of the
     external market order against the reduced book.
     """
-    if eta != 0.0 and rho != 0.0:
+    if np.any((np.asarray(eta) != 0.0) & (np.asarray(rho) != 0.0)):
         raise ValueError(
             f"degenerate shock: eta={eta} and rho={rho} cannot both be "
             "non-zero in one event")
-    if state.halted:
-        return state, 0.0, 0.0, 0.0, 0.0, 0.0
-
     lam0, q0, p0, x0 = state.lam, state.q, state.p, state.x
     floor = params.lambda_lower
+    tol_floor = floor - _FLOOR_TOL
 
     g_exec = clip_to_liquidity(gamma, lam0, floor)
-    lam1 = lam0 - abs(g_exec)
+    lam1 = lam0 - np.abs(g_exec)
     pj_g = price_impact(g_exec, lam0, params)
     q1 = q0 + g_exec
-    x1 = x0 - p0 * g_exec - params.zeta * abs(g_exec) \
+    x1 = x0 - p0 * g_exec - params.zeta * np.abs(g_exec) \
         - impact_cost(g_exec, lam0, params)
+    # the trader's unclipped trade overshoots: the event's volumes are
+    # suppressed and the market freezes after the partial fill
+    halt_g = lam0 - np.abs(gamma) < tol_floor
 
-    if lam0 - abs(gamma) < floor - _FLOOR_TOL:
-        return (MarketState(lam=lam1, q=q1, p=p0 + pj_g, x=x1, halted=True),
-                g_exec, 0.0, 0.0, pj_g, 0.0)
+    e_exec = np.where(halt_g, 0.0, clip_to_liquidity(eta, lam1, floor))
+    pj_e = np.where(halt_g, 0.0, price_impact(e_exec, lam1, params))
+    lam2 = lam1 - np.abs(e_exec)
+    halt_e = ~halt_g & (np.asarray(eta) != 0.0) \
+        & (lam1 - np.abs(eta) < tol_floor)
 
-    e_exec = clip_to_liquidity(eta, lam1, floor)
-    pj_e = price_impact(e_exec, lam1, params)
-    lam2 = lam1 - abs(e_exec)
+    cancel = _max0(np.negative(rho))
+    post = _max0(rho)
+    room = _max0(lam2 - floor)
+    c_exec = np.where(room < cancel, room, cancel)
+    lam3 = lam2 - c_exec + post
+    lam3 = np.where(params.lambda_upper < lam3, params.lambda_upper, lam3)
+    halt_c = (cancel > 0.0) & (lam2 - cancel < tol_floor)
 
-    if eta != 0.0 and lam1 - abs(eta) < floor - _FLOOR_TOL:
-        r_exec = 0.0
-        lam3 = lam2
-        halted = True
-    else:
-        cancel = max(-rho, 0.0)
-        post = max(rho, 0.0)
-        c_exec = min(cancel, max(lam2 - floor, 0.0))
-        r_exec = post - c_exec
-        lam3 = min(lam2 - c_exec + post, params.lambda_upper)
-        halted = cancel > 0.0 and lam2 - cancel < floor - _FLOOR_TOL
+    r_exec = np.where(halt_g | halt_e, 0.0, post - c_exec)
+    lam = np.where(halt_g, lam1, np.where(halt_e, lam2, lam3))
+    p = np.where(halt_g, p0 + pj_g, p0 + pj_g + pj_e)
+    was = state.halted
+    if not np.any(was):
+        new = MarketState(lam=lam, q=q1, p=p, x=x1,
+                          halted=halt_g | halt_e | halt_c)
+        return new, g_exec, e_exec, r_exec, pj_g, pj_e
+    new = MarketState(lam=np.where(was, lam0, lam), q=np.where(was, q0, q1),
+                      p=np.where(was, p0, p), x=np.where(was, x0, x1),
+                      halted=was | halt_g | halt_e | halt_c)
+    return (new,) + tuple(np.where(was, 0.0, v)
+                          for v in (g_exec, e_exec, r_exec, pj_g, pj_e))
 
-    new = MarketState(lam=lam3, q=q1, p=p0 + pj_g + pj_e, x=x1, halted=halted)
-    return new, g_exec, e_exec, r_exec, pj_g, pj_e
 
-
-def terminal_wealth(state: MarketState, params: MarketParams,
-                    auction_draw: float) -> float:
+def terminal_wealth(state: MarketState, params: MarketParams, auction_draw):
     """Cash after liquidating the terminal inventory at time ``T``.
 
     The inventory ``q`` is marked at the current price; the part of ``|q|``
     not covered by available liquidity above the floor clears in an auction
     whose price deviates by ``sigma_auction * auction_draw`` per lot in the
     adverse-exposure direction ``sgn(q)``.  The usual proportional cost and
-    impact friction apply to the full liquidation.
+    impact friction apply to the full liquidation.  Elementwise over
+    scalars or arrays.
     """
     lam, q, p, x = state.lam, state.q, state.p, state.x
-    exposed = max(abs(q) - max(lam - params.lambda_lower, 0.0), 0.0)
+    exposed = _max0(np.abs(q) - _max0(np.subtract(lam, params.lambda_lower)))
     return (x + p * q
-            + params.sigma_auction * auction_draw * _sgn(q) * exposed
-            - params.zeta * abs(q)
+            + params.sigma_auction * auction_draw * np.sign(q) * exposed
+            - params.zeta * np.abs(q)
             - impact_cost(q, lam, params))
 
 

@@ -17,6 +17,13 @@ share their random numbers by construction.
 Randomness is counter-based (Philox) keyed by a single 128-bit integer
 seed; ``make_path_seed`` packs a base seed and a path index into one key,
 so any path can be regenerated bit-exactly in isolation.
+
+Paths are simulated a block at a time: ``draw_candidates`` packs the
+candidate streams of up to ``BLOCK_PATHS`` paths into event-major arrays,
+and ``simulate_block`` runs one event loop over the whole block, holding
+the market state and every path accumulator as arrays with one entry per
+path.  Each path does exactly the arithmetic it would do alone, in the
+same order, so a path's record does not depend on the block it ran in.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -33,6 +41,7 @@ from .market_core import (
     MarketParams,
     MarketState,
     apply_shock_detailed,
+    _max0,
     squared_impact_coefficients,
     terminal_wealth,
 )
@@ -44,6 +53,11 @@ __all__ = [
     "EventRecord",
     "PathRecord",
     "make_path_seed",
+    "BLOCK_PATHS",
+    "CandidateBlock",
+    "draw_candidates",
+    "simulate_block",
+    "simulate_paths",
     "simulate_path",
     "vbar_bound",
     "write_path_log",
@@ -52,6 +66,12 @@ __all__ = [
 
 PATH_LOG_COLUMNS = ("path_id", "t", "kind", "z", "gamma", "eta", "rho",
                     "lambda", "q", "p", "x")
+
+#: Paths simulated together.  Every event step costs a fixed number of
+#: numpy calls, so blocks much smaller than this lose to per-call overhead;
+#: the fixed size bounds the memory of the packed draws however many paths
+#: a run asks for.
+BLOCK_PATHS = 1024
 
 
 @dataclass(frozen=True)
@@ -120,8 +140,12 @@ class MarkModel:
             raise ValueError(f"mark weights must sum to 1, got {total!r}")
         nus = np.array([m.nu for m in marks], dtype=float)
         nus /= nus.sum()
+        # the inverse-CDF table numpy's Generator.choice builds from p=nus
+        cdf = np.cumsum(nus)
+        cdf /= cdf[-1]
         object.__setattr__(self, "marks", marks)
         object.__setattr__(self, "_nus", nus)
+        object.__setattr__(self, "_cdf", cdf)
         object.__setattr__(self, "_etas",
                            np.array([m.eta for m in marks], dtype=float))
         object.__setattr__(self, "_rhos",
@@ -135,6 +159,11 @@ class MarkModel:
     @property
     def nus(self) -> np.ndarray:
         return self._nus
+
+    def draw(self, gen: np.random.Generator, n: int) -> np.ndarray:
+        """``n`` mark indices; the same indices and stream use as
+        ``gen.choice(n_marks, size=n, p=nus)``, without re-validating ``p``."""
+        return self._cdf.searchsorted(gen.random(n), side="right")
 
     @property
     def etas(self) -> np.ndarray:
@@ -193,11 +222,22 @@ def make_path_seed(base_seed: int, path_index: int) -> int:
     return (base_seed << 64) | path_index
 
 
-def _philox(seed: int) -> np.random.Generator:
+def _philox_key(seed: int) -> np.ndarray:
     if not 0 <= seed < 2 ** 128:
         raise ValueError("seed must be a non-negative 128-bit integer")
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, seed >> 64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.array([seed & 0xFFFFFFFFFFFFFFFF, seed >> 64], dtype=np.uint64)
+
+
+def _streams(seeds: Sequence[int]):
+    """One generator, rewound to the start of each seed's Philox stream in
+    turn: it draws what ``Generator(Philox(key=...))`` would, without the
+    entropy read each new ``Philox`` pays before its key is set."""
+    gen = np.random.Generator(np.random.Philox(key=_philox_key(0)))
+    start = gen.bit_generator.state
+    for seed in seeds:
+        start["state"]["key"] = _philox_key(seed)
+        gen.bit_generator.state = start
+        yield gen
 
 
 @dataclass(frozen=True)
@@ -241,126 +281,238 @@ class PathRecord:
     events: tuple = ()
 
 
-class _PathAccounting:
-    """Mutable per-path state and accumulators for the event loop."""
+@dataclass(frozen=True)
+class CandidateBlock:
+    """The candidate streams of a block of paths, packed end to end.
 
-    def __init__(self, params: MarketParams, marks: MarkModel,
-                 state: MarketState, record: bool) -> None:
+    Path ``b``'s candidates are entries ``starts[b]`` to
+    ``starts[b] + counts[b] - 1`` of ``times``, ``ys``, ``marks`` and
+    ``visible``, in event order; one entry of padding follows the last
+    path.  ``visible`` says whether the candidate's visibility coordinate
+    fell below ``signal_prob``.  The streams do not depend on any agent, so
+    one block serves every agent of an experiment.
+    """
+
+    counts: np.ndarray        # candidates per path
+    starts: np.ndarray        # offset of each path's first candidate
+    times: np.ndarray         # sorted event times
+    ys: np.ndarray            # thinning coordinates
+    marks: np.ndarray         # mark indices
+    visible: np.ndarray
+    auction: np.ndarray       # terminal auction draw per path
+    vbar_rho: np.ndarray      # sum |rho| over candidates with y <= g(floor)
+
+
+def draw_candidates(params: MarketParams, marks: MarkModel,
+                    seeds: Sequence[int]) -> CandidateBlock:
+    """Draw and pack the candidate streams of the paths keyed by ``seeds``.
+
+    Each path's draw order from its own counter-based stream is fixed:
+    candidate count, sorted event times, mark indices, thinning
+    coordinates, visibility coordinates, auction draw.  The draws never
+    depend on the policy, so different policies on the same seed see
+    identical candidate streams.
+    """
+    horizon = params.horizon
+    rate_bar = params.f(params.lambda_upper) + params.g(params.lambda_lower)
+    g_floor = params.g(params.lambda_lower)
+    abs_rhos = np.abs(marks.rhos)
+    n_paths = len(seeds)
+    # the block's candidate total is Poisson: six standard deviations of
+    # room leave growing the arrays to the rare block that needs it
+    mean = n_paths * rate_bar * horizon
+    size = int(mean + 6.0 * math.sqrt(mean)) + 1
+    arrays = (np.zeros(size), np.zeros(size),
+              np.zeros(size, dtype=np.min_scalar_type(marks.n_marks - 1)),
+              np.zeros(size, dtype=bool))
+    counts = np.zeros(n_paths, dtype=np.intp)
+    starts = np.zeros(n_paths, dtype=np.intp)
+    auction = np.zeros(n_paths)
+    vbar_rho = np.zeros(n_paths)
+    end = 0
+    for b, gen in enumerate(_streams(seeds)):
+        n = int(gen.poisson(rate_bar * horizon))
+        if end + n >= size:
+            extra = end + n + 1 - size + int(math.sqrt(mean))
+            arrays = tuple(np.concatenate([a, np.zeros(extra, a.dtype)])
+                           for a in arrays)
+            size += extra
+        times, ys, idx, visible = (a[end:end + n] for a in arrays)
+        times[:] = np.sort(gen.uniform(0.0, horizon, n))
+        idx[:] = marks.draw(gen, n)
+        ys[:] = gen.uniform(0.0, rate_bar, n)
+        visible[:] = gen.uniform(0.0, 1.0, n) < marks.signal_prob
+        auction[b] = gen.standard_normal()
+        counts[b], starts[b] = n, end
+        end += n
+        below = abs_rhos[idx[ys <= g_floor]]
+        if below.size:
+            # np.cumsum adds in event order, as a running sum does
+            vbar_rho[b] = np.cumsum(below)[-1]
+    return CandidateBlock(counts, starts, *(a[:end + 1] for a in arrays),
+                          auction, vbar_rho)
+
+
+class _Memo:
+    """A function of floats, evaluated once per distinct argument.
+
+    The function runs on Python floats, so it keeps the scalar library's
+    rounding (``math.exp``, float ``**``), which numpy's vectorized versions
+    do not always reproduce.  Arguments are matched by ``==``, so ``fn``
+    must not tell ``-0.0`` from ``0.0``.
+    """
+
+    def __init__(self, fn) -> None:
+        self.fn = fn
+        # sorted arguments seen so far, behind a sentinel that every finite
+        # argument sorts before
+        self.keys = np.array([math.inf])
+        self.values = np.array([math.nan])
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        pos = self.keys.searchsorted(x)
+        miss = self.keys[pos] != x
+        if miss.any():
+            new = np.sort(x[miss])
+            new = new[np.append(True, new[1:] != new[:-1])]
+            at = self.keys.searchsorted(new)
+            self.keys = np.insert(self.keys, at, new)
+            self.values = np.insert(self.values, at,
+                                    [self.fn(v) for v in new.tolist()])
+            pos = self.keys.searchsorted(x)
+        return self.values[pos]
+
+
+def _square(v: float) -> float:
+    return v ** 2
+
+
+def _column(value, n: int) -> list:
+    return value.tolist() if isinstance(value, np.ndarray) else [value] * n
+
+
+class _Block:
+    """Market state and accumulators of a block of paths, as arrays."""
+
+    def __init__(self, params: MarketParams, marks: MarkModel, agent,
+                 initial: MarketState, n_paths: int, record: bool) -> None:
         self.params = params
-        self.state = state
-        self.record = record
-        self.events: list = []
-        self.t_seg = 0.0
-        self.integ_var = 0.0
-        self.qv = 0.0
-        self.v_q = 0.0
-        self.v_m = 0.0
-        self.v_lminus = 0.0
-        self.n_buy = 0
-        self.n_sell = 0
-        self.min_lam = state.lam
-        self.breaker_time = math.inf
-        self._isq_c0, self._isq_c1, self._isq_c2 = \
-            squared_impact_coefficients(params, marks)
+        self.agent = agent
+        self.lam = np.full(n_paths, initial.lam, dtype=float)
+        self.q = np.full(n_paths, initial.q, dtype=float)
+        self.p = np.full(n_paths, initial.p, dtype=float)
+        self.x = np.full(n_paths, initial.x, dtype=float)
+        self.halted = np.zeros(n_paths, dtype=bool)
+        self.t_seg = np.zeros(n_paths)
+        self.integ_var = np.zeros(n_paths)
+        self.qv = np.zeros(n_paths)
+        self.v_q = np.zeros(n_paths)
+        self.v_m = np.zeros(n_paths)
+        self.v_lminus = np.zeros(n_paths)
+        self.n_buy = np.zeros(n_paths, dtype=np.intp)
+        self.n_sell = np.zeros(n_paths, dtype=np.intp)
+        self.min_lam = self.lam.copy()
+        self.breaker_time = np.full(n_paths, math.inf)
+        self.events = [[] for _ in range(n_paths)] if record else None
+        self._isq = squared_impact_coefficients(params, marks)
+        self.f = _Memo(params.f)
+        self.g = _Memo(params.g)
+        self._square = _Memo(_square)
 
-    def advance(self, t: float) -> None:
-        """Accumulate the variance integral up to time ``t``."""
-        if not self.state.halted and t > self.t_seg:
-            lam = self.state.lam
-            isq = self._isq_c0 + lam * (self._isq_c1 + lam * self._isq_c2)
-            self.integ_var += self.params.f(lam) * isq * (t - self.t_seg)
-        self.t_seg = max(self.t_seg, t)
+    def state(self, idx: np.ndarray) -> MarketState:
+        return MarketState(lam=self.lam[idx], q=self.q[idx], p=self.p[idx],
+                           x=self.x[idx], halted=self.halted[idx])
 
-    def _shock(self, t: float, gamma: float, eta: float,
-               rho: float) -> tuple:
-        """Apply and book one shock at time ``t``; returns what executed.
+    def advance(self, idx: np.ndarray, t: np.ndarray) -> None:
+        """Accumulate the variance integral of paths ``idx`` up to ``t``."""
+        t_seg = self.t_seg[idx]
+        later = t > t_seg
+        grow = later & ~self.halted[idx]
+        if grow.any():
+            paths = idx[grow]
+            lam = self.lam[paths]
+            c0, c1, c2 = self._isq
+            isq = c0 + lam * (c1 + lam * c2)
+            self.integ_var[paths] += (self.f(lam) * isq
+                                      * (t[grow] - t_seg[grow]))
+        self.t_seg[idx] = np.where(later, t, t_seg)
+
+    def shock(self, idx: np.ndarray, t: np.ndarray, gamma, eta=0.0,
+              rho=0.0) -> tuple:
+        """Apply and book one shock on paths ``idx``; returns what executed.
 
         The result is ``(executed_gamma, executed_eta, executed_rho)``.
         """
-        self.state, g_exec, e_exec, r_exec, pj_g, pj_e = \
-            apply_shock_detailed(self.state, gamma, eta, rho, self.params)
-        if g_exec > 0.0:
-            self.n_buy += 1
-        elif g_exec < 0.0:
-            self.n_sell += 1
-        self.v_q += abs(g_exec)
-        self.v_m += abs(e_exec)
-        self.v_lminus += max(-r_exec, 0.0)
-        self.qv += pj_g ** 2 + pj_e ** 2
-        if self.state.halted and math.isinf(self.breaker_time):
-            self.breaker_time = t
-        self.min_lam = min(self.min_lam, self.state.lam)
+        new, g_exec, e_exec, r_exec, pj_g, pj_e = apply_shock_detailed(
+            self.state(idx), gamma, eta, rho, self.params)
+        self.lam[idx], self.q[idx], self.p[idx], self.x[idx] = \
+            new.lam, new.q, new.p, new.x
+        self.halted[idx] = new.halted
+        self.n_buy[idx] += g_exec > 0.0
+        self.n_sell[idx] += g_exec < 0.0
+        self.v_q[idx] += np.abs(g_exec)
+        self.v_m[idx] += np.abs(e_exec)
+        self.v_lminus[idx] += _max0(-r_exec)
+        squares = self._square(np.concatenate([pj_g, pj_e]))
+        self.qv[idx] += squares[:len(idx)] + squares[len(idx):]
+        fired = new.halted & np.isinf(self.breaker_time[idx])
+        self.breaker_time[idx[fired]] = t[fired]
+        low = self.min_lam[idx]
+        self.min_lam[idx] = np.where(new.lam < low, new.lam, low)
         return g_exec, e_exec, r_exec
 
-    def apply_trade(self, t: float, delta: float) -> None:
-        """Execute a stand-alone trader trade at time ``t``."""
-        self.advance(t)
-        executed = self._shock(t, delta, 0.0, 0.0)[0]
-        if self.record:
-            self.events.append(EventRecord(
-                time=t, kind="impulse", outcome="trade", z=0, mark_index=-1,
-                y=math.nan, gamma=0.0, eta=0.0, rho=0.0, delta_r=executed,
-                post_state=self.state))
+    def trade(self, idx: np.ndarray, t: np.ndarray, delta) -> None:
+        """Execute stand-alone trader trades at times ``t``."""
+        self.advance(idx, t)
+        executed = self.shock(idx, t, delta)[0]
+        if self.events is not None:
+            self.log(idx, t, "impulse", "trade", 0, -1, math.nan, 0.0, 0.0,
+                     0.0, executed)
 
-    def apply_event(self, t: float, mark_index: int, kind: str, y: float,
-                    z: int, gamma: float, eta: float, rho: float,
-                    policy) -> None:
-        """Execute one live candidate: signal trade, volumes, state trade."""
-        self.advance(t)
-        g_exec, e_exec, r_exec = self._shock(t, gamma, eta, rho)
+    def tick_impulses(self, idx: np.ndarray, t_from: np.ndarray,
+                      t_to: np.ndarray) -> None:
+        """Execute state-based trades at policy ticks strictly inside each
+        path's window ``(t_from, t_to)``."""
+        while True:
+            open_ = ~self.halted[idx]
+            idx, t_from, t_to = idx[open_], t_from[open_], t_to[open_]
+            if not idx.size:
+                return
+            t_imp, delta = self.agent.next_impulse(t_from, t_to,
+                                                   self.state(idx))
+            hit = t_imp < math.inf
+            idx, t_to, t_from, delta = idx[hit], t_to[hit], t_imp[hit], \
+                delta[hit]
+            trades = delta != 0.0
+            if trades.any():
+                self.trade(idx[trades], t_from[trades], delta[trades])
 
-        delta_r = 0.0
-        if policy is not None and not self.state.halted:
-            delta_r = float(policy.on_state(t, self.state))
-            if delta_r != 0.0:
-                delta_r = self._shock(t, delta_r, 0.0, 0.0)[0]
-
-        if self.record:
-            self.events.append(EventRecord(
-                time=t, kind=kind, outcome="live", z=z, mark_index=mark_index,
-                y=y, gamma=g_exec, eta=e_exec, rho=r_exec, delta_r=delta_r,
-                post_state=self.state))
-
-    def skip(self, t: float, mark_index: int, kind: str, y: float,
-             outcome: str) -> None:
-        self.advance(t)
-        if self.record:
-            self.events.append(EventRecord(
-                time=t, kind=kind, outcome=outcome, z=0, mark_index=mark_index,
-                y=y, gamma=0.0, eta=0.0, rho=0.0, delta_r=0.0,
-                post_state=self.state))
-
-
-def _run_tick_impulses(acc: _PathAccounting, policy, t_from: float,
-                       t_to: float) -> None:
-    """Execute state-based trades at policy ticks strictly inside the window."""
-    if policy is None:
-        return
-    while not acc.state.halted:
-        nxt = policy.next_impulse(t_from, t_to, acc.state)
-        if nxt is None:
-            return
-        t_imp, delta = nxt
-        if delta != 0.0:
-            acc.apply_trade(t_imp, delta)
-        t_from = t_imp
+    def log(self, idx, t, kind, outcome, z, mark_index, y, gamma, eta, rho,
+            delta_r) -> None:
+        """Append one event record per path in ``idx`` (post-event state)."""
+        n = len(idx)
+        states = zip(*(a[idx].tolist() for a in (self.lam, self.q, self.p,
+                                                 self.x, self.halted)))
+        columns = (_column(v, n) for v in (t, kind, z, mark_index, y, gamma,
+                                           eta, rho, delta_r))
+        for i, row, state in zip(idx.tolist(), zip(*columns), states):
+            t_i, kind_i, z_i, mark_i, y_i, g_i, e_i, r_i, d_i = row
+            self.events[i].append(EventRecord(
+                time=t_i, kind=kind_i, outcome=outcome, z=z_i,
+                mark_index=mark_i, y=y_i, gamma=g_i, eta=e_i, rho=r_i,
+                delta_r=d_i, post_state=MarketState(*state)))
 
 
-def simulate_path(params: MarketParams, marks: MarkModel, policy,
-                  initial: MarketState, seed: int, *,
-                  record_events: bool = False) -> PathRecord:
-    """Simulate one path of the market over ``[0, horizon]``.
+def simulate_block(params: MarketParams, marks: MarkModel, agent,
+                   initial: MarketState, candidates: CandidateBlock, *,
+                   record_events: bool = False) -> list:
+    """Simulate the paths of one candidate block over ``[0, horizon]``.
 
-    ``policy`` is any object with methods ``on_signal(t, state, z)``,
+    ``agent`` is any object with the array hooks ``on_signal(t, state, z)``,
     ``on_state(t, state)`` and ``next_impulse(t_from, t_to, state)`` (see
-    ``policy.Agent``), or ``None`` for a passive trader.  The returned
-    record is reproducible bit-exactly from ``(seed, policy)``.
-
-    Draw order from the seeded counter-based stream is fixed: candidate
-    count, sorted event times, mark indices, thinning coordinates,
-    visibility coordinates, auction draw.  The draws never depend on the
-    policy, so different policies on the same seed see identical candidate
-    streams.
+    ``policy``), or ``None`` for a passive trader.  Returns one
+    ``PathRecord`` per path, in block order; each is reproducible
+    bit-exactly from ``(seed, agent)`` alone.
     """
     if initial.lam < params.lambda_lower or initial.lam > params.lambda_upper:
         raise ValueError(
@@ -370,85 +522,127 @@ def simulate_path(params: MarketParams, marks: MarkModel, policy,
         raise ValueError("initial state must not be halted")
 
     horizon = params.horizon
-    rate_bar = params.f(params.lambda_upper) + params.g(params.lambda_lower)
-    gen = _philox(seed)
-    n = int(gen.poisson(rate_bar * horizon))
-    # Python scalars from here on: the event loop does scalar arithmetic only
-    times = np.sort(gen.uniform(0.0, horizon, n)).tolist()
-    mark_idx = gen.choice(marks.n_marks, size=n, p=marks.nus).tolist()
-    ys = gen.uniform(0.0, rate_bar, n).tolist()
-    vis = gen.uniform(0.0, 1.0, n).tolist()
-    auction_draw = float(gen.standard_normal())
+    counts = candidates.counts
+    n_paths = len(counts)
+    is_mo = marks.etas != 0.0
+    eta_of = np.where(is_mo, marks.etas, 0.0)
+    rho_of = np.where(is_mo, 0.0, marks.rhos)
+    signal_of = np.array([m.signal for m in marks.marks])
+    kind_of = np.array([m.kind for m in marks.marks], dtype=object)
+    block = _Block(params, marks, agent, initial, n_paths, record_events)
+    n_live_mo = np.zeros(n_paths, dtype=np.intp)
+    n_live_limit = np.zeros(n_paths, dtype=np.intp)
+    n_signals = np.zeros(n_paths, dtype=np.intp)
+    every = np.arange(n_paths)
 
-    g_floor = params.g(params.lambda_lower)
-    etas, rhos = marks.etas.tolist(), marks.rhos.tolist()
-    kinds = [m.kind for m in marks.marks]
-    signals = [m.signal for m in marks.marks]
-    acc = _PathAccounting(params, marks, initial, record_events)
-    vbar_rho_sum = 0.0
-    n_live_mo = 0
-    n_live_limit = 0
-    n_signals = 0
+    if agent is not None:
+        d0 = np.asarray(agent.on_state(np.zeros(n_paths), block.state(every)),
+                        dtype=float)
+        trades = d0 != 0.0
+        if trades.any():
+            block.trade(every[trades], np.zeros(int(trades.sum())),
+                        d0[trades])
 
-    if policy is not None:
-        d0 = float(policy.on_state(0.0, acc.state))
-        if d0 != 0.0:
-            acc.apply_trade(0.0, d0)
-
-    t_prev = 0.0
-    for t, e, yv, vis_i in zip(times, mark_idx, ys, vis):
-        if yv <= g_floor:
-            vbar_rho_sum += abs(rhos[e])
-        _run_tick_impulses(acc, policy, t_prev, t)
-        t_prev = t
-        is_mo = etas[e] != 0.0
-        kind = kinds[e]
-        if acc.state.halted:
-            acc.skip(t, e, kind, yv, "halted")
+    # Step k runs each path's tick window up to its k-th candidate, then the
+    # candidate; a path with k candidates runs its last window, up to the
+    # horizon, at step k.
+    t_prev = np.zeros(n_paths)
+    for k in range(int(counts.max(initial=0)) + 1):
+        idx = np.flatnonzero(counts >= k)
+        pos = candidates.starts[idx] + k
+        has = counts[idx] > k
+        t = np.where(has, candidates.times[pos], horizon)
+        if agent is not None:
+            block.tick_impulses(idx, t_prev[idx], t)
+        t_prev[idx] = t
+        idx, pos, t = idx[has], pos[has], t[has]
+        if not idx.size:
             continue
-        live = yv <= (params.f(acc.state.lam) if is_mo
-                      else params.g(acc.state.lam))
-        if not live:
-            acc.skip(t, e, kind, yv, "thinned")
+        e = candidates.marks[pos]
+        y = candidates.ys[pos]
+        halted = block.halted[idx]
+        run = ~halted
+        lam = block.lam[idx[run]]
+        mo = is_mo[e]
+        rate = np.empty(len(idx))
+        rate[run] = np.where(mo[run], block.f(lam), block.g(lam))
+        live = run & (y <= rate)
+        block.advance(idx, t)
+        if block.events is not None:
+            thinned = run & ~live
+            for outcome, skip in (("halted", halted), ("thinned", thinned)):
+                if skip.any():
+                    block.log(idx[skip], t[skip], kind_of[e[skip]], outcome,
+                              0, e[skip], y[skip], 0.0, 0.0, 0.0, 0.0)
+        if not live.any():
             continue
-        if is_mo:
-            n_live_mo += 1
-        else:
-            n_live_limit += 1
-        z = signals[e] if vis_i < marks.signal_prob else 0
-        if z != 0:
-            n_signals += 1
-        gamma_req = 0.0
-        if z != 0 and policy is not None and t < horizon:
-            gamma_req = float(policy.on_signal(t, acc.state, z))
-        acc.apply_event(t, e, kind, yv, z, gamma_req,
-                        etas[e] if is_mo else 0.0,
-                        rhos[e] if not is_mo else 0.0, policy)
+        idx, pos, t, e, y, mo = (a[live] for a in (idx, pos, t, e, y, mo))
+        n_live_mo[idx] += mo
+        n_live_limit[idx] += ~mo
+        z = np.where(candidates.visible[pos], signal_of[e], 0)
+        n_signals[idx] += z != 0
+        gamma = np.zeros(len(idx))
+        if agent is not None:
+            ask = (z != 0) & (t < horizon)
+            if ask.any():
+                gamma[ask] = agent.on_signal(t[ask], block.state(idx[ask]),
+                                             z[ask])
+        g_exec, e_exec, r_exec = block.shock(idx, t, gamma, eta_of[e],
+                                             rho_of[e])
+        delta_r = np.zeros(len(idx))
+        if agent is not None:
+            open_ = ~block.halted[idx]
+            if open_.any():
+                ask = np.asarray(agent.on_state(t[open_],
+                                                block.state(idx[open_])),
+                                 dtype=float)
+                trades = ask != 0.0
+                if trades.any():
+                    where = np.flatnonzero(open_)[trades]
+                    ask[trades] = block.shock(idx[where], t[where],
+                                              ask[trades])[0]
+                delta_r[open_] = ask
+        if block.events is not None:
+            block.log(idx, t, kind_of[e], "live", z, e, y, g_exec, e_exec,
+                      r_exec, delta_r)
 
-    _run_tick_impulses(acc, policy, t_prev, horizon)
-    acc.advance(horizon)
+    block.advance(every, np.full(n_paths, horizon))
+    wealth = terminal_wealth(block.state(every), params, candidates.auction)
+    states = map(MarketState, *(a.tolist() for a in (
+        block.lam, block.q, block.p, block.x, block.halted)))
+    # PathRecord's fields in order, between the terminal state and events
+    columns = (a.tolist() for a in (
+        wealth, candidates.auction, block.breaker_time, counts, n_live_mo,
+        n_live_limit, n_signals, block.n_buy, block.n_sell, block.v_q,
+        block.v_m, block.v_lminus, block.qv, block.integ_var,
+        candidates.vbar_rho, block.min_lam))
+    events = map(tuple, block.events) if record_events else repeat(())
+    return [PathRecord(state, *row, events=path_events)
+            for state, *row, path_events in zip(states, *columns, events)]
 
-    wealth = terminal_wealth(acc.state, params, auction_draw)
-    return PathRecord(
-        terminal_state=acc.state,
-        terminal_wealth=wealth,
-        auction_draw=auction_draw,
-        breaker_time=acc.breaker_time,
-        n_candidates=n,
-        n_live_market=n_live_mo,
-        n_live_limit=n_live_limit,
-        n_signals=n_signals,
-        n_buy_trades=acc.n_buy,
-        n_sell_trades=acc.n_sell,
-        inventory_variation=acc.v_q,
-        market_volume=acc.v_m,
-        cancel_volume=acc.v_lminus,
-        price_qv=acc.qv,
-        integrated_variance=acc.integ_var,
-        vbar_rho_sum=vbar_rho_sum,
-        min_lambda=acc.min_lam,
-        events=tuple(acc.events),
-    )
+
+def simulate_paths(params: MarketParams, marks: MarkModel, agent,
+                   initial: MarketState, seeds: Sequence[int], *,
+                   record_events: bool = False) -> list:
+    """Simulate the paths keyed by ``seeds``, ``BLOCK_PATHS`` at a time.
+
+    Returns one ``PathRecord`` per seed, in order; see ``simulate_block``.
+    """
+    paths = []
+    for start in range(0, len(seeds), BLOCK_PATHS):
+        paths += simulate_block(
+            params, marks, agent, initial,
+            draw_candidates(params, marks, seeds[start:start + BLOCK_PATHS]),
+            record_events=record_events)
+    return paths
+
+
+def simulate_path(params: MarketParams, marks: MarkModel, policy,
+                  initial: MarketState, seed: int, *,
+                  record_events: bool = False) -> PathRecord:
+    """Simulate the one path keyed by ``seed`` (see ``simulate_paths``)."""
+    return simulate_paths(params, marks, policy, initial, [seed],
+                          record_events=record_events)[0]
 
 
 def vbar_bound(initial_lambda: float, path: PathRecord,

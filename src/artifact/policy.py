@@ -1,22 +1,24 @@
 """Trading agents: the tabulated optimal policy and reference baselines.
 
-An agent exposes three hooks the simulator calls:
+The simulator runs a block of paths at once, so an agent's hooks see the
+market as a ``MarketState`` whose fields are arrays with one entry per path
+asked about, and return one value per path:
 
-* ``on_signal(t, state, z)`` — trade executed just ahead of a signaled
-  event (``z = -1`` liquidity taking, ``z = +1`` provision);
-* ``on_state(t, state)`` — rebalancing trade after an event lands (and
-  once at ``t = 0`` before any event);
-* ``next_impulse(t_from, t_to, state)`` — first scheduled trade strictly
-  inside an inter-event window, or ``None``.
+* ``on_signal(t, state, z)`` — trades executed just ahead of signaled
+  events (``z = -1`` liquidity taking, ``z = +1`` provision);
+* ``on_state(t, state)`` — rebalancing trades after events land (and once
+  at ``t = 0`` before any event);
+* ``next_impulse(t_from, t_to, state)`` — ``(t_imp, delta)``: the first
+  scheduled trade strictly inside each path's inter-event window, with
+  ``t_imp = inf`` (and ``delta = 0``) where a path has none.
 
-All trades are lattice volumes (multiples of the lot size) and are clipped
-at the liquidity floor before execution.
+``t``, ``t_from``, ``t_to`` and ``z`` are arrays aligned with the state.
+Every path's answer depends on that path's inputs alone.  All trades are
+lattice volumes (multiples of the lot size) and are clipped at the
+liquidity floor before execution.
 """
 
 from __future__ import annotations
-
-import math
-from typing import Optional, Tuple
 
 import numpy as np
 
@@ -32,20 +34,23 @@ __all__ = [
 ]
 
 
+def _no_impulse(state: MarketState) -> tuple:
+    return np.full(np.shape(state.q), np.inf), np.zeros(np.shape(state.q))
+
+
 class Agent:
     """Base agent: never trades."""
 
     name = "do-nothing"
 
-    def on_signal(self, t: float, state: MarketState, z: int) -> float:
-        return 0.0
+    def on_signal(self, t, state: MarketState, z) -> np.ndarray:
+        return np.zeros(np.shape(state.q))
 
-    def on_state(self, t: float, state: MarketState) -> float:
-        return 0.0
+    def on_state(self, t, state: MarketState) -> np.ndarray:
+        return np.zeros(np.shape(state.q))
 
-    def next_impulse(self, t_from: float, t_to: float,
-                     state: MarketState) -> Optional[Tuple[float, float]]:
-        return None
+    def next_impulse(self, t_from, t_to, state: MarketState) -> tuple:
+        return _no_impulse(state)
 
 
 class DoNothingAgent(Agent):
@@ -65,11 +70,10 @@ class ImmediateExecutionAgent(Agent):
         self.target_q = target_q
         self.params = params
 
-    def on_state(self, t: float, state: MarketState) -> float:
+    def on_state(self, t, state):
         gap = self.target_q - state.q
-        if gap == 0.0:
-            return 0.0
-        return clip_to_liquidity(gap, state.lam, self.params.lambda_lower)
+        return np.where(gap == 0.0, 0.0, clip_to_liquidity(
+            gap, state.lam, self.params.lambda_lower))
 
 
 class TwapAgent(Agent):
@@ -97,15 +101,20 @@ class TwapAgent(Agent):
         self.schedule = tuple(
             (min(k * params.horizon / m, params.horizon - eps), sign * lot)
             for k in range(1, m + 1)) if m else ()
+        self._times = np.array([t_k for t_k, _ in self.schedule])
+        self._lot = sign * lot
 
     def next_impulse(self, t_from, t_to, state):
-        for t_k, lot in self.schedule:
-            if t_from < t_k < t_to:
-                if state.q == self.target_q:
-                    return None
-                return t_k, clip_to_liquidity(lot, state.lam,
-                                              self.params.lambda_lower)
-        return None
+        if not self.schedule:
+            return _no_impulse(state)
+        # the schedule is increasing: the first tick after t_from is the
+        # only one that can fall inside the window
+        k = np.minimum(self._times.searchsorted(t_from, side="right"),
+                       len(self._times) - 1)
+        t_k = self._times[k]
+        hit = (t_from < t_k) & (t_k < t_to) & (state.q != self.target_q)
+        lot = clip_to_liquidity(self._lot, state.lam, self.params.lambda_lower)
+        return np.where(hit, t_k, np.inf), np.where(hit, lot, 0.0)
 
 
 class TablePolicyAgent(Agent):
@@ -134,45 +143,35 @@ class TablePolicyAgent(Agent):
         self._next_trade = np.maximum.accumulate(
             (policy.delta_star != 0.0) * ticks[:, None, None], axis=0)
 
-    def _slice(self, t: float) -> int:
-        return self.grid.time_index(t, self.params.horizon)
+    def _nodes(self, state: MarketState) -> tuple:
+        return self.grid.lambda_index(state.lam), self.grid.q_index(state.q)
 
-    def _lookup(self, table, t: float, state: MarketState, *extra) -> float:
-        k = self._slice(t)
-        if k <= 0:
-            return 0.0
-        i = self.grid.lambda_index(state.lam)
-        j = self.grid.q_index(state.q)
-        return float(table[(k, i, j) + extra])
+    def _clip(self, trade, state: MarketState):
+        return clip_to_liquidity(trade, state.lam, self.params.lambda_lower)
 
-    def on_signal(self, t: float, state: MarketState, z: int) -> float:
-        if z not in SIGNALS:
+    def on_signal(self, t, state, z):
+        slot = np.searchsorted(SIGNALS, z)
+        if np.any(np.take(SIGNALS, slot, mode="clip") != z):
             raise ValueError(f"signal z must be one of {SIGNALS}, got {z}")
-        trade = self._lookup(self.policy.gamma_star, t, state,
-                             SIGNALS.index(z))
-        return clip_to_liquidity(trade, state.lam, self.params.lambda_lower)
+        k = self.grid.time_index(t, self.params.horizon)
+        i, j = self._nodes(state)
+        trade = np.where(k > 0, self.policy.gamma_star[k, i, j, slot], 0.0)
+        return self._clip(trade, state)
 
-    def on_state(self, t: float, state: MarketState) -> float:
-        if self._slice(t) <= 0:
-            return clip_to_liquidity(-state.q, state.lam,
-                                     self.params.lambda_lower)
-        trade = self._lookup(self.policy.delta_star, t, state)
-        return clip_to_liquidity(trade, state.lam, self.params.lambda_lower)
+    def on_state(self, t, state):
+        k = self.grid.time_index(t, self.params.horizon)
+        i, j = self._nodes(state)
+        trade = np.where(k > 0, self.policy.delta_star[k, i, j], -state.q)
+        return self._clip(trade, state)
 
     def next_impulse(self, t_from, t_to, state):
         horizon = self.params.horizon
         d_t = self.grid.d_t
         # earliest tick strictly after t_from: largest k with T - k*d_t > t_from
-        k = math.ceil((horizon - t_from) / d_t - 1e-9) - 1
-        if k < 1:
-            return None
-        i = self.grid.lambda_index(state.lam)
-        j = self.grid.q_index(state.q)
-        k = int(self._next_trade[k, i, j])
-        if k == 0:
-            return None
+        k = np.ceil((horizon - t_from) / d_t - 1e-9).astype(np.intp) - 1
+        i, j = self._nodes(state)
+        k = np.where(k < 1, 0, self._next_trade[np.maximum(k, 0), i, j])
         t_k = horizon - k * d_t
-        if t_k >= t_to - 1e-12:
-            return None
-        return t_k, clip_to_liquidity(float(self.policy.delta_star[k, i, j]),
-                                      state.lam, self.params.lambda_lower)
+        hit = (k != 0) & (t_k < t_to - 1e-12)
+        delta = self._clip(self.policy.delta_star[k, i, j], state)
+        return np.where(hit, t_k, np.inf), np.where(hit, delta, 0.0)

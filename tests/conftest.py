@@ -16,7 +16,7 @@ from artifact.evaluation import run_experiment
 from artifact.hjb import Grid, solve
 from artifact.market_core import MarketParams, MarketState
 from artifact.order_flow import (benchmark_mark_model, make_path_seed,
-                                 simulate_path, vbar_bound)
+                                 simulate_paths, vbar_bound)
 from artifact.policy import TablePolicyAgent
 
 settings.register_profile(
@@ -90,30 +90,18 @@ def start_flat():
 @pytest.fixture(scope="session")
 def passive_path_stats(bench_params, marks_blind, start_short):
     """Per-path statistics over 10,000 do-nothing benchmark paths."""
-    n = N_SIM
-    turnover = np.empty(n)
-    qv = np.empty(n)
-    iv = np.empty(n)
-    live_mo = np.empty(n)
-    vbar = np.empty(n)
-    min_lam = np.empty(n)
-    for i in range(n):
-        rec = simulate_path(bench_params, marks_blind, None, start_short,
-                            make_path_seed(7, i))
-        turnover[i] = (rec.inventory_variation + rec.market_volume
-                       + rec.cancel_volume)
-        qv[i] = rec.price_qv
-        iv[i] = rec.integrated_variance
-        live_mo[i] = rec.n_live_market
-        vbar[i] = vbar_bound(start_short.lam, rec, bench_params)
-        min_lam[i] = rec.min_lambda
+    paths = simulate_paths(bench_params, marks_blind, None, start_short,
+                           [make_path_seed(7, i) for i in range(N_SIM)])
     return {
-        "turnover": turnover,
-        "qv": qv,
-        "iv": iv,
-        "live_mo": live_mo,
-        "vbar": vbar,
-        "min_lambda": min_lam,
+        "turnover": np.array([rec.inventory_variation + rec.market_volume
+                              + rec.cancel_volume for rec in paths]),
+        "qv": np.array([rec.price_qv for rec in paths]),
+        "iv": np.array([rec.integrated_variance for rec in paths]),
+        "live_mo": np.array([rec.n_live_market for rec in paths],
+                            dtype=float),
+        "vbar": np.array([vbar_bound(start_short.lam, rec, bench_params)
+                          for rec in paths]),
+        "min_lambda": np.array([rec.min_lambda for rec in paths]),
     }
 
 

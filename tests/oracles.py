@@ -3,14 +3,20 @@
 Everything here is computed from first principles — Gauss-Legendre
 quadrature of the marginal impact, brute-force enumeration of the product
 mark space, exhaustive dynamic programming over block-trade sequences —
-without touching the closed forms or kernels under test.
+without touching the closed forms or kernels under test.  The one
+exception is the path simulator at the end: the scalar, one-path-at-a-time
+event loop the block engine replaced, kept as the reference its records
+must equal field for field.
 """
 
 import math
 
 import numpy as np
 
-from artifact.market_core import clip_to_liquidity
+from artifact.market_core import (MarketState, _FLOOR_TOL, _sgn,
+                                  impact_cost, price_impact,
+                                  squared_impact_coefficients)
+from artifact.order_flow import EventRecord, PathRecord
 
 # Cached Gauss-Legendre rule.  The integrands below are polynomials of
 # degree <= 3 in the integration variable, so a 64-point rule is exact to
@@ -315,8 +321,8 @@ def next_impulse_walk(agent, t_from, t_to, state):
     strictly before ``t_to`` or the first non-zero trade.
     """
     grid, horizon = agent.grid, agent.params.horizon
-    i = grid.lambda_index(state.lam)
-    j = grid.q_index(state.q)
+    i = int(grid.lambda_index(state.lam))
+    j = int(grid.q_index(state.q))
     k = math.ceil((horizon - t_from) / grid.d_t - 1e-9) - 1
     while k >= 1:
         t_k = horizon - k * grid.d_t
@@ -326,7 +332,302 @@ def next_impulse_walk(agent, t_from, t_to, state):
         if t_k > t_from and slice_k > 0:
             trade = float(agent.policy.delta_star[slice_k, i, j])
             if trade != 0.0:
-                return t_k, clip_to_liquidity(trade, state.lam,
-                                              agent.params.lambda_lower)
+                return t_k, clip_oracle(trade, state.lam,
+                                        agent.params.lambda_lower)
         k -= 1
     return None
+
+
+# ---------------------------------------------------------------------------
+# the scalar path simulator
+# ---------------------------------------------------------------------------
+
+def clip_oracle(delta: float, lam: float, lambda_lower: float) -> float:
+    """Scalar ``market_core.clip_to_liquidity``."""
+    if lam - abs(delta) >= lambda_lower - _FLOOR_TOL:
+        return delta
+    return _sgn(delta) * max(lam - lambda_lower, 0.0)
+
+
+def shock_oracle(state, gamma, eta, rho, params) -> tuple:
+    """Scalar ``market_core.apply_shock_detailed``, one branch per case."""
+    if eta != 0.0 and rho != 0.0:
+        raise ValueError(
+            f"degenerate shock: eta={eta} and rho={rho} cannot both be "
+            "non-zero in one event")
+    if state.halted:
+        return state, 0.0, 0.0, 0.0, 0.0, 0.0
+
+    lam0, q0, p0, x0 = state.lam, state.q, state.p, state.x
+    floor = params.lambda_lower
+
+    g_exec = clip_oracle(gamma, lam0, floor)
+    lam1 = lam0 - abs(g_exec)
+    pj_g = price_impact(g_exec, lam0, params)
+    q1 = q0 + g_exec
+    x1 = x0 - p0 * g_exec - params.zeta * abs(g_exec) \
+        - impact_cost(g_exec, lam0, params)
+
+    if lam0 - abs(gamma) < floor - _FLOOR_TOL:
+        return (MarketState(lam=lam1, q=q1, p=p0 + pj_g, x=x1, halted=True),
+                g_exec, 0.0, 0.0, pj_g, 0.0)
+
+    e_exec = clip_oracle(eta, lam1, floor)
+    pj_e = price_impact(e_exec, lam1, params)
+    lam2 = lam1 - abs(e_exec)
+
+    if eta != 0.0 and lam1 - abs(eta) < floor - _FLOOR_TOL:
+        r_exec = 0.0
+        lam3 = lam2
+        halted = True
+    else:
+        cancel = max(-rho, 0.0)
+        post = max(rho, 0.0)
+        c_exec = min(cancel, max(lam2 - floor, 0.0))
+        r_exec = post - c_exec
+        lam3 = min(lam2 - c_exec + post, params.lambda_upper)
+        halted = cancel > 0.0 and lam2 - cancel < floor - _FLOOR_TOL
+
+    new = MarketState(lam=lam3, q=q1, p=p0 + pj_g + pj_e, x=x1, halted=halted)
+    return new, g_exec, e_exec, r_exec, pj_g, pj_e
+
+
+def terminal_wealth_oracle(state, params, auction_draw) -> float:
+    """Scalar ``market_core.terminal_wealth``."""
+    lam, q, p, x = state.lam, state.q, state.p, state.x
+    exposed = max(abs(q) - max(lam - params.lambda_lower, 0.0), 0.0)
+    return (x + p * q
+            + params.sigma_auction * auction_draw * _sgn(q) * exposed
+            - params.zeta * abs(q)
+            - impact_cost(q, lam, params))
+
+
+class ScalarHooks:
+    """One-path view of an agent's array hooks, for the scalar simulator."""
+
+    def __init__(self, agent):
+        self.agent = agent
+
+    @staticmethod
+    def _state(state):
+        return MarketState(*(np.array([v]) for v in (
+            state.lam, state.q, state.p, state.x, state.halted)))
+
+    def on_signal(self, t, state, z):
+        return float(self.agent.on_signal(np.array([t]), self._state(state),
+                                          np.array([z]))[0])
+
+    def on_state(self, t, state):
+        return float(self.agent.on_state(np.array([t]),
+                                         self._state(state))[0])
+
+    def next_impulse(self, t_from, t_to, state):
+        t_imp, delta = self.agent.next_impulse(
+            np.array([t_from]), np.array([t_to]), self._state(state))
+        if not t_imp[0] < math.inf:
+            return None
+        return float(t_imp[0]), float(delta[0])
+
+
+class _PathAccounting:
+    """Mutable per-path state and accumulators for the event loop."""
+
+    def __init__(self, params, marks, state, record) -> None:
+        self.params = params
+        self.state = state
+        self.record = record
+        self.events: list = []
+        self.t_seg = 0.0
+        self.integ_var = 0.0
+        self.qv = 0.0
+        self.v_q = 0.0
+        self.v_m = 0.0
+        self.v_lminus = 0.0
+        self.n_buy = 0
+        self.n_sell = 0
+        self.min_lam = state.lam
+        self.breaker_time = math.inf
+        self._isq_c0, self._isq_c1, self._isq_c2 = \
+            squared_impact_coefficients(params, marks)
+
+    def advance(self, t: float) -> None:
+        """Accumulate the variance integral up to time ``t``."""
+        if not self.state.halted and t > self.t_seg:
+            lam = self.state.lam
+            isq = self._isq_c0 + lam * (self._isq_c1 + lam * self._isq_c2)
+            self.integ_var += self.params.f(lam) * isq * (t - self.t_seg)
+        self.t_seg = max(self.t_seg, t)
+
+    def _shock(self, t: float, gamma: float, eta: float,
+               rho: float) -> tuple:
+        """Apply and book one shock at time ``t``; returns what executed.
+
+        The result is ``(executed_gamma, executed_eta, executed_rho)``.
+        """
+        self.state, g_exec, e_exec, r_exec, pj_g, pj_e = \
+            shock_oracle(self.state, gamma, eta, rho, self.params)
+        if g_exec > 0.0:
+            self.n_buy += 1
+        elif g_exec < 0.0:
+            self.n_sell += 1
+        self.v_q += abs(g_exec)
+        self.v_m += abs(e_exec)
+        self.v_lminus += max(-r_exec, 0.0)
+        self.qv += pj_g ** 2 + pj_e ** 2
+        if self.state.halted and math.isinf(self.breaker_time):
+            self.breaker_time = t
+        self.min_lam = min(self.min_lam, self.state.lam)
+        return g_exec, e_exec, r_exec
+
+    def apply_trade(self, t: float, delta: float) -> None:
+        """Execute a stand-alone trader trade at time ``t``."""
+        self.advance(t)
+        executed = self._shock(t, delta, 0.0, 0.0)[0]
+        if self.record:
+            self.events.append(EventRecord(
+                time=t, kind="impulse", outcome="trade", z=0, mark_index=-1,
+                y=math.nan, gamma=0.0, eta=0.0, rho=0.0, delta_r=executed,
+                post_state=self.state))
+
+    def apply_event(self, t: float, mark_index: int, kind: str, y: float,
+                    z: int, gamma: float, eta: float, rho: float,
+                    policy) -> None:
+        """Execute one live candidate: signal trade, volumes, state trade."""
+        self.advance(t)
+        g_exec, e_exec, r_exec = self._shock(t, gamma, eta, rho)
+
+        delta_r = 0.0
+        if policy is not None and not self.state.halted:
+            delta_r = float(policy.on_state(t, self.state))
+            if delta_r != 0.0:
+                delta_r = self._shock(t, delta_r, 0.0, 0.0)[0]
+
+        if self.record:
+            self.events.append(EventRecord(
+                time=t, kind=kind, outcome="live", z=z, mark_index=mark_index,
+                y=y, gamma=g_exec, eta=e_exec, rho=r_exec, delta_r=delta_r,
+                post_state=self.state))
+
+    def skip(self, t: float, mark_index: int, kind: str, y: float,
+             outcome: str) -> None:
+        self.advance(t)
+        if self.record:
+            self.events.append(EventRecord(
+                time=t, kind=kind, outcome=outcome, z=0, mark_index=mark_index,
+                y=y, gamma=0.0, eta=0.0, rho=0.0, delta_r=0.0,
+                post_state=self.state))
+
+
+def _run_tick_impulses(acc: _PathAccounting, policy, t_from: float,
+                       t_to: float) -> None:
+    """Execute state-based trades at policy ticks strictly inside the window."""
+    if policy is None:
+        return
+    while not acc.state.halted:
+        nxt = policy.next_impulse(t_from, t_to, acc.state)
+        if nxt is None:
+            return
+        t_imp, delta = nxt
+        if delta != 0.0:
+            acc.apply_trade(t_imp, delta)
+        t_from = t_imp
+
+
+def simulate_path(params, marks, policy, initial, seed: int, *,
+                  record_events: bool = False) -> PathRecord:
+    """Reference simulation of one path, one scalar event at a time.
+
+    ``policy`` is an agent with array hooks (wrapped in ``ScalarHooks``)
+    or ``None``.  Marks are drawn with ``gen.choice``, as before the block
+    engine cached the mark CDF.
+    """
+    if initial.lam < params.lambda_lower or initial.lam > params.lambda_upper:
+        raise ValueError(
+            f"initial liquidity {initial.lam} outside "
+            f"[{params.lambda_lower}, {params.lambda_upper}]")
+    if initial.halted:
+        raise ValueError("initial state must not be halted")
+    if policy is not None:
+        policy = ScalarHooks(policy)
+
+    horizon = params.horizon
+    rate_bar = params.f(params.lambda_upper) + params.g(params.lambda_lower)
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, seed >> 64], dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=key))
+    n = int(gen.poisson(rate_bar * horizon))
+    # Python scalars from here on: the event loop does scalar arithmetic only
+    times = np.sort(gen.uniform(0.0, horizon, n)).tolist()
+    mark_idx = gen.choice(marks.n_marks, size=n, p=marks.nus).tolist()
+    ys = gen.uniform(0.0, rate_bar, n).tolist()
+    vis = gen.uniform(0.0, 1.0, n).tolist()
+    auction_draw = float(gen.standard_normal())
+
+    g_floor = params.g(params.lambda_lower)
+    etas, rhos = marks.etas.tolist(), marks.rhos.tolist()
+    kinds = [m.kind for m in marks.marks]
+    signals = [m.signal for m in marks.marks]
+    acc = _PathAccounting(params, marks, initial, record_events)
+    vbar_rho_sum = 0.0
+    n_live_mo = 0
+    n_live_limit = 0
+    n_signals = 0
+
+    if policy is not None:
+        d0 = float(policy.on_state(0.0, acc.state))
+        if d0 != 0.0:
+            acc.apply_trade(0.0, d0)
+
+    t_prev = 0.0
+    for t, e, yv, vis_i in zip(times, mark_idx, ys, vis):
+        if yv <= g_floor:
+            vbar_rho_sum += abs(rhos[e])
+        _run_tick_impulses(acc, policy, t_prev, t)
+        t_prev = t
+        is_mo = etas[e] != 0.0
+        kind = kinds[e]
+        if acc.state.halted:
+            acc.skip(t, e, kind, yv, "halted")
+            continue
+        live = yv <= (params.f(acc.state.lam) if is_mo
+                      else params.g(acc.state.lam))
+        if not live:
+            acc.skip(t, e, kind, yv, "thinned")
+            continue
+        if is_mo:
+            n_live_mo += 1
+        else:
+            n_live_limit += 1
+        z = signals[e] if vis_i < marks.signal_prob else 0
+        if z != 0:
+            n_signals += 1
+        gamma_req = 0.0
+        if z != 0 and policy is not None and t < horizon:
+            gamma_req = float(policy.on_signal(t, acc.state, z))
+        acc.apply_event(t, e, kind, yv, z, gamma_req,
+                        etas[e] if is_mo else 0.0,
+                        rhos[e] if not is_mo else 0.0, policy)
+
+    _run_tick_impulses(acc, policy, t_prev, horizon)
+    acc.advance(horizon)
+
+    wealth = terminal_wealth_oracle(acc.state, params, auction_draw)
+    return PathRecord(
+        terminal_state=acc.state,
+        terminal_wealth=wealth,
+        auction_draw=auction_draw,
+        breaker_time=acc.breaker_time,
+        n_candidates=n,
+        n_live_market=n_live_mo,
+        n_live_limit=n_live_limit,
+        n_signals=n_signals,
+        n_buy_trades=acc.n_buy,
+        n_sell_trades=acc.n_sell,
+        inventory_variation=acc.v_q,
+        market_volume=acc.v_m,
+        cancel_volume=acc.v_lminus,
+        price_qv=acc.qv,
+        integrated_variance=acc.integ_var,
+        vbar_rho_sum=vbar_rho_sum,
+        min_lambda=acc.min_lam,
+        events=tuple(acc.events),
+    )

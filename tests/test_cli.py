@@ -264,15 +264,22 @@ def test_simulate_after_solve_writes_reports(tmp_path):
 
 def test_simulate_with_recorded_events_simulates_each_path_once(
         tmp_path, monkeypatch):
-    real_simulate_path = order_flow.simulate_path
+    real_simulate_paths = order_flow.simulate_paths
+    real_draw_candidates = evaluation.draw_candidates
     seeds = []
 
-    def counted_simulate_path(*args, **kwargs):
-        seeds.append(args[4])
-        return real_simulate_path(*args, **kwargs)
+    def counted_simulate_paths(*args, **kwargs):
+        seeds.extend(args[4])
+        return real_simulate_paths(*args, **kwargs)
 
-    monkeypatch.setattr(order_flow, "simulate_path", counted_simulate_path)
-    monkeypatch.setattr(evaluation, "simulate_path", counted_simulate_path)
+    def counted_draw_candidates(*args, **kwargs):
+        seeds.extend(args[2])
+        return real_draw_candidates(*args, **kwargs)
+
+    # the recorded run and any experiment would both show up here
+    monkeypatch.setattr(order_flow, "simulate_paths", counted_simulate_paths)
+    monkeypatch.setattr(evaluation, "draw_candidates",
+                        counted_draw_candidates)
     runner = CliRunner()
     cfg = _tiny_config(tmp_path, n_sim=25, record_events=True)
     out = tmp_path / "out"

@@ -38,10 +38,13 @@ class _ScriptedAgent(Agent):
         self.script = sorted(script)
 
     def next_impulse(self, t_from, t_to, state):
-        for t_k, delta in self.script:
-            if t_from < t_k < t_to:
-                return t_k, delta
-        return None
+        t_imp, delta = np.full(len(t_from), math.inf), np.zeros(len(t_from))
+        for t_k, volume in reversed(self.script):
+            # the earliest scripted trade inside the window wins
+            hit = (t_from < t_k) & (t_k < t_to)
+            t_imp = np.where(hit, t_k, t_imp)
+            delta = np.where(hit, volume, delta)
+        return t_imp, delta
 
 
 def _zero_rate_path(agent, q0=-8.0, lam0=0.0):
@@ -197,6 +200,8 @@ def test_one_pool_per_experiment_with_path_range_jobs(
     reports = run_experiment(bench_params, marks_signal, agents, 9, 58,
                              start_short, threads=2)
     assert len(pools) == 1
+    # one contiguous range per worker
+    assert len(jobs) == 2
     assert all(isinstance(job, range) for job in jobs)
     assert [i for paths in jobs for i in paths] == list(range(9))
     assert [r.n_sim for r in reports.values()] == [9, 9]

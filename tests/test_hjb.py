@@ -1,7 +1,9 @@
 """Backward solver: terminal condition, kernels, convergence, persistence."""
 
 import dataclasses
+import io
 import math
+import zipfile
 
 import numpy as np
 import pytest
@@ -507,6 +509,14 @@ def test_save_load_roundtrip_is_bit_exact(tmp_path, bench_params):
     save_solution(one, surface, policy)
     save_solution(two, surface, policy)
     assert one.read_bytes() == two.read_bytes()
+    # each entry is numpy's own .npy encoding of its array
+    with zipfile.ZipFile(one) as zf:
+        for name, array in (("values", surface.values),
+                            ("gamma_star", policy.gamma_star),
+                            ("delta_star", policy.delta_star)):
+            npy = io.BytesIO()
+            np.lib.format.write_array(npy, array, allow_pickle=False)
+            assert zf.read(name + ".npy") == npy.getvalue()
 
     surface2, policy2 = load_solution(one)
     np.testing.assert_array_equal(surface2.values, surface.values)

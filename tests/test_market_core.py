@@ -22,7 +22,8 @@ from artifact.market_core import (
     utility,
 )
 from artifact.order_flow import Mark, MarkModel, benchmark_mark_model
-from oracles import cost_oracle, impact_oracle, volatility_oracle
+from oracles import (cost_oracle, impact_oracle, shock_oracle,
+                     terminal_wealth_oracle, volatility_oracle)
 
 PARAMS = MarketParams()
 
@@ -308,6 +309,35 @@ def test_posts_beyond_the_cap_are_discarded():
     assert state == MarketState(lam=40.0, q=0.0, p=100.0, x=0.0)
     assert r_exec == 3.0
     assert g_exec == e_exec == pj_g == pj_e == 0.0
+
+
+def test_block_shock_is_bitwise_the_scalar_shock():
+    """One array call over every case equals the scalar transition case by
+    case, signed zeros and halts included, and so does terminal wealth."""
+    volumes = (0.0, -0.0, 0.5, 1.0, -1.0, 2.0, -3.0, 5.0)
+    cases = [(MarketState(lam=lam, q=q, p=100.0 + lam / 7.0, x=x,
+                          halted=halted), gamma, eta, rho)
+             for lam in (-40.0, -39.5, -38.0, -7.3, 0.0, 38.5, 40.0)
+             for q, x in ((0.0, 0.0), (-8.0, 12.5))
+             for halted in (False, True)
+             for gamma in volumes
+             for eta, rho in [(v, 0.0) for v in volumes]
+             + [(0.0, v) for v in volumes[2:]]]
+    block = MarketState(*(np.array(column) for column in zip(
+        *((c[0].lam, c[0].q, c[0].p, c[0].x, c[0].halted) for c in cases))))
+    new, *executed = apply_shock_detailed(
+        block, *(np.array(column) for column in zip(*(c[1:] for c in cases))),
+        PARAMS)
+    wealth = terminal_wealth(new, PARAMS, 0.7)
+    for n, (state, gamma, eta, rho) in enumerate(cases):
+        want, *want_executed = shock_oracle(state, gamma, eta, rho, PARAMS)
+        got = [new.lam[n], new.q[n], new.p[n], new.x[n], wealth[n]] \
+            + [v[n] for v in executed]
+        expected = [want.lam, want.q, want.p, want.x,
+                    terminal_wealth_oracle(want, PARAMS, 0.7)] + want_executed
+        assert [float(v).hex() for v in got] \
+            == [float(v).hex() for v in expected], (state, gamma, eta, rho)
+        assert bool(new.halted[n]) == want.halted
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,14 @@ from artifact.order_flow import (
     benchmark_mark_model,
     make_path_seed,
     simulate_path,
+    simulate_paths,
     vbar_bound,
     write_path_log,
 )
+from artifact import order_flow
 from artifact.policy import (Agent, DoNothingAgent, ImmediateExecutionAgent,
-                             TwapAgent)
+                             TablePolicyAgent, TwapAgent)
+import oracles
 from oracles import cost_oracle, euler_thinning_oracle, impact_oracle
 
 PARAMS = MarketParams()
@@ -69,6 +72,30 @@ def test_mark_model_validation():
         benchmark_mark_model(signal_prob=0.2, post_fraction=1.5)
     with pytest.warns(UserWarning, match="resilient"):
         MarkModel((Mark(eta=0.0, rho=-1.0, nu=1.0),), 0.0)
+
+
+# weights whose normalized running sum ends just above 1.0 in floating point
+_OFF_UNIT = MarkModel(tuple(
+    Mark(eta=eta, rho=rho, nu=nu) for eta, rho, nu in (
+        (1.0, 0.0, 0.077), (0.0, 1.0, 0.571), (-1.0, 0.0, 0.045),
+        (0.0, 2.0, 0.219), (0.0, -1.0, 0.088))), 0.3)
+
+
+@pytest.mark.parametrize("marks", [benchmark_mark_model(0.2), _OFF_UNIT],
+                         ids=["desk", "off-unit"])
+def test_mark_draws_match_generator_choice(marks):
+    """Same indices as ``gen.choice`` with ``p=nus``, and the stream is
+    left where ``gen.choice`` leaves it."""
+    for seed in range(200):
+        key = np.array([seed, 77], dtype=np.uint64)
+        by_choice = np.random.Generator(np.random.Philox(key=key))
+        by_cdf = np.random.Generator(np.random.Philox(key=key))
+        n = int(by_choice.integers(0, 200))
+        by_cdf.integers(0, 200)
+        expected = by_choice.choice(marks.n_marks, size=n, p=marks.nus)
+        np.testing.assert_array_equal(marks.draw(by_cdf, n), expected)
+        assert by_cdf.random() == by_choice.random()
+    assert np.cumsum(_OFF_UNIT.nus)[-1] != 1.0
 
 
 def test_with_signal_prob_rebuilds():
@@ -188,13 +215,10 @@ def test_live_counts_poisson_at_constant_rates():
     marks = benchmark_mark_model(signal_prob=0.0)
     initial = MarketState(lam=0.0, q=0.0, p=100.0, x=0.0)
     n = 10_000
-    mo = np.empty(n, dtype=int)
-    lim = np.empty(n, dtype=int)
-    for i in range(n):
-        rec = simulate_path(params, marks, None, initial,
-                            make_path_seed(31, i))
-        mo[i] = rec.n_live_market
-        lim[i] = rec.n_live_limit
+    paths = simulate_paths(params, marks, None, initial,
+                           [make_path_seed(31, i) for i in range(n)])
+    mo = np.array([rec.n_live_market for rec in paths])
+    lim = np.array([rec.n_live_limit for rec in paths])
     # live market orders: rate f * nu(market half) = 5 * 0.5; same for limits
     for sample, rate in ((mo, 2.5), (lim, 2.5)):
         assert sample.mean() == pytest.approx(rate, abs=4 * math.sqrt(rate / n))
@@ -216,9 +240,10 @@ def test_event_rate_matches_fixed_step_oracle(bench_params, marks_blind):
     fband = np.empty(n)
     int_f = np.empty(n)
     live = np.empty(n)
-    for i in range(n):
-        rec = simulate_path(bench_params, marks_blind, None, initial,
-                            make_path_seed(999, i), record_events=True)
+    paths = simulate_paths(bench_params, marks_blind, None, initial,
+                           [make_path_seed(999, i) for i in range(n)],
+                           record_events=True)
+    for i, rec in enumerate(paths):
         live[i] = rec.n_live_market
         lam = initial.lam
         t_prev = 0.0
@@ -279,11 +304,11 @@ def test_vbar_dominates_realized_turnover(passive_path_stats, bench_params,
     assert np.all(stats_["vbar"] + 1e-9 >= stats_["turnover"])
     # also under trading policies
     initial = MarketState(lam=0.0, q=-8.0, p=100.0, x=0.0)
+    seeds = [make_path_seed(13, i) for i in range(300)]
     for agent in (ImmediateExecutionAgent(0.0, bench_params),
                   TwapAgent(0.0, -8.0, bench_params)):
-        for i in range(300):
-            rec = simulate_path(bench_params, marks_blind, agent, initial,
-                                make_path_seed(13, i))
+        for rec in simulate_paths(bench_params, marks_blind, agent, initial,
+                                  seeds):
             turnover = (rec.inventory_variation + rec.market_volume
                         + rec.cancel_volume)
             assert vbar_bound(initial.lam, rec, bench_params) + 1e-9 \
@@ -398,10 +423,10 @@ def test_visible_events_send_their_mark_signal(bench_params):
 
 def test_path_log_roundtrip(bench_params, marks_blind, tmp_path):
     initial = MarketState(lam=0.0, q=-8.0, p=100.0, x=0.0)
-    paths = [simulate_path(bench_params, marks_blind,
+    paths = simulate_paths(bench_params, marks_blind,
                            TwapAgent(0.0, -8.0, bench_params), initial,
-                           make_path_seed(12, i), record_events=True)
-             for i in range(3)]
+                           [make_path_seed(12, i) for i in range(3)],
+                           record_events=True)
     target = tmp_path / "paths.csv"
     write_path_log(paths, target)
     with open(target, newline="") as handle:
@@ -419,3 +444,75 @@ def test_path_log_roundtrip(bench_params, marks_blind, tmp_path):
     buf = io.StringIO()
     write_path_log(paths, buf)
     assert buf.getvalue() == target.read_bytes().decode()
+
+
+# ---------------------------------------------------------------------------
+# the block engine against the scalar reference loop
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def desk_agents(bench_params, solved_signal, solved_blind):
+    return {
+        "passive": None,
+        "do-nothing": DoNothingAgent(),
+        "immediate": ImmediateExecutionAgent(0.0, bench_params),
+        "twap": TwapAgent(0.0, -8.0, bench_params),
+        "table": TablePolicyAgent(solved_signal[1], bench_params),
+        "table-nosignal": TablePolicyAgent(solved_blind[1], bench_params,
+                                           name="table-nosignal"),
+    }
+
+
+def _assert_records_equal(got, expected, label):
+    assert len(got) == len(expected)
+    for i, (a, b) in enumerate(zip(got, expected)):
+        differ = [f.name for f in dataclasses.fields(a)
+                  if getattr(a, f.name) != getattr(b, f.name)]
+        assert not differ, f"{label}, path {i}: {differ} differ"
+
+
+@pytest.mark.parametrize("impact, lam0, signal_prob, n_paths", [
+    ({}, 0.0, 0.2, 200),      # the desk market
+    ({}, -38.0, 0.2, 60),     # two lots above the floor: breakers on most
+    ({}, 0.5, 0.2, 60),       # f and g off the integer liquidity lattice
+    ({}, 0.0, 1.0, 60),       # every live event signals
+    # the square of a 3-lot price jump at lambda = 10 differs between
+    # float ** and x * x
+    ({"theta_iota": 0.0207, "kappa_iota": -9.1e-05}, 10.0, 0.2, 60),
+], ids=["desk", "near-floor", "off-lattice", "all-signal", "pow-rounding"])
+def test_block_engine_matches_the_scalar_loop(bench_params, desk_agents,
+                                              impact, lam0, signal_prob,
+                                              n_paths):
+    """Every field of every record, recorded events included, equals the
+    one-path-at-a-time reference, for every agent."""
+    params = dataclasses.replace(bench_params, **impact)
+    marks = benchmark_mark_model(signal_prob)
+    initial = MarketState(lam=lam0, q=-8.0, p=100.0, x=0.0)
+    seeds = [make_path_seed(61, i) for i in range(n_paths)]
+    breakers = 0
+    for name, agent in desk_agents.items():
+        expected = [oracles.simulate_path(params, marks, agent, initial,
+                                          seed, record_events=True)
+                    for seed in seeds]
+        got = simulate_paths(params, marks, agent, initial, seeds,
+                             record_events=True)
+        _assert_records_equal(got, expected, name)
+        breakers += sum(rec.terminal_state.halted for rec in got)
+    if lam0 < -30.0:
+        assert breakers > len(desk_agents) * n_paths / 2
+
+
+def test_records_do_not_depend_on_the_block_size(
+        bench_params, marks_signal, desk_agents, monkeypatch):
+    initial = MarketState(lam=0.0, q=-8.0, p=100.0, x=0.0)
+    seeds = [make_path_seed(62, i) for i in range(22)]
+    for name in ("passive", "twap", "table"):
+        runs = {}
+        for block_paths in (len(seeds), 1, 7):
+            monkeypatch.setattr(order_flow, "BLOCK_PATHS", block_paths)
+            runs[block_paths] = simulate_paths(
+                bench_params, marks_signal, desk_agents[name], initial,
+                seeds, record_events=True)
+        for block_paths in (1, 7):
+            _assert_records_equal(runs[block_paths], runs[len(seeds)],
+                                  f"{name}, blocks of {block_paths}")

@@ -7,10 +7,10 @@ import pytest
 
 from artifact.hjb import Grid, Policy
 from artifact.market_core import MarketParams, MarketState, utility
-from artifact.order_flow import make_path_seed, simulate_path
+from artifact.order_flow import make_path_seed, simulate_paths
 from artifact.policy import (Agent, DoNothingAgent, ImmediateExecutionAgent,
                              TablePolicyAgent, TwapAgent)
-from oracles import next_impulse_walk
+from oracles import ScalarHooks, next_impulse_walk
 
 PARAMS = MarketParams()
 
@@ -19,20 +19,26 @@ def _state(lam=0.0, q=0.0, halted=False):
     return MarketState(lam=lam, q=q, p=100.0, x=0.0, halted=halted)
 
 
+def _block(states):
+    """The states as one block: a ``MarketState`` of arrays."""
+    return MarketState(*(np.array(column) for column in zip(
+        *((s.lam, s.q, s.p, s.x, s.halted) for s in states))))
+
+
 # ---------------------------------------------------------------------------
 # baselines
 # ---------------------------------------------------------------------------
 
 def test_do_nothing_agent_never_trades():
-    agent = DoNothingAgent()
-    assert agent.name == "do-nothing"
+    assert DoNothingAgent().name == "do-nothing"
+    agent = ScalarHooks(DoNothingAgent())
     assert agent.on_state(0.0, _state(q=-8.0)) == 0.0
     assert agent.on_signal(0.5, _state(q=-8.0), -1) == 0.0
     assert agent.next_impulse(0.0, 1.0, _state(q=-8.0)) is None
 
 
 def test_immediate_agent_trades_the_clipped_gap():
-    agent = ImmediateExecutionAgent(0.0, PARAMS)
+    agent = ScalarHooks(ImmediateExecutionAgent(0.0, PARAMS))
     assert agent.on_state(0.0, _state(lam=0.0, q=-8.0)) == 8.0
     assert agent.on_state(0.3, _state(lam=0.0, q=3.0)) == -3.0
     assert agent.on_state(0.0, _state(lam=0.0, q=0.0)) == 0.0
@@ -57,7 +63,7 @@ def test_twap_agent_schedule():
 
 
 def test_twap_agent_next_impulse_windows():
-    agent = TwapAgent(0.0, -8.0, PARAMS)
+    agent = ScalarHooks(TwapAgent(0.0, -8.0, PARAMS))
     state = _state(lam=0.0, q=-8.0)
     # the tick must fall strictly inside the window
     assert agent.next_impulse(0.0, 0.125, state) is None
@@ -91,43 +97,48 @@ def toy_table():
     return TablePolicyAgent(policy, PARAMS)
 
 
-def test_table_agent_state_lookup_rounds_to_nodes(toy_table):
-    assert toy_table.on_state(0.5, _state(lam=0.3, q=-2.0)) == 1.0
+@pytest.fixture()
+def toy_hooks(toy_table):
+    return ScalarHooks(toy_table)
+
+
+def test_table_agent_state_lookup_rounds_to_nodes(toy_hooks):
+    assert toy_hooks.on_state(0.5, _state(lam=0.3, q=-2.0)) == 1.0
     # nearest-node rounding in every coordinate
-    assert toy_table.on_state(0.45, _state(lam=-15.0, q=-1.8)) == 1.0
-    assert toy_table.on_state(0.5, _state(lam=0.3, q=0.0)) == 0.0
-    assert toy_table.on_state(0.5, _state(lam=40.0, q=-2.0)) == 0.0
+    assert toy_hooks.on_state(0.45, _state(lam=-15.0, q=-1.8)) == 1.0
+    assert toy_hooks.on_state(0.5, _state(lam=0.3, q=0.0)) == 0.0
+    assert toy_hooks.on_state(0.5, _state(lam=40.0, q=-2.0)) == 0.0
 
 
-def test_table_agent_clips_at_the_floor(toy_table):
+def test_table_agent_clips_at_the_floor(toy_hooks):
     # stored trade is 2 lots but only half a lot of headroom remains
-    assert toy_table.on_state(0.5, _state(lam=-39.5, q=-2.0)) == 0.5
+    assert toy_hooks.on_state(0.5, _state(lam=-39.5, q=-2.0)) == 0.5
 
 
-def test_table_agent_signal_lookup(toy_table):
-    assert toy_table.on_signal(0.75, _state(lam=0.3, q=-2.0), 1) == 2.0
-    assert toy_table.on_signal(0.75, _state(lam=0.3, q=-2.0), -1) == 0.0
-    assert toy_table.on_signal(0.5, _state(lam=0.3, q=-2.0), 1) == 0.0
+def test_table_agent_signal_lookup(toy_hooks):
+    assert toy_hooks.on_signal(0.75, _state(lam=0.3, q=-2.0), 1) == 2.0
+    assert toy_hooks.on_signal(0.75, _state(lam=0.3, q=-2.0), -1) == 0.0
+    assert toy_hooks.on_signal(0.5, _state(lam=0.3, q=-2.0), 1) == 0.0
     with pytest.raises(ValueError, match="signal z"):
-        toy_table.on_signal(0.75, _state(), 0)
+        toy_hooks.on_signal(0.75, _state(), 0)
 
 
-def test_table_agent_liquidates_at_and_past_the_horizon(toy_table):
-    assert toy_table.on_state(1.0, _state(lam=0.0, q=-8.0)) == 8.0
-    assert toy_table.on_state(1.2, _state(lam=0.0, q=3.0)) == -3.0
+def test_table_agent_liquidates_at_and_past_the_horizon(toy_hooks):
+    assert toy_hooks.on_state(1.0, _state(lam=0.0, q=-8.0)) == 8.0
+    assert toy_hooks.on_state(1.2, _state(lam=0.0, q=3.0)) == -3.0
     # ... but still clipped at the floor
-    assert toy_table.on_state(1.0, _state(lam=-39.5, q=-8.0)) == 0.5
-    assert toy_table.on_signal(1.0, _state(lam=0.0, q=-8.0), -1) == 0.0
+    assert toy_hooks.on_state(1.0, _state(lam=-39.5, q=-8.0)) == 0.5
+    assert toy_hooks.on_signal(1.0, _state(lam=0.0, q=-8.0), -1) == 0.0
 
 
-def test_table_agent_next_impulse_walks_the_ticks(toy_table):
+def test_table_agent_next_impulse_walks_the_ticks(toy_hooks):
     state = _state(lam=0.3, q=-2.0)
-    assert toy_table.next_impulse(0.4, 0.9, state) == (0.5, 1.0)
+    assert toy_hooks.next_impulse(0.4, 0.9, state) == (0.5, 1.0)
     # strictly-after semantics: the tick at t_from itself is skipped
-    assert toy_table.next_impulse(0.5, 0.9, state) is None
+    assert toy_hooks.next_impulse(0.5, 0.9, state) is None
     # the window is open on the right
-    assert toy_table.next_impulse(0.4, 0.5, state) is None
-    assert toy_table.next_impulse(0.0, 1.0, _state(lam=0.3, q=2.0)) is None
+    assert toy_hooks.next_impulse(0.4, 0.5, state) is None
+    assert toy_hooks.next_impulse(0.0, 1.0, _state(lam=0.3, q=2.0)) is None
 
 
 def _long_table():
@@ -157,7 +168,7 @@ def test_next_impulse_matches_the_tick_walk(table, dtype, request):
     ticks = horizon - grid.d_t * np.arange(grid.n_steps + 1)
     trades = np.argwhere(agent.policy.delta_star[1:] != 0.0) + (1, 0, 0)
     rng = np.random.default_rng(2024)
-    hits = misses = 0
+    queries = []
     for _ in range(3000):
         # window ends on ticks, at the horizon, or anywhere in between
         ends = [rng.choice(ticks) if rng.random() < 0.4 else
@@ -174,10 +185,17 @@ def test_next_impulse_matches_the_tick_walk(table, dtype, request):
         else:
             lam = rng.uniform(PARAMS.lambda_lower - 2, PARAMS.lambda_upper + 2)
             q = rng.uniform(grid.q_min - 1.5, grid.q_max + 1.5)
-        state = _state(lam=float(lam), q=float(q))
+        queries.append((t_from, t_to, _state(lam=float(lam), q=float(q))))
+    # every query in one call: each path's answer must be its own walk
+    t_imp, delta = agent.next_impulse(
+        np.array([t_from for t_from, _, _ in queries]),
+        np.array([t_to for _, t_to, _ in queries]),
+        _block([state for _, _, state in queries]))
+    hits = misses = 0
+    for n, (t_from, t_to, state) in enumerate(queries):
         expected = next_impulse_walk(agent, t_from, t_to, state)
-        assert agent.next_impulse(t_from, t_to, state) == expected, (
-            t_from, t_to, state)
+        got = None if t_imp[n] == math.inf else (t_imp[n], delta[n])
+        assert got == expected, (t_from, t_to, state)
         hits += expected is not None
         misses += expected is None
     assert hits > 300 and misses > 300
@@ -185,9 +203,38 @@ def test_next_impulse_matches_the_tick_walk(table, dtype, request):
 
 def test_agent_base_class_contract():
     agent = Agent()
-    assert agent.on_signal(0.1, _state(), -1) == 0.0
-    assert agent.on_state(0.1, _state()) == 0.0
-    assert agent.next_impulse(0.0, 1.0, _state()) is None
+    block = _block([_state(), _state(lam=-3.0, q=2.0)])
+    t = np.array([0.1, 0.7])
+    assert agent.on_signal(t, block, np.array([-1, 1])).tolist() == [0.0, 0.0]
+    assert agent.on_state(t, block).tolist() == [0.0, 0.0]
+    t_imp, delta = agent.next_impulse(np.zeros(2), np.ones(2), block)
+    assert t_imp.tolist() == [math.inf, math.inf]
+    assert delta.tolist() == [0.0, 0.0]
+
+
+def test_hooks_answer_each_path_of_a_block_on_its_own(toy_table):
+    """One call over a block gives each path its one-path answer."""
+    states = [_state(lam=lam, q=q) for lam in (-39.5, -15.0, 0.3, 40.0)
+              for q in (-2.0, -1.8, 0.0, 2.0)]
+    times = [0.0, 0.45, 0.5, 0.75, 1.0]
+    agents = (toy_table, ImmediateExecutionAgent(0.0, PARAMS),
+              TwapAgent(0.0, -2.0, PARAMS), DoNothingAgent())
+    rows = [(t, state) for t in times for state in states]
+    t = np.array([t for t, _ in rows])
+    block = _block([state for _, state in rows])
+    z = np.where(np.arange(len(rows)) % 2, 1, -1)
+    t_to = np.minimum(t + 0.3, 1.0)
+    for agent in agents:
+        one = ScalarHooks(agent)
+        signal = agent.on_signal(t, block, z)
+        state = agent.on_state(t, block)
+        t_imp, delta = agent.next_impulse(t, t_to, block)
+        for n, (t_n, st) in enumerate(rows):
+            assert signal[n] == one.on_signal(t_n, st, int(z[n]))
+            assert state[n] == one.on_state(t_n, st)
+            expected = one.next_impulse(t_n, float(t_to[n]), st)
+            assert (None if t_imp[n] == math.inf
+                    else (t_imp[n], delta[n])) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -206,13 +253,11 @@ def test_table_policy_dominates_baselines(bench_params, marks_signal,
         "twap": TwapAgent(0.0, start_short.q, bench_params),
     }
     n = 1500
-    utils = {name: np.empty(n) for name in agents}
-    for i in range(n):
-        seed = make_path_seed(11, i)
-        for name, agent in agents.items():
-            rec = simulate_path(bench_params, marks_signal, agent,
-                                start_short, seed)
-            utils[name][i] = utility(rec.terminal_wealth, bench_params.alpha)
+    seeds = [make_path_seed(11, i) for i in range(n)]
+    utils = {name: utility(np.array([
+        rec.terminal_wealth for rec in simulate_paths(
+            bench_params, marks_signal, agent, start_short, seeds)]),
+        bench_params.alpha) for name, agent in agents.items()}
     for name in ("do-nothing", "immediate", "twap"):
         diff = utils["table"] - utils[name]
         se = diff.std(ddof=1) / math.sqrt(n)

@@ -2,11 +2,13 @@
 
 Experiments simulate a set of agents over a common collection of seeded
 paths: path ``i`` of every agent uses the same 128-bit stream key, so the
-candidate event streams coincide and comparisons are paired: each block
-of paths is drawn once and simulated for every agent.  Per-path scalars
-are assembled in path order and every statistic is reduced
-single-threaded from the assembled arrays, which makes results
-bit-identical whatever the worker count.
+candidate event streams coincide and comparisons are paired.  Each block
+of paths is drawn once, and one event loop simulates it for every agent
+at once (``order_flow.simulate_block``: lanes are agents × paths, and each
+agent's hooks see only its own lanes).  Per-path scalars are assembled in
+path order and every statistic is reduced single-threaded from the
+assembled arrays, which makes results bit-identical whatever the worker
+count.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ import csv
 import json
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+# futures.ProcessPoolExecutor imports multiprocessing when first read, so
+# only runs that start a pool pay for it
+from concurrent import futures
 from dataclasses import asdict, dataclass
 from typing import Dict, Optional, Tuple
 
@@ -156,13 +160,16 @@ def _simulate_chunk(paths: range, inputs: tuple = ()) -> list:
     params, marks, agents, initial, base_seed = inputs or _shared
     outcomes = [[] for _ in agents]
     for start in range(paths.start, paths.stop, BLOCK_PATHS):
-        block = draw_candidates(params, marks, [
-            make_path_seed(base_seed, i)
-            for i in range(start, min(start + BLOCK_PATHS, paths.stop))])
-        for rows, agent in zip(outcomes, agents.values()):
-            rows += map(path_outcome, simulate_block(params, marks, agent,
-                                                     initial, block))
-        del block  # before the next block is drawn: one block in memory
+        stop = min(start + BLOCK_PATHS, paths.stop)
+        records = simulate_block(params, marks, list(agents.values()),
+                                 initial, draw_candidates(params, marks, [
+                                     make_path_seed(base_seed, i)
+                                     for i in range(start, stop)]))
+        # lane a * n + b is agent a on path b
+        n = stop - start
+        for a, rows in enumerate(outcomes):
+            rows += map(path_outcome, records[a * n:(a + 1) * n])
+        del records  # before the next block is drawn: one block in memory
     return outcomes
 
 
@@ -175,10 +182,11 @@ def run_experiment(params: MarketParams, marks: MarkModel,
 
     Returns one report per agent (insertion order preserved).  ``threads``
     workers share one process pool: each receives the inputs once and one
-    contiguous range of path indices, on which it simulates every agent
-    (the block engine runs faster on fewer, larger ranges).  Results are
-    independent of the worker count because path seeds are absolute and
-    statistics are reduced from the path-ordered arrays in one thread.
+    contiguous range of path indices, on which it simulates every agent in
+    one event loop per block (the block engine runs faster on fewer,
+    larger ranges).  Results are independent of the worker count because
+    path seeds are absolute and statistics are reduced from the
+    path-ordered arrays in one thread.
     """
     if n_sim <= 0:
         raise ValueError("n_sim must be positive")
@@ -191,8 +199,8 @@ def run_experiment(params: MarketParams, marks: MarkModel,
         size = -(-n_sim // threads)
         ranges = [range(s, min(s + size, n_sim))
                   for s in range(0, n_sim, size)]
-        with ProcessPoolExecutor(threads, initializer=_share,
-                                 initargs=inputs) as pool:
+        with futures.ProcessPoolExecutor(threads, initializer=_share,
+                                         initargs=inputs) as pool:
             chunks = list(pool.map(_simulate_chunk, ranges))
     outcomes = {name: [row for chunk in chunks for row in chunk[a]]
                 for a, name in enumerate(agents)}

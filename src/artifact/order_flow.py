@@ -20,10 +20,14 @@ so any path can be regenerated bit-exactly in isolation.
 
 Paths are simulated a block at a time: ``draw_candidates`` packs the
 candidate streams of up to ``BLOCK_PATHS`` paths into event-major arrays,
-and ``simulate_block`` runs one event loop over the whole block, holding
-the market state and every path accumulator as arrays with one entry per
-path.  Each path does exactly the arithmetic it would do alone, in the
-same order, so a path's record does not depend on the block it ran in.
+and ``simulate_block`` runs one event loop for every agent of an
+experiment over the whole block.  The loop's lanes are agents × paths:
+lane ``a * n_paths + b`` is agent ``a`` on path ``b``, and the market state
+and every path accumulator are arrays with one entry per lane.  Each agent's
+hooks are called on its own contiguous share of the lanes and see only
+those.  Each lane does exactly the arithmetic its path would do alone with
+its agent, in the same order, so a record depends neither on the block nor
+on the other agents it ran with.
 """
 
 from __future__ import annotations
@@ -67,10 +71,11 @@ __all__ = [
 PATH_LOG_COLUMNS = ("path_id", "t", "kind", "z", "gamma", "eta", "rho",
                     "lambda", "q", "p", "x")
 
-#: Paths simulated together.  Every event step costs a fixed number of
-#: numpy calls, so blocks much smaller than this lose to per-call overhead;
-#: the fixed size bounds the memory of the packed draws however many paths
-#: a run asks for.
+#: Paths drawn and simulated together.  A block runs one lane per agent
+#: and path (agents × paths lanes), but its size counts paths.  Every event
+#: step costs a fixed number of numpy calls, so blocks much smaller than
+#: this lose to per-call overhead; the fixed size bounds the memory of the
+#: packed draws however many paths a run asks for.
 BLOCK_PATHS = 1024
 
 
@@ -392,28 +397,36 @@ def _column(value, n: int) -> list:
 
 
 class _Block:
-    """Market state and accumulators of a block of paths, as arrays."""
+    """Market state and accumulators of a block's lanes, as arrays.
 
-    def __init__(self, params: MarketParams, marks: MarkModel, agent,
+    Lane ``a * n_paths + b`` is agent ``a`` on path ``b``; a ``None`` agent
+    is a passive trader, whose lanes are never asked.
+    """
+
+    def __init__(self, params: MarketParams, marks: MarkModel, agents,
                  initial: MarketState, n_paths: int, record: bool) -> None:
         self.params = params
-        self.agent = agent
-        self.lam = np.full(n_paths, initial.lam, dtype=float)
-        self.q = np.full(n_paths, initial.q, dtype=float)
-        self.p = np.full(n_paths, initial.p, dtype=float)
-        self.x = np.full(n_paths, initial.x, dtype=float)
-        self.halted = np.zeros(n_paths, dtype=bool)
-        self.t_seg = np.zeros(n_paths)
-        self.integ_var = np.zeros(n_paths)
-        self.qv = np.zeros(n_paths)
-        self.v_q = np.zeros(n_paths)
-        self.v_m = np.zeros(n_paths)
-        self.v_lminus = np.zeros(n_paths)
-        self.n_buy = np.zeros(n_paths, dtype=np.intp)
-        self.n_sell = np.zeros(n_paths, dtype=np.intp)
+        self.agents = tuple(agents)
+        self.trading = any(agent is not None for agent in self.agents)
+        # the first lane of each agent, and one past the last lane
+        self.cuts = np.arange(len(self.agents) + 1) * n_paths
+        n_lanes = len(self.agents) * n_paths
+        self.lam = np.full(n_lanes, initial.lam, dtype=float)
+        self.q = np.full(n_lanes, initial.q, dtype=float)
+        self.p = np.full(n_lanes, initial.p, dtype=float)
+        self.x = np.full(n_lanes, initial.x, dtype=float)
+        self.halted = np.zeros(n_lanes, dtype=bool)
+        self.t_seg = np.zeros(n_lanes)
+        self.integ_var = np.zeros(n_lanes)
+        self.qv = np.zeros(n_lanes)
+        self.v_q = np.zeros(n_lanes)
+        self.v_m = np.zeros(n_lanes)
+        self.v_lminus = np.zeros(n_lanes)
+        self.n_buy = np.zeros(n_lanes, dtype=np.intp)
+        self.n_sell = np.zeros(n_lanes, dtype=np.intp)
         self.min_lam = self.lam.copy()
-        self.breaker_time = np.full(n_paths, math.inf)
-        self.events = [[] for _ in range(n_paths)] if record else None
+        self.breaker_time = np.full(n_lanes, math.inf)
+        self.events = [[] for _ in range(n_lanes)] if record else None
         self._isq = squared_impact_coefficients(params, marks)
         self.f = _Memo(params.f)
         self.g = _Memo(params.g)
@@ -423,23 +436,66 @@ class _Block:
         return MarketState(lam=self.lam[idx], q=self.q[idx], p=self.p[idx],
                            x=self.x[idx], halted=self.halted[idx])
 
+    def _parts(self, idx: np.ndarray):
+        """Each trading agent's share of the sorted lanes ``idx``.
+
+        Yields ``(agent, part, state)``: ``idx[part]`` are the agent's
+        lanes, contiguous because lanes are grouped by agent, and ``state``
+        is their market state.  The state is gathered once for all agents.
+        """
+        state = self.state(idx)
+        if len(self.agents) == 1:
+            yield self.agents[0], slice(None), state
+            return
+        bounds = idx.searchsorted(self.cuts).tolist()
+        for agent, lo, hi in zip(self.agents, bounds, bounds[1:]):
+            if agent is not None and lo < hi:
+                part = slice(lo, hi)
+                yield agent, part, MarketState(
+                    lam=state.lam[part], q=state.q[part], p=state.p[part],
+                    x=state.x[part], halted=state.halted[part])
+
+    def on_signal(self, idx: np.ndarray, t: np.ndarray,
+                  z: np.ndarray) -> np.ndarray:
+        """Signal trades on lanes ``idx``; 0 on passive lanes."""
+        gamma = np.zeros(len(idx))
+        for agent, part, state in self._parts(idx):
+            gamma[part] = agent.on_signal(t[part], state, z[part])
+        return gamma
+
+    def on_state(self, idx: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """State-based trades on lanes ``idx``; 0 on passive lanes."""
+        delta = np.zeros(len(idx))
+        for agent, part, state in self._parts(idx):
+            delta[part] = agent.on_state(t[part], state)
+        return delta
+
+    def next_impulse(self, idx: np.ndarray, t_from: np.ndarray,
+                     t_to: np.ndarray) -> tuple:
+        """``(t_imp, delta)`` on lanes ``idx``; no impulse on passive lanes."""
+        t_imp, delta = np.full(len(idx), math.inf), np.zeros(len(idx))
+        for agent, part, state in self._parts(idx):
+            t_imp[part], delta[part] = agent.next_impulse(t_from[part],
+                                                          t_to[part], state)
+        return t_imp, delta
+
     def advance(self, idx: np.ndarray, t: np.ndarray) -> None:
-        """Accumulate the variance integral of paths ``idx`` up to ``t``."""
+        """Accumulate the variance integral of lanes ``idx`` up to ``t``."""
         t_seg = self.t_seg[idx]
         later = t > t_seg
         grow = later & ~self.halted[idx]
         if grow.any():
-            paths = idx[grow]
-            lam = self.lam[paths]
+            lanes = idx[grow]
+            lam = self.lam[lanes]
             c0, c1, c2 = self._isq
             isq = c0 + lam * (c1 + lam * c2)
-            self.integ_var[paths] += (self.f(lam) * isq
+            self.integ_var[lanes] += (self.f(lam) * isq
                                       * (t[grow] - t_seg[grow]))
         self.t_seg[idx] = np.where(later, t, t_seg)
 
     def shock(self, idx: np.ndarray, t: np.ndarray, gamma, eta=0.0,
               rho=0.0) -> tuple:
-        """Apply and book one shock on paths ``idx``; returns what executed.
+        """Apply and book one shock on lanes ``idx``; returns what executed.
 
         The result is ``(executed_gamma, executed_eta, executed_rho)``.
         """
@@ -472,14 +528,13 @@ class _Block:
     def tick_impulses(self, idx: np.ndarray, t_from: np.ndarray,
                       t_to: np.ndarray) -> None:
         """Execute state-based trades at policy ticks strictly inside each
-        path's window ``(t_from, t_to)``."""
+        lane's window ``(t_from, t_to)``."""
         while True:
             open_ = ~self.halted[idx]
             idx, t_from, t_to = idx[open_], t_from[open_], t_to[open_]
             if not idx.size:
                 return
-            t_imp, delta = self.agent.next_impulse(t_from, t_to,
-                                                   self.state(idx))
+            t_imp, delta = self.next_impulse(idx, t_from, t_to)
             hit = t_imp < math.inf
             idx, t_to, t_from, delta = idx[hit], t_to[hit], t_imp[hit], \
                 delta[hit]
@@ -489,7 +544,7 @@ class _Block:
 
     def log(self, idx, t, kind, outcome, z, mark_index, y, gamma, eta, rho,
             delta_r) -> None:
-        """Append one event record per path in ``idx`` (post-event state)."""
+        """Append one event record per lane in ``idx`` (post-event state)."""
         n = len(idx)
         states = zip(*(a[idx].tolist() for a in (self.lam, self.q, self.p,
                                                  self.x, self.halted)))
@@ -503,16 +558,18 @@ class _Block:
                 delta_r=d_i, post_state=MarketState(*state)))
 
 
-def simulate_block(params: MarketParams, marks: MarkModel, agent,
+def simulate_block(params: MarketParams, marks: MarkModel, agents: Sequence,
                    initial: MarketState, candidates: CandidateBlock, *,
                    record_events: bool = False) -> list:
-    """Simulate the paths of one candidate block over ``[0, horizon]``.
+    """Simulate the paths of one candidate block for each of ``agents``.
 
-    ``agent`` is any object with the array hooks ``on_signal(t, state, z)``,
-    ``on_state(t, state)`` and ``next_impulse(t_from, t_to, state)`` (see
-    ``policy``), or ``None`` for a passive trader.  Returns one
-    ``PathRecord`` per path, in block order; each is reproducible
-    bit-exactly from ``(seed, agent)`` alone.
+    Every agent is any object with the array hooks ``on_signal(t, state,
+    z)``, ``on_state(t, state)`` and ``next_impulse(t_from, t_to, state)``
+    (see ``policy``), or ``None`` for a passive trader.  One event loop runs
+    over ``len(agents) * n_paths`` lanes over ``[0, horizon]``; each hook is
+    called with the agent's own lanes only.  Returns one ``PathRecord`` per
+    lane, in lane order: record ``a * n_paths + b`` is agent ``a`` on path
+    ``b``.  Each is reproducible bit-exactly from ``(seed, agent)`` alone.
     """
     if initial.lam < params.lambda_lower or initial.lam > params.lambda_upper:
         raise ValueError(
@@ -522,37 +579,41 @@ def simulate_block(params: MarketParams, marks: MarkModel, agent,
         raise ValueError("initial state must not be halted")
 
     horizon = params.horizon
-    counts = candidates.counts
-    n_paths = len(counts)
+    n_agents = len(agents)
+    # the block's per-path arrays, one copy per agent
+    counts, starts, auction, vbar_rho = (np.tile(a, n_agents) for a in (
+        candidates.counts, candidates.starts, candidates.auction,
+        candidates.vbar_rho))
+    n_lanes = len(counts)
     is_mo = marks.etas != 0.0
     eta_of = np.where(is_mo, marks.etas, 0.0)
     rho_of = np.where(is_mo, 0.0, marks.rhos)
     signal_of = np.array([m.signal for m in marks.marks])
     kind_of = np.array([m.kind for m in marks.marks], dtype=object)
-    block = _Block(params, marks, agent, initial, n_paths, record_events)
-    n_live_mo = np.zeros(n_paths, dtype=np.intp)
-    n_live_limit = np.zeros(n_paths, dtype=np.intp)
-    n_signals = np.zeros(n_paths, dtype=np.intp)
-    every = np.arange(n_paths)
+    block = _Block(params, marks, agents, initial, len(candidates.counts),
+                   record_events)
+    n_live_mo = np.zeros(n_lanes, dtype=np.intp)
+    n_live_limit = np.zeros(n_lanes, dtype=np.intp)
+    n_signals = np.zeros(n_lanes, dtype=np.intp)
+    every = np.arange(n_lanes)
 
-    if agent is not None:
-        d0 = np.asarray(agent.on_state(np.zeros(n_paths), block.state(every)),
-                        dtype=float)
+    if block.trading:
+        d0 = block.on_state(every, np.zeros(n_lanes))
         trades = d0 != 0.0
         if trades.any():
             block.trade(every[trades], np.zeros(int(trades.sum())),
                         d0[trades])
 
-    # Step k runs each path's tick window up to its k-th candidate, then the
-    # candidate; a path with k candidates runs its last window, up to the
+    # Step k runs each lane's tick window up to its k-th candidate, then the
+    # candidate; a lane with k candidates runs its last window, up to the
     # horizon, at step k.
-    t_prev = np.zeros(n_paths)
+    t_prev = np.zeros(n_lanes)
     for k in range(int(counts.max(initial=0)) + 1):
         idx = np.flatnonzero(counts >= k)
-        pos = candidates.starts[idx] + k
+        pos = starts[idx] + k
         has = counts[idx] > k
         t = np.where(has, candidates.times[pos], horizon)
-        if agent is not None:
+        if block.trading:
             block.tick_impulses(idx, t_prev[idx], t)
         t_prev[idx] = t
         idx, pos, t = idx[has], pos[has], t[has]
@@ -582,20 +643,17 @@ def simulate_block(params: MarketParams, marks: MarkModel, agent,
         z = np.where(candidates.visible[pos], signal_of[e], 0)
         n_signals[idx] += z != 0
         gamma = np.zeros(len(idx))
-        if agent is not None:
+        if block.trading:
             ask = (z != 0) & (t < horizon)
             if ask.any():
-                gamma[ask] = agent.on_signal(t[ask], block.state(idx[ask]),
-                                             z[ask])
+                gamma[ask] = block.on_signal(idx[ask], t[ask], z[ask])
         g_exec, e_exec, r_exec = block.shock(idx, t, gamma, eta_of[e],
                                              rho_of[e])
         delta_r = np.zeros(len(idx))
-        if agent is not None:
+        if block.trading:
             open_ = ~block.halted[idx]
             if open_.any():
-                ask = np.asarray(agent.on_state(t[open_],
-                                                block.state(idx[open_])),
-                                 dtype=float)
+                ask = block.on_state(idx[open_], t[open_])
                 trades = ask != 0.0
                 if trades.any():
                     where = np.flatnonzero(open_)[trades]
@@ -606,16 +664,16 @@ def simulate_block(params: MarketParams, marks: MarkModel, agent,
             block.log(idx, t, kind_of[e], "live", z, e, y, g_exec, e_exec,
                       r_exec, delta_r)
 
-    block.advance(every, np.full(n_paths, horizon))
-    wealth = terminal_wealth(block.state(every), params, candidates.auction)
+    block.advance(every, np.full(n_lanes, horizon))
+    wealth = terminal_wealth(block.state(every), params, auction)
     states = map(MarketState, *(a.tolist() for a in (
         block.lam, block.q, block.p, block.x, block.halted)))
     # PathRecord's fields in order, between the terminal state and events
     columns = (a.tolist() for a in (
-        wealth, candidates.auction, block.breaker_time, counts, n_live_mo,
+        wealth, auction, block.breaker_time, counts, n_live_mo,
         n_live_limit, n_signals, block.n_buy, block.n_sell, block.v_q,
-        block.v_m, block.v_lminus, block.qv, block.integ_var,
-        candidates.vbar_rho, block.min_lam))
+        block.v_m, block.v_lminus, block.qv, block.integ_var, vbar_rho,
+        block.min_lam))
     events = map(tuple, block.events) if record_events else repeat(())
     return [PathRecord(state, *row, events=path_events)
             for state, *row, path_events in zip(states, *columns, events)]
@@ -631,7 +689,7 @@ def simulate_paths(params: MarketParams, marks: MarkModel, agent,
     paths = []
     for start in range(0, len(seeds), BLOCK_PATHS):
         paths += simulate_block(
-            params, marks, agent, initial,
+            params, marks, [agent], initial,
             draw_candidates(params, marks, seeds[start:start + BLOCK_PATHS]),
             record_events=record_events)
     return paths

@@ -13,7 +13,9 @@ asked about, and return one value per path:
   ``t_imp = inf`` (and ``delta = 0``) where a path has none.
 
 ``t``, ``t_from``, ``t_to`` and ``z`` are arrays aligned with the state.
-Every path's answer depends on that path's inputs alone.  All trades are
+Every path's answer depends on that path's inputs alone.  The agents of an
+experiment share one event loop, but each agent is asked about its own
+paths only.  All trades are
 lattice volumes (multiples of the lot size) and are clipped at the
 liquidity floor before execution.
 """

@@ -23,7 +23,8 @@ from artifact.evaluation import (
 from artifact.hjb import Grid, solve
 from artifact.market_core import MarketParams, MarketState, utility
 from artifact.order_flow import (Mark, MarkModel, benchmark_mark_model,
-                                 make_path_seed, simulate_path)
+                                 make_path_seed, simulate_block,
+                                 simulate_path)
 from artifact.policy import (Agent, DoNothingAgent, ImmediateExecutionAgent,
                              TablePolicyAgent, TwapAgent)
 
@@ -153,9 +154,9 @@ def test_thread_count_does_not_change_results(monkeypatch, bench_params,
                                               threads, start_method):
     if start_method is not None:
         # fresh-interpreter workers: nothing is inherited from this process
-        monkeypatch.setattr(evaluation, "ProcessPoolExecutor",
+        monkeypatch.setattr(evaluation.futures, "ProcessPoolExecutor",
                             functools.partial(
-                                evaluation.ProcessPoolExecutor,
+                                evaluation.futures.ProcessPoolExecutor,
                                 mp_context=multiprocessing.get_context(
                                     start_method)))
     # 101 paths: the last chunk is short for both worker counts
@@ -184,7 +185,7 @@ def test_one_pool_per_experiment_with_path_range_jobs(
         monkeypatch, bench_params, marks_signal, start_short):
     pools, jobs = [], []
 
-    class RecordingPool(evaluation.ProcessPoolExecutor):
+    class RecordingPool(evaluation.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             pools.append(self)
             super().__init__(*args, **kwargs)
@@ -194,7 +195,8 @@ def test_one_pool_per_experiment_with_path_range_jobs(
             jobs.extend(_leaves(args + tuple(kwargs.values())))
             return super().submit(fn, *args, **kwargs)
 
-    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(evaluation.futures, "ProcessPoolExecutor",
+                        RecordingPool)
     agents = {"a": DoNothingAgent(),
               "b": ImmediateExecutionAgent(0.0, bench_params)}
     reports = run_experiment(bench_params, marks_signal, agents, 9, 58,
@@ -205,6 +207,31 @@ def test_one_pool_per_experiment_with_path_range_jobs(
     assert all(isinstance(job, range) for job in jobs)
     assert [i for paths in jobs for i in paths] == list(range(9))
     assert [r.n_sim for r in reports.values()] == [9, 9]
+
+
+def test_one_simulate_block_call_per_block_for_every_agent(
+        monkeypatch, bench_params, marks_signal, start_short):
+    agents = {"a": DoNothingAgent(),
+              "b": ImmediateExecutionAgent(0.0, bench_params),
+              "c": TwapAgent(0.0, start_short.q, bench_params)}
+    alone = {name: run_experiment(bench_params, marks_signal, {name: agent},
+                                  9, 58, start_short)[name]
+             for name, agent in agents.items()}
+    calls = []
+
+    def counting(params, marks, block_agents, initial, candidates, **kw):
+        calls.append((len(block_agents), len(candidates.counts)))
+        return simulate_block(params, marks, block_agents, initial,
+                              candidates, **kw)
+
+    monkeypatch.setattr(evaluation, "simulate_block", counting)
+    monkeypatch.setattr(evaluation, "BLOCK_PATHS", 4)
+    reports = run_experiment(bench_params, marks_signal, agents, 9, 58,
+                             start_short)
+    # blocks of 4, 4 and 1 paths, each simulated once for all three agents
+    assert calls == [(3, 4), (3, 4), (3, 1)]
+    for name, report in reports.items():
+        np.testing.assert_array_equal(report.wealth, alone[name].wealth)
 
 
 def test_run_experiment_validation(bench_params, marks_signal, start_short):

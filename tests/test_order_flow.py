@@ -16,7 +16,9 @@ from artifact.order_flow import (
     Mark,
     MarkModel,
     benchmark_mark_model,
+    draw_candidates,
     make_path_seed,
+    simulate_block,
     simulate_path,
     simulate_paths,
     vbar_bound,
@@ -516,3 +518,32 @@ def test_records_do_not_depend_on_the_block_size(
         for block_paths in (1, 7):
             _assert_records_equal(runs[block_paths], runs[len(seeds)],
                                   f"{name}, blocks of {block_paths}")
+
+
+@pytest.mark.parametrize("lam0, n_paths, record_events", [
+    (0.0, 37, False),     # a prime path count: no agent's lanes align
+    (-38.0, 23, False),   # two lots above the floor: breakers fire
+    (0.0, 19, True),      # recorded events
+], ids=["ragged", "breaker", "recorded"])
+def test_a_mixed_block_equals_each_agent_alone(bench_params, marks_signal,
+                                               desk_agents, lam0, n_paths,
+                                               record_events):
+    """Lane a * n + b of one mixed block is agent a alone on path b: each
+    agent's hooks see only its own lanes, and passive lanes are not asked."""
+    names = ("table", "passive", "twap", "immediate", "table-nosignal")
+    agents = [desk_agents[name] for name in names]
+    initial = MarketState(lam=lam0, q=-8.0, p=100.0, x=0.0)
+    block = draw_candidates(bench_params, marks_signal,
+                            [make_path_seed(63, i) for i in range(n_paths)])
+    mixed = simulate_block(bench_params, marks_signal, agents, initial,
+                           block, record_events=record_events)
+    assert len(mixed) == len(agents) * n_paths
+    for a, (name, agent) in enumerate(zip(names, agents)):
+        alone = simulate_block(bench_params, marks_signal, [agent], initial,
+                               block, record_events=record_events)
+        _assert_records_equal(mixed[a * n_paths:(a + 1) * n_paths], alone,
+                              name)
+    if lam0 < -30.0:
+        assert any(math.isfinite(rec.breaker_time) for rec in mixed)
+    if record_events:
+        assert all(rec.events for rec in mixed)

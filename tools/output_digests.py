@@ -1,4 +1,4 @@
-"""Print sha256 digests of every file the CLI writes on four fixed configs.
+"""Print sha256 digests of every file the CLI writes on five fixed configs.
 
 Runs ``solve``, ``simulate`` (with ``record_events``), ``evaluate`` at
 ``--threads`` 1 and 2, ``sweep`` and ``check`` on the tiny CLI-test config
@@ -6,13 +6,16 @@ Runs ``solve``, ``simulate`` (with ``record_events``), ``evaluate`` at
 ``typed``, the tiny config spelled with ints for float keys and whole
 floats for int keys (``n_sim: 200.0``, ``q0: -2``, ...), and on
 ``alpha0``, the tiny config with ``market.alpha: 0.0`` (the risk-neutral,
-additive branch of the solver), each command in a fresh
-interpreter with the package imported from ``src/`` of a checkout, and
-prints one ``sha256  name`` line per output file and per command's stdout
-(with its exit code).  ``simulate``, ``evaluate`` and ``sweep`` each start
-from a copy of the two solutions ``solve`` wrote, so the listing covers the
-reuse of stored solutions, and ``typed`` checks byte for byte that the
-config's values are converted to their defaults' types once, at load.
+additive branch of the solver); and ``solve`` and ``evaluate`` alone on
+``blocks``, the tiny config at 1100 paths, whose ``--threads 1`` run
+simulates one full 1024-path block and one ragged 76-path block.  Each
+command runs in a fresh interpreter with the package imported from
+``src/`` of a checkout, and the tool prints one ``sha256  name`` line per
+output file and per command's stdout (with its exit code).  ``simulate``,
+``evaluate`` and ``sweep`` each start from a copy of the two solutions
+``solve`` wrote, so the listing covers the reuse of stored solutions, and
+``typed`` checks byte for byte that the config's values are converted to
+their defaults' types once, at load.
 Everything runs in a temporary directory that is removed afterwards.
 
 A refactor that must keep outputs byte-identical is checked by diffing the
@@ -48,7 +51,12 @@ TYPED = {"grid": TINY["grid"],
          "experiment": {"n_sim": 200.0, "base_seed": 99.0, "q0": -2,
                         "threads": 1.0, "lambda0": 0, "target_q": 0}}
 ALPHA0 = dict(TINY, market={"alpha": 0.0})
-CONFIGS = {"tiny": TINY, "desk": DESK, "typed": TYPED, "alpha0": ALPHA0}
+BLOCKS = dict(TINY, experiment=dict(TINY["experiment"], n_sim=1100))
+COMMANDS = ("simulate", "evaluate_t1", "evaluate_t2", "sweep", "check")
+# each config with the commands run on it after solve
+CONFIGS = {"tiny": (TINY, COMMANDS), "desk": (DESK, COMMANDS),
+           "typed": (TYPED, COMMANDS), "alpha0": (ALPHA0, COMMANDS),
+           "blocks": (BLOCKS, ("evaluate_t1", "evaluate_t2"))}
 SOLUTIONS = ("solution_signal.npz", "solution_nosignal.npz")
 
 
@@ -67,7 +75,8 @@ def _run(src: Path, args: list, cwd: Path) -> bytes:
     return proc.stdout + f"exit {proc.returncode}\n".encode()
 
 
-def _digests(src: Path, name: str, config: dict, work: Path) -> list:
+def _digests(src: Path, name: str, config: dict, commands: tuple,
+             work: Path) -> list:
     base = work / name
     base.mkdir()
     cfg = base / "config.json"
@@ -84,13 +93,15 @@ def _digests(src: Path, name: str, config: dict, work: Path) -> list:
             "evaluate_t1": ["evaluate", "-c", str(cfg), "--threads", "1"],
             "evaluate_t2": ["evaluate", "-c", str(cfg), "--threads", "2"],
             "sweep": ["sweep", "-c", str(cfg)]}
+    runs = {cmd: args for cmd, args in runs.items() if cmd in commands}
     for out_name, args in runs.items():
         out = base / out_name
         out.mkdir()
         for sol in SOLUTIONS:
             shutil.copy(solved / sol, out / sol)
         stdout[out_name] = _run(src, args + ["-o", str(out)], base)
-    stdout["check"] = _run(src, ["check", "-c", str(cfg)], base)
+    if "check" in commands:
+        stdout["check"] = _run(src, ["check", "-c", str(cfg)], base)
 
     lines = [f"{_sha256(data)}  {name}/{cmd}.stdout"
              for cmd, data in stdout.items()]
@@ -109,8 +120,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     src = args.src.resolve()
     with tempfile.TemporaryDirectory(prefix="output_digests_") as tmp:
-        for name, config in CONFIGS.items():
-            for line in _digests(src, name, config, Path(tmp)):
+        for name, (config, commands) in CONFIGS.items():
+            for line in _digests(src, name, config, commands, Path(tmp)):
                 print(line, flush=True)
     return 0
 

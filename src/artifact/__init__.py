@@ -24,6 +24,16 @@ cli
     JSON-configured command line (`artifact solve|simulate|evaluate|sweep|check`).
 """
 
+import os
+import sys
+
+# Nothing in the package calls BLAS, yet OpenBLAS starts a pool of worker
+# threads when numpy is first imported, and the idle pool only burns CPU at
+# every launch.  One thread unless the caller exported a value; once numpy
+# is loaded the variable is no longer read.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"
 # version of the config and of every output file's layout
 SCHEMA_VERSION = 1

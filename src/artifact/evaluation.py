@@ -199,7 +199,8 @@ def run_experiment(params: MarketParams, marks: MarkModel,
         size = -(-n_sim // threads)
         ranges = [range(s, min(s + size, n_sim))
                   for s in range(0, n_sim, size)]
-        with futures.ProcessPoolExecutor(threads, initializer=_share,
+        # a pool forks all its workers up front: one per range, no idle ones
+        with futures.ProcessPoolExecutor(len(ranges), initializer=_share,
                                          initargs=inputs) as pool:
             chunks = list(pool.map(_simulate_chunk, ranges))
     outcomes = {name: [row for chunk in chunks for row in chunk[a]]

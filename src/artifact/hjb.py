@@ -746,10 +746,11 @@ def save_solution(path, surface: ValueSurface, policy: Policy) -> None:
 
 def load_solution(path) -> Tuple[ValueSurface, Policy]:
     """Reload a surface/policy pair written by ``save_solution``."""
+    # np.load reads each member into a fresh, writeable array of its own
     with np.load(path) as data:
-        values = data["values"].copy()
-        gamma_star = data["gamma_star"].copy()
-        delta_star = data["delta_star"].copy()
+        values = data["values"]
+        gamma_star = data["gamma_star"]
+        delta_star = data["delta_star"]
         meta = json.loads(bytes(data["meta"].tobytes()).decode())
     grid = Grid(**meta["grid"])
     surface = ValueSurface(grid=grid, values=values, alpha=meta["alpha"],

@@ -165,10 +165,11 @@ class MarkModel:
     def nus(self) -> np.ndarray:
         return self._nus
 
-    def draw(self, gen: np.random.Generator, n: int) -> np.ndarray:
-        """``n`` mark indices; the same indices and stream use as
-        ``gen.choice(n_marks, size=n, p=nus)``, without re-validating ``p``."""
-        return self._cdf.searchsorted(gen.random(n), side="right")
+    def mark_indices(self, u: np.ndarray) -> np.ndarray:
+        """Mark indices of the uniforms ``u``: drawing ``u = gen.random(n)``
+        gives the indices ``gen.choice(n_marks, size=n, p=nus)`` would, from
+        the same stream, without re-validating ``p``."""
+        return self._cdf.searchsorted(u, side="right")
 
     @property
     def etas(self) -> np.ndarray:
@@ -313,10 +314,12 @@ def draw_candidates(params: MarketParams, marks: MarkModel,
     """Draw and pack the candidate streams of the paths keyed by ``seeds``.
 
     Each path's draw order from its own counter-based stream is fixed:
-    candidate count, sorted event times, mark indices, thinning
-    coordinates, visibility coordinates, auction draw.  The draws never
-    depend on the policy, so different policies on the same seed see
-    identical candidate streams.
+    candidate count, event times, mark indices, thinning coordinates,
+    visibility coordinates, auction draw.  The four coordinates of a
+    path's ``n`` candidates are ``4 n`` uniforms taken in one call, in that
+    order; the times are then sorted.  The draws never depend on the
+    policy, so different policies on the same seed see identical candidate
+    streams.
     """
     horizon = params.horizon
     rate_bar = params.f(params.lambda_upper) + params.g(params.lambda_lower)
@@ -334,6 +337,10 @@ def draw_candidates(params: MarketParams, marks: MarkModel,
     starts = np.zeros(n_paths, dtype=np.intp)
     auction = np.zeros(n_paths)
     vbar_rho = np.zeros(n_paths)
+    # one path's uniforms, grown to the longest path so far: a buffer for
+    # the whole block would take 32 bytes per candidate, more than the
+    # packed draws themselves
+    scratch = np.empty(0)
     end = 0
     for b, gen in enumerate(_streams(seeds)):
         n = int(gen.poisson(rate_bar * horizon))
@@ -342,11 +349,17 @@ def draw_candidates(params: MarketParams, marks: MarkModel,
             arrays = tuple(np.concatenate([a, np.zeros(extra, a.dtype)])
                            for a in arrays)
             size += extra
+        if 4 * n > scratch.size:
+            scratch = np.empty(4 * n)
+        u = gen.random(out=scratch[:4 * n])
         times, ys, idx, visible = (a[end:end + n] for a in arrays)
-        times[:] = np.sort(gen.uniform(0.0, horizon, n))
-        idx[:] = marks.draw(gen, n)
-        ys[:] = gen.uniform(0.0, rate_bar, n)
-        visible[:] = gen.uniform(0.0, 1.0, n) < marks.signal_prob
+        # gen.uniform(0, w) is 0.0 + w * u, and adding +0.0 to a
+        # non-negative product is exact
+        np.multiply(horizon, u[:n], out=times)
+        times.sort()
+        idx[:] = marks.mark_indices(u[n:2 * n])
+        np.multiply(rate_bar, u[2 * n:3 * n], out=ys)
+        np.less(u[3 * n:], marks.signal_prob, out=visible)
         auction[b] = gen.standard_normal()
         counts[b], starts[b] = n, end
         end += n
@@ -361,10 +374,10 @@ def draw_candidates(params: MarketParams, marks: MarkModel,
 class _Memo:
     """A function of floats, evaluated once per distinct argument.
 
-    The function runs on Python floats, so it keeps the scalar library's
-    rounding (``math.exp``, float ``**``), which numpy's vectorized versions
-    do not always reproduce.  Arguments are matched by ``==``, so ``fn``
-    must not tell ``-0.0`` from ``0.0``.
+    The function runs on Python floats, so it keeps ``math.exp``'s
+    rounding, which numpy's vectorized ``exp`` does not always reproduce.
+    Arguments are matched by ``==``, so ``fn`` must not tell ``-0.0`` from
+    ``0.0``.
     """
 
     def __init__(self, fn) -> None:
@@ -380,16 +393,13 @@ class _Memo:
         if miss.any():
             new = np.sort(x[miss])
             new = new[np.append(True, new[1:] != new[:-1])]
-            at = self.keys.searchsorted(new)
-            self.keys = np.insert(self.keys, at, new)
-            self.values = np.insert(self.values, at,
-                                    [self.fn(v) for v in new.tolist()])
+            keys = np.concatenate([self.keys, new])
+            order = keys.argsort(kind="stable")
+            self.keys = keys[order]
+            self.values = np.concatenate(
+                [self.values, [self.fn(v) for v in new.tolist()]])[order]
             pos = self.keys.searchsorted(x)
         return self.values[pos]
-
-
-def _square(v: float) -> float:
-    return v ** 2
 
 
 def _column(value, n: int) -> list:
@@ -430,7 +440,6 @@ class _Block:
         self._isq = squared_impact_coefficients(params, marks)
         self.f = _Memo(params.f)
         self.g = _Memo(params.g)
-        self._square = _Memo(_square)
 
     def state(self, idx: np.ndarray) -> MarketState:
         return MarketState(lam=self.lam[idx], q=self.q[idx], p=self.p[idx],
@@ -509,8 +518,9 @@ class _Block:
         self.v_q[idx] += np.abs(g_exec)
         self.v_m[idx] += np.abs(e_exec)
         self.v_lminus[idx] += _max0(-r_exec)
-        squares = self._square(np.concatenate([pj_g, pj_e]))
-        self.qv[idx] += squares[:len(idx)] + squares[len(idx):]
+        # float_power calls C pow, as Python's float ** does; v * v and
+        # numpy's ** 2 differ from it in the last bit now and then
+        self.qv[idx] += np.float_power(pj_g, 2.0) + np.float_power(pj_e, 2.0)
         fired = new.halted & np.isinf(self.breaker_time[idx])
         self.breaker_time[idx[fired]] = t[fired]
         low = self.min_lam[idx]

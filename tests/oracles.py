@@ -16,7 +16,7 @@ import numpy as np
 from artifact.market_core import (MarketState, _FLOOR_TOL, _sgn,
                                   impact_cost, price_impact,
                                   squared_impact_coefficients)
-from artifact.order_flow import EventRecord, PathRecord
+from artifact.order_flow import CandidateBlock, EventRecord, PathRecord
 
 # Cached Gauss-Legendre rule.  The integrands below are polynomials of
 # degree <= 3 in the integration variable, so a 64-point rule is exact to
@@ -533,6 +533,53 @@ def _run_tick_impulses(acc: _PathAccounting, policy, t_from: float,
         t_from = t_imp
 
 
+def path_draws(params, marks, seed: int) -> tuple:
+    """One path's draws, one call per coordinate in the documented order.
+
+    Returns ``(times, mark_idx, ys, vis, auction_draw)``: the sorted event
+    times, the mark indices from ``gen.choice``, the thinning and
+    visibility coordinates from ``gen.uniform``, and the auction draw.
+    """
+    rate_bar = params.f(params.lambda_upper) + params.g(params.lambda_lower)
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, seed >> 64], dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=key))
+    n = int(gen.poisson(rate_bar * params.horizon))
+    times = np.sort(gen.uniform(0.0, params.horizon, n))
+    mark_idx = gen.choice(marks.n_marks, size=n, p=marks.nus)
+    ys = gen.uniform(0.0, rate_bar, n)
+    vis = gen.uniform(0.0, 1.0, n)
+    return times, mark_idx, ys, vis, float(gen.standard_normal())
+
+
+def draw_candidates(params, marks, seeds) -> CandidateBlock:
+    """Reference packing of the paths keyed by ``seeds``, one path at a
+    time from ``path_draws``, with a running sum for ``vbar_rho``."""
+    g_floor = params.g(params.lambda_lower)
+    rhos = marks.rhos.tolist()
+    draws = [path_draws(params, marks, seed) for seed in seeds]
+    counts = np.array([len(d[0]) for d in draws], dtype=np.intp)
+    starts = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.intp)
+    vbar_rho = []
+    for _, mark_idx, ys, _, _ in draws:
+        total = 0.0
+        for e, y in zip(mark_idx.tolist(), ys.tolist()):
+            if y <= g_floor:
+                total += abs(rhos[e])
+        vbar_rho.append(total)
+
+    def packed(column: int) -> np.ndarray:
+        """One coordinate of every path, end to end, and a zero of padding."""
+        return np.append(np.concatenate([d[column] for d in draws]), 0)
+
+    visible = packed(3) < marks.signal_prob
+    visible[-1] = False
+    return CandidateBlock(
+        counts=counts, starts=starts, times=packed(0), ys=packed(2),
+        marks=packed(1).astype(np.min_scalar_type(marks.n_marks - 1)),
+        visible=visible, auction=np.array([d[4] for d in draws]),
+        vbar_rho=np.array(vbar_rho))
+
+
 def simulate_path(params, marks, policy, initial, seed: int, *,
                   record_events: bool = False) -> PathRecord:
     """Reference simulation of one path, one scalar event at a time.
@@ -551,16 +598,10 @@ def simulate_path(params, marks, policy, initial, seed: int, *,
         policy = ScalarHooks(policy)
 
     horizon = params.horizon
-    rate_bar = params.f(params.lambda_upper) + params.g(params.lambda_lower)
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, seed >> 64], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    n = int(gen.poisson(rate_bar * horizon))
+    times, mark_idx, ys, vis, auction_draw = path_draws(params, marks, seed)
+    n = len(times)
     # Python scalars from here on: the event loop does scalar arithmetic only
-    times = np.sort(gen.uniform(0.0, horizon, n)).tolist()
-    mark_idx = gen.choice(marks.n_marks, size=n, p=marks.nus).tolist()
-    ys = gen.uniform(0.0, rate_bar, n).tolist()
-    vis = gen.uniform(0.0, 1.0, n).tolist()
-    auction_draw = float(gen.standard_normal())
+    times, mark_idx, ys, vis = (a.tolist() for a in (times, mark_idx, ys, vis))
 
     g_floor = params.g(params.lambda_lower)
     etas, rhos = marks.etas.tolist(), marks.rhos.tolist()

@@ -496,3 +496,24 @@ def test_python_dash_m_runs_the_cli_without_warnings():
          "--version"], env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "artifact, version 0.1.0"
+
+
+@pytest.mark.parametrize("exported, expected", [(None, "1"), ("2", "2")],
+                         ids=["unset", "exported"])
+def test_importing_the_package_starts_no_blas_threads(exported, expected):
+    """One BLAS thread by default, and a value the caller exported wins."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if exported is not None:
+        env["OPENBLAS_NUM_THREADS"] = exported
+    probe = ("import os, artifact; print(os.environ['OPENBLAS_NUM_THREADS']);"
+             " task = '/proc/self/task';"
+             " print(len(os.listdir(task)) if os.path.isdir(task) else '')")
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    value, threads = result.stdout.split("\n")[:2]
+    assert value == expected
+    if exported is None and threads:
+        assert threads == "1"

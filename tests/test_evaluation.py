@@ -187,8 +187,8 @@ def test_one_pool_per_experiment_with_path_range_jobs(
 
     class RecordingPool(evaluation.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
-            pools.append(self)
             super().__init__(*args, **kwargs)
+            pools.append(self._max_workers)
 
         def submit(self, fn, *args, **kwargs):
             # map batches its arguments into nested tuples
@@ -199,14 +199,18 @@ def test_one_pool_per_experiment_with_path_range_jobs(
                         RecordingPool)
     agents = {"a": DoNothingAgent(),
               "b": ImmediateExecutionAgent(0.0, bench_params)}
-    reports = run_experiment(bench_params, marks_signal, agents, 9, 58,
-                             start_short, threads=2)
-    assert len(pools) == 1
-    # one contiguous range per worker
-    assert len(jobs) == 2
-    assert all(isinstance(job, range) for job in jobs)
-    assert [i for paths in jobs for i in paths] == list(range(9))
-    assert [r.n_sim for r in reports.values()] == [9, 9]
+    # five paths over four threads make three ranges of two: three workers
+    for n_sim, threads, n_ranges in ((9, 2, 2), (5, 4, 3)):
+        pools.clear()
+        jobs.clear()
+        reports = run_experiment(bench_params, marks_signal, agents, n_sim,
+                                 58, start_short, threads=threads)
+        # one pool, with one worker per contiguous range
+        assert pools == [n_ranges]
+        assert len(jobs) == n_ranges
+        assert all(isinstance(job, range) for job in jobs)
+        assert [i for paths in jobs for i in paths] == list(range(n_sim))
+        assert [r.n_sim for r in reports.values()] == [n_sim, n_sim]
 
 
 def test_one_simulate_block_call_per_block_for_every_agent(

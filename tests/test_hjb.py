@@ -527,6 +527,13 @@ def test_save_load_roundtrip_is_bit_exact(tmp_path, bench_params):
     assert np.array_equal(surface2.grid.lam_values, grid.lam_values)
     assert np.array_equal(surface2.grid.q_values, grid.q_values)
     assert surface2.grid.n_steps == grid.n_steps
+    # loaded without copies: each array is writeable and owns its memory
+    loaded = (surface2.values, policy2.gamma_star, policy2.delta_star)
+    for i, array in enumerate(loaded):
+        assert array.flags.writeable
+        for other in loaded[i + 1:] + (surface.values, policy.gamma_star,
+                                       policy.delta_star):
+            assert not np.shares_memory(array, other)
 
 
 def test_start_value_interpolates_the_full_horizon_slice(solved_signal,

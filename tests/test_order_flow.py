@@ -95,7 +95,8 @@ def test_mark_draws_match_generator_choice(marks):
         n = int(by_choice.integers(0, 200))
         by_cdf.integers(0, 200)
         expected = by_choice.choice(marks.n_marks, size=n, p=marks.nus)
-        np.testing.assert_array_equal(marks.draw(by_cdf, n), expected)
+        np.testing.assert_array_equal(
+            marks.mark_indices(by_cdf.random(n)), expected)
         assert by_cdf.random() == by_choice.random()
     assert np.cumsum(_OFF_UNIT.nus)[-1] != 1.0
 
@@ -163,6 +164,41 @@ def test_policies_share_the_candidate_stream():
     assert cand_a == cand_b
     assert twap.auction_draw == passive.auction_draw
     assert twap.n_buy_trades == 8
+
+
+# Rates so low that a path's mean candidate count is 0.045: most paths
+# have no candidate.
+SPARSE = dataclasses.replace(PARAMS, theta_f=0.01, theta_g=0.02)
+
+
+@pytest.mark.parametrize("params, marks, seeds", [
+    (PARAMS, benchmark_mark_model(0.2), range(300)),
+    (PARAMS, _OFF_UNIT, range(100)),
+    (PARAMS, benchmark_mark_model(1.0), range(50)),
+    (SPARSE, benchmark_mark_model(0.2), range(40)),
+    # found by scanning: the only path of its block has two candidates,
+    # more than the block's room for one
+    (SPARSE, benchmark_mark_model(0.2), [564]),
+], ids=["desk", "off-unit", "all-visible", "sparse", "grown"])
+def test_candidate_block_matches_the_per_path_draws(params, marks, seeds):
+    """Every field equals the reference that draws each coordinate with
+    its own ``gen.uniform`` or ``gen.choice`` call, byte for byte."""
+    seeds = [make_path_seed(64, i) for i in seeds]
+    got = draw_candidates(params, marks, seeds)
+    expected = oracles.draw_candidates(params, marks, seeds)
+    for field in dataclasses.fields(got):
+        a, b = getattr(got, field.name), getattr(expected, field.name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field.name
+    if params is SPARSE and len(seeds) > 1:
+        assert (got.counts == 0).any()
+    elif params is SPARSE:
+        # draw_candidates' initial room: six standard deviations of the
+        # block's Poisson total, plus one entry of padding
+        mean = params.horizon * (params.f(params.lambda_upper)
+                                 + params.g(params.lambda_lower))
+        assert got.counts[0] + 1 > int(mean + 6.0 * math.sqrt(mean)) + 1
+    if marks.signal_prob == 1.0:
+        assert got.visible[:-1].all()
 
 
 def test_initial_state_validation():
@@ -502,6 +538,16 @@ def test_block_engine_matches_the_scalar_loop(bench_params, desk_agents,
         breakers += sum(rec.terminal_state.halted for rec in got)
     if lam0 < -30.0:
         assert breakers > len(desk_agents) * n_paths / 2
+
+
+def test_float_power_squares_as_python_float_pow():
+    """The engine squares price jumps with ``np.float_power``, which must
+    round as the reference's float ``**`` does; ``v * v`` does not always."""
+    rng = np.random.default_rng(13)
+    v = rng.standard_normal(200_000) * 10.0 ** rng.integers(-12, 12, 200_000)
+    expected = np.array([x ** 2 for x in v.tolist()])
+    assert np.float_power(v, 2.0).tobytes() == expected.tobytes()
+    assert (v * v).tobytes() != expected.tobytes()
 
 
 def test_records_do_not_depend_on_the_block_size(

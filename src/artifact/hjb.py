@@ -14,7 +14,10 @@ the halted market.
 
 Grids are regular; trades live on the inventory lattice; liquidity
 arguments falling between nodes are linearly interpolated, clamped at the
-cap and floored at the frozen row.
+cap and floored at the frozen row.  The market's rules are
+``market_core``'s, the simulator's own: the floor test and partial fill
+of a trade or market order (``overshoots``, ``clip_to_liquidity``), the
+auction exposure of the terminal condition and the impact closed forms.
 
 The kernels precompute every gather of a step on a per-node compacted
 ``(row, q, slot)`` layout: the slots of a live node are its admissible
@@ -49,7 +52,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import SCHEMA_VERSION
-from .market_core import MarketParams, _sgn, impact_cost, price_impact
+from .market_core import (MarketParams, auction_exposure, clip_to_liquidity,
+                          impact_cost, overshoots, price_impact)
 from .order_flow import MarkModel
 
 __all__ = [
@@ -223,38 +227,28 @@ class Policy:
     meta: dict
 
 
-def terminal_condition(lam: float, q: float, params: MarketParams) -> float:
+def terminal_condition(lam, q, params: MarketParams):
     """Reduced terminal value ``w`` at liquidity ``lam`` and inventory ``q``.
 
     Liquidating ``q`` costs the proportional fee plus impact friction; the
-    part of ``|q|`` beyond the liquidity available above the floor clears at
-    the Gaussian auction price, whose certainty-equivalent penalty is
-    ``exp(alpha^2*sigma^2*s^2/2)`` on the utility scale.  ``lam`` below the
-    floor denotes the halted market: friction is evaluated at the floor and
-    the whole inventory is auction-exposed.
+    ``auction_exposure`` clears at the Gaussian auction price, whose
+    certainty-equivalent penalty is ``exp(alpha^2*sigma^2*s^2/2)`` on the
+    utility scale.  ``lam`` below the floor denotes the halted market:
+    friction is evaluated at the floor and the whole inventory is
+    auction-exposed.  Elementwise over broadcastable ``lam`` and ``q``.
     """
-    alpha = params.alpha
-    if lam >= params.lambda_lower:
-        lam_eff = lam
-        exposed = max(abs(q) - (lam - params.lambda_lower), 0.0)
-    else:
-        lam_eff = params.lambda_lower
-        exposed = abs(q)
-    cost = params.zeta * abs(q) + impact_cost(q, lam_eff, params)
+    alpha, floor = params.alpha, params.lambda_lower
+    cost = params.zeta * np.abs(q) \
+        + impact_cost(q, np.maximum(lam, floor), params)
     if alpha == 0.0:
         return -cost
-    return -math.exp(alpha * cost
-                     + 0.5 * alpha * alpha
-                     * params.sigma_auction * params.sigma_auction
-                     * exposed * exposed)
-
-
-def _terminal_slice(grid: Grid, params: MarketParams) -> np.ndarray:
-    out = np.empty((grid.n_lambda, grid.n_q))
-    for i, lam in enumerate(grid.lam_values):
-        for j, q in enumerate(grid.q_values):
-            out[i, j] = terminal_condition(float(lam), float(q), params)
-    return out
+    exposed = auction_exposure(q, lam, floor)
+    risk = alpha * cost + 0.5 * alpha * alpha \
+        * params.sigma_auction * params.sigma_auction * exposed * exposed
+    # math.exp node by node, as the slices were always computed: numpy's
+    # vectorized exp differs in the last bit on 72 desk and 4 tiny-grid
+    # nodes (numpy 2.4, x86-64)
+    return -np.vectorize(math.exp, otypes=[float])(risk)
 
 
 def interpolate_lambda(w_slice: np.ndarray, lam: float, grid: Grid):
@@ -290,10 +284,7 @@ def certainty_equivalent(w_with, w_without, alpha: float):
     w0 = np.asarray(w_without, dtype=float)
     if np.any(w1 >= 0.0) or np.any(w0 >= 0.0):
         raise ValueError("reduced values must be negative for alpha > 0")
-    out = -np.log(w1 / w0) / alpha
-    if np.ndim(w_with) == 0 and np.ndim(w_without) == 0:
-        return float(out)
-    return out
+    return -np.log(w1 / w0) / alpha
 
 
 def _scan_trades(grid: Grid) -> np.ndarray:
@@ -315,8 +306,8 @@ def _trade_geometry(grid: Grid, n: np.ndarray):
     gamma_raw = (n * grid.d_q)[:, None]
     lam_after_raw = lam - np.abs(gamma_raw)
     ok = lam_after_raw >= grid.lam_values[0] - _TOL
-    trig = ok & (lam_after_raw < floor - _TOL)
-    gamma_exec = np.where(trig, np.sign(gamma_raw) * (lam - floor), gamma_raw)
+    trig = ok & overshoots(lam, np.abs(gamma_raw), floor)
+    gamma_exec = clip_to_liquidity(gamma_raw, lam, floor)
     shift = np.round(gamma_exec / grid.d_q).astype(np.int64)
     ok &= np.abs(shift * grid.d_q - gamma_exec) <= _TOL
     return ok, trig, gamma_exec, shift, lam_after_raw
@@ -499,7 +490,6 @@ class _TransportKernels:
         p_hat = marks.signal_prob
         f_lam = params.f(lam)
         g_lam = params.g(lam)
-        floor = grid.lambda_lower
 
         # total thinned intensity per liquidity row (the -w coefficient)
         lam_coeff = np.zeros(len(lam))
@@ -528,10 +518,8 @@ class _TransportKernels:
             is_mo = m.eta != 0.0
             rate = f_lam if is_mo else g_lam
             if is_mo:
-                eta_exec = np.where(
-                    trig, 0.0,
-                    _sgn(m.eta) * np.minimum(
-                        abs(m.eta), np.maximum(lam1 - floor, 0.0)))
+                eta_exec = np.where(trig, 0.0, clip_to_liquidity(
+                    m.eta, lam1, grid.lambda_lower))
                 imp = imp_gamma + price_impact(eta_exec, lam1, params)
                 lam_next = np.where(trig, lam_after_raw, lam1 - abs(m.eta))
             else:
@@ -685,7 +673,8 @@ def solve(params: MarketParams, marks: MarkModel, grid: Grid,
     values = np.empty((n_t, grid.n_lambda, grid.n_q))
     gamma_star = np.zeros((n_t, grid.n_lambda, grid.n_q, len(SIGNALS)))
     delta_star = np.zeros((n_t, grid.n_lambda, grid.n_q))
-    values[0] = _terminal_slice(grid, params)
+    values[0] = terminal_condition(grid.lam_values[:, None], grid.q_values,
+                                   params)
     tilde = np.empty((grid.n_lambda, grid.n_q))
 
     for k in range(1, n_t):

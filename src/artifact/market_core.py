@@ -15,6 +15,11 @@ freezes the market when an executed liquidity-taking volume would push
 partially (down to the floor exactly) and all subsequent activity stops
 until the terminal auction.  At the cap, posted liquidity beyond
 ``lambda_upper`` is discarded.
+
+This module is the one home of the floor rule (``overshoots``,
+``clip_to_liquidity``), the auction exposure and the impact closed forms;
+the simulator and the solver (``hjb``) both call them.  Everything works
+elementwise on arrays; scalars take the same path and give ``np.float64``.
 """
 
 from __future__ import annotations
@@ -34,8 +39,10 @@ __all__ = [
     "squared_impact_coefficients",
     "price_volatility",
     "check_elasticity",
+    "overshoots",
     "clip_to_liquidity",
     "apply_shock_detailed",
+    "auction_exposure",
     "terminal_wealth",
     "utility",
 ]
@@ -138,8 +145,6 @@ class MarketParams:
 
     def iota(self, lam):
         """Marginal price impact at liquidity ``lam``."""
-        if isinstance(lam, (float, int)):
-            return self.theta_iota + self.kappa_iota * lam
         return self.theta_iota + self.kappa_iota * np.asarray(lam, dtype=float)
 
 
@@ -172,14 +177,6 @@ class MarketState:
     halted: bool = False
 
 
-def _sgn(v: float) -> float:
-    if v > 0.0:
-        return 1.0
-    if v < 0.0:
-        return -1.0
-    return 0.0
-
-
 def price_impact(delta, lam, params: MarketParams):
     """Price displacement of a trade ``delta`` executed at liquidity ``lam``.
 
@@ -189,18 +186,10 @@ def price_impact(delta, lam, params: MarketParams):
 
     Accepts scalars or broadcastable arrays for ``delta`` and ``lam``.
     """
-    if isinstance(delta, (float, int)) and isinstance(lam, (float, int)):
-        a = abs(delta)
-        full = (params.theta_iota + params.kappa_iota * lam) * a \
-            - 0.5 * params.kappa_iota * a * a
-        return float(_sgn(delta) * full)
     a = np.abs(delta)
     full = (params.theta_iota + params.kappa_iota * np.asarray(lam, dtype=float)
             ) * a - 0.5 * params.kappa_iota * a * a
-    out = np.sign(delta) * full
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
+    return np.sign(delta) * full
 
 
 def impact_cost(delta, lam, params: MarketParams):
@@ -211,17 +200,10 @@ def impact_cost(delta, lam, params: MarketParams):
     non-negative over the traversed range.  Closed cubic form for the affine
     marginal impact.
     """
-    if isinstance(delta, (float, int)) and isinstance(lam, (float, int)):
-        a = abs(delta)
-        return float(0.5 * (params.theta_iota + params.kappa_iota * lam) * a * a
-                     - params.kappa_iota * a * a * a / 6.0)
     a = np.abs(delta)
-    out = 0.5 * (params.theta_iota
-                 + params.kappa_iota * np.asarray(lam, dtype=float)) * a * a \
+    return 0.5 * (params.theta_iota
+                  + params.kappa_iota * np.asarray(lam, dtype=float)) * a * a \
         - params.kappa_iota * a * a * a / 6.0
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
 
 
 @functools.lru_cache(maxsize=64)
@@ -252,8 +234,7 @@ def price_volatility(lam, marks, params: MarketParams):
     """
     c0, c1, c2 = squared_impact_coefficients(params, marks)
     lam_arr = np.asarray(lam, dtype=float)
-    out = np.sqrt(params.f(lam_arr) * (c0 + lam_arr * (c1 + lam_arr * c2)))
-    return float(out) if np.ndim(lam) == 0 else out
+    return np.sqrt(params.f(lam_arr) * (c0 + lam_arr * (c1 + lam_arr * c2)))
 
 
 def check_elasticity(params: MarketParams, marks,
@@ -293,17 +274,24 @@ def _max0(v):
     return np.where(v < 0.0, 0.0, v)
 
 
+def overshoots(lam, volume, lambda_lower: float):
+    """Whether taking ``volume`` (>= 0) from ``lam`` leaves liquidity
+    below the floor (by more than ``_FLOOR_TOL``): such a raw volume is
+    filled partially (``clip_to_liquidity``) and halts the market."""
+    return np.subtract(lam, volume) < lambda_lower - _FLOOR_TOL
+
+
 def clip_to_liquidity(delta, lam, lambda_lower: float):
     """Largest partial execution of ``delta`` that keeps ``lam`` above floor.
 
-    Returns ``delta`` unchanged when ``lam - |delta| >= lambda_lower``;
+    Returns ``delta`` unchanged unless it ``overshoots`` the floor;
     otherwise the same-signed volume that depletes liquidity to exactly
     ``lambda_lower`` (zero if liquidity is already at or below the floor).
     Elementwise over scalars or broadcastable arrays.
     """
-    fits = np.subtract(lam, np.abs(delta)) >= lambda_lower - _FLOOR_TOL
     headroom = _max0(np.subtract(lam, lambda_lower))
-    return np.where(fits, delta, np.sign(delta) * headroom)
+    return np.where(overshoots(lam, np.abs(delta), lambda_lower),
+                    np.sign(delta) * headroom, delta)
 
 
 def apply_shock_detailed(state: MarketState, gamma, eta, rho,
@@ -341,7 +329,6 @@ def apply_shock_detailed(state: MarketState, gamma, eta, rho,
             "non-zero in one event")
     lam0, q0, p0, x0 = state.lam, state.q, state.p, state.x
     floor = params.lambda_lower
-    tol_floor = floor - _FLOOR_TOL
 
     g_exec = clip_to_liquidity(gamma, lam0, floor)
     lam1 = lam0 - np.abs(g_exec)
@@ -351,13 +338,13 @@ def apply_shock_detailed(state: MarketState, gamma, eta, rho,
         - impact_cost(g_exec, lam0, params)
     # the trader's unclipped trade overshoots: the event's volumes are
     # suppressed and the market freezes after the partial fill
-    halt_g = lam0 - np.abs(gamma) < tol_floor
+    halt_g = overshoots(lam0, np.abs(gamma), floor)
 
     e_exec = np.where(halt_g, 0.0, clip_to_liquidity(eta, lam1, floor))
     pj_e = np.where(halt_g, 0.0, price_impact(e_exec, lam1, params))
     lam2 = lam1 - np.abs(e_exec)
     halt_e = ~halt_g & (np.asarray(eta) != 0.0) \
-        & (lam1 - np.abs(eta) < tol_floor)
+        & overshoots(lam1, np.abs(eta), floor)
 
     cancel = _max0(np.negative(rho))
     post = _max0(rho)
@@ -365,7 +352,7 @@ def apply_shock_detailed(state: MarketState, gamma, eta, rho,
     c_exec = np.where(room < cancel, room, cancel)
     lam3 = lam2 - c_exec + post
     lam3 = np.where(params.lambda_upper < lam3, params.lambda_upper, lam3)
-    halt_c = (cancel > 0.0) & (lam2 - cancel < tol_floor)
+    halt_c = (cancel > 0.0) & overshoots(lam2, cancel, floor)
 
     r_exec = np.where(halt_g | halt_e, 0.0, post - c_exec)
     lam = np.where(halt_g, lam1, np.where(halt_e, lam2, lam3))
@@ -382,18 +369,23 @@ def apply_shock_detailed(state: MarketState, gamma, eta, rho,
                           for v in (g_exec, e_exec, r_exec, pj_g, pj_e))
 
 
+def auction_exposure(q, lam, lambda_lower: float):
+    """Lots of the terminal inventory ``q`` that clear in the auction: the
+    part of ``|q|`` not covered by the liquidity above the floor."""
+    return _max0(np.abs(q) - _max0(np.subtract(lam, lambda_lower)))
+
+
 def terminal_wealth(state: MarketState, params: MarketParams, auction_draw):
     """Cash after liquidating the terminal inventory at time ``T``.
 
-    The inventory ``q`` is marked at the current price; the part of ``|q|``
-    not covered by available liquidity above the floor clears in an auction
-    whose price deviates by ``sigma_auction * auction_draw`` per lot in the
-    adverse-exposure direction ``sgn(q)``.  The usual proportional cost and
-    impact friction apply to the full liquidation.  Elementwise over
-    scalars or arrays.
+    The inventory ``q`` is marked at the current price; the
+    ``auction_exposure`` clears in an auction whose price deviates by
+    ``sigma_auction * auction_draw`` per lot in the adverse-exposure
+    direction ``sgn(q)``.  The usual proportional cost and impact friction
+    apply to the full liquidation.  Elementwise over scalars or arrays.
     """
     lam, q, p, x = state.lam, state.q, state.p, state.x
-    exposed = _max0(np.abs(q) - _max0(np.subtract(lam, params.lambda_lower)))
+    exposed = auction_exposure(q, lam, params.lambda_lower)
     return (x + p * q
             + params.sigma_auction * auction_draw * np.sign(q) * exposed
             - params.zeta * np.abs(q)
@@ -404,8 +396,5 @@ def utility(x, alpha: float):
     """Exponential utility ``-exp(-alpha*x)`` (``alpha>0``) or linear (``alpha=0``)."""
     if alpha < 0.0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
-    if alpha == 0.0:
-        out = np.asarray(x, dtype=float)
-        return float(out) if np.ndim(x) == 0 else out
-    out = -np.exp(-alpha * np.asarray(x, dtype=float))
-    return float(out) if np.ndim(x) == 0 else out
+    x = np.asarray(x, dtype=float)
+    return x[()] if alpha == 0.0 else -np.exp(-alpha * x)

@@ -13,9 +13,8 @@ import math
 
 import numpy as np
 
-from artifact.market_core import (MarketState, _FLOOR_TOL, _sgn,
-                                  impact_cost, price_impact,
-                                  squared_impact_coefficients)
+from artifact.market_core import (MarketState, _FLOOR_TOL, impact_cost,
+                                  price_impact, squared_impact_coefficients)
 from artifact.order_flow import CandidateBlock, EventRecord, PathRecord
 
 # Cached Gauss-Legendre rule.  The integrands below are polynomials of
@@ -341,6 +340,14 @@ def next_impulse_walk(agent, t_from, t_to, state):
 # ---------------------------------------------------------------------------
 # the scalar path simulator
 # ---------------------------------------------------------------------------
+
+def _sgn(v: float) -> float:
+    if v > 0.0:
+        return 1.0
+    if v < 0.0:
+        return -1.0
+    return 0.0
+
 
 def clip_oracle(delta: float, lam: float, lambda_lower: float) -> float:
     """Scalar ``market_core.clip_to_liquidity``."""

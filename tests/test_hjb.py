@@ -12,6 +12,8 @@ from artifact.hjb import (
     SIGNALS,
     Grid,
     StabilityError,
+    _scan_trades,
+    _trade_geometry,
     certainty_equivalent,
     check_stability,
     impulse_step,
@@ -22,19 +24,40 @@ from artifact.hjb import (
     terminal_condition,
     transport_step,
 )
-from artifact.market_core import MarketParams, impact_cost, price_impact
+from artifact.market_core import (_FLOOR_TOL, MarketParams, MarketState,
+                                  apply_shock_detailed, impact_cost,
+                                  overshoots, price_impact)
 from artifact.order_flow import Mark, MarkModel, benchmark_mark_model
 from oracles import impulse_dp_oracle, terminal_oracle, transport_oracle
 
 PARAMS = MarketParams()
+#: An off-lattice market: its liquidity rows carry float noise.
+OFFGRID_PARAMS = dataclasses.replace(PARAMS, lambda_lower=-10.3,
+                                     lambda_upper=9.7)
 
 
 def _terminal_grid(grid, params):
-    out = np.empty((grid.n_lambda, grid.n_q))
-    for i, lam in enumerate(grid.lam_values):
-        for j, q in enumerate(grid.q_values):
-            out[i, j] = terminal_condition(float(lam), float(q), params)
-    return out
+    """The terminal slice as ``solve`` computes it."""
+    return terminal_condition(grid.lam_values[:, None], grid.q_values, params)
+
+
+def _terminal_reference(lam, q, params):
+    """One node of the terminal slice in Python floats, with ``math.exp``."""
+    floor = params.lambda_lower
+    if lam >= floor:
+        lam_eff, exposed = lam, max(abs(q) - (lam - floor), 0.0)
+    else:
+        lam_eff, exposed = floor, abs(q)
+    a = abs(q)
+    cost = params.zeta * a + (
+        0.5 * (params.theta_iota + params.kappa_iota * lam_eff) * a * a
+        - params.kappa_iota * a * a * a / 6.0)
+    if params.alpha == 0.0:
+        return -cost
+    return -math.exp(params.alpha * cost
+                     + 0.5 * params.alpha * params.alpha
+                     * params.sigma_auction * params.sigma_auction
+                     * exposed * exposed)
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +169,23 @@ def test_terminal_frozen_row_and_floor_coincide():
     assert partial == pytest.approx(terminal_oracle(-37.0, 5.0, PARAMS),
                                     rel=1e-12)
     assert partial > terminal_condition(-41.0, 5.0, PARAMS)
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.0])
+@pytest.mark.parametrize("d_lambda, q_max", [(1.0, 12.0), (4.0, 2.0)])
+def test_terminal_slice_is_bitwise_the_per_node_reference(d_lambda, q_max,
+                                                          alpha):
+    """The desk and tiny terminal slices round as the per-node Python-float
+    loop did, ``math.exp`` included (numpy's ``exp`` differs in the last bit
+    on some of these nodes)."""
+    params = dataclasses.replace(PARAMS, alpha=alpha)
+    grid = Grid.from_params(params, d_t=0.005, d_lambda=d_lambda,
+                            q_min=-q_max, q_max=q_max)
+    want = np.array([[_terminal_reference(float(lam), float(q), params)
+                      for q in grid.q_values] for lam in grid.lam_values])
+    got = _terminal_grid(grid, params)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_terminal_oracle_sweep():
@@ -310,6 +350,39 @@ def test_exact_tie_keeps_the_sell_scanned_first():
                                                 0.0)
     _, delta = impulse_step(w, grid, params)
     assert delta[i, j] == 1.0
+
+
+@pytest.mark.parametrize("params, d_lambda", [
+    (PARAMS, 1.0),              # the desk grid
+    (OFFGRID_PARAMS, 0.5),      # rows off the lattice of trades
+    (PARAMS, 1.0 - 5e-10),      # rows 5e-10 short of the lattice
+], ids=["desk", "offgrid", "near-floor"])
+def test_solver_and_simulator_apply_one_floor_rule(params, d_lambda):
+    """Every (scan trade, live row) of the solver halts and fills exactly as
+    ``apply_shock_detailed`` does with the same raw trade at that row."""
+    grid = Grid.from_params(params, d_t=0.005, d_lambda=d_lambda,
+                            q_min=-12.0, q_max=12.0)
+    n = _scan_trades(grid)
+    ok, trig, gamma_exec, _, _ = _trade_geometry(grid, n)
+    gamma_raw = np.broadcast_to((n * grid.d_q)[:, None], ok.shape)
+    lam = np.broadcast_to(grid.lam_values[1:], ok.shape)
+    state = MarketState(lam=lam.ravel(), q=np.zeros(lam.size),
+                        p=np.full(lam.size, 100.0), x=np.zeros(lam.size))
+    zero = np.zeros(lam.size)
+    after, g_exec, *_ = apply_shock_detailed(state, gamma_raw.ravel(), zero,
+                                             zero, params)
+    halted = after.halted.reshape(ok.shape)
+    np.testing.assert_array_equal(trig[ok], halted[ok])
+    assert gamma_exec.tobytes() == g_exec.reshape(ok.shape).tobytes()
+    # trades that land within the tolerance below the floor halt on neither
+    # side; the last grid has such trades and trades just past it
+    gap = lam - np.abs(gamma_raw) - params.lambda_lower
+    near = ok & (gap < 0.0) & (gap >= -_FLOOR_TOL)
+    assert not halted[near].any() and not trig[near].any()
+    np.testing.assert_array_equal(gamma_exec[near], gamma_raw[near])
+    if d_lambda == 1.0 - 5e-10:
+        assert near.sum() >= 1 and np.any(gap[near] <= -4e-10)
+        assert np.any(trig & (gap > -2e-9))
 
 
 # ---------------------------------------------------------------------------
@@ -483,6 +556,23 @@ def test_cancellations_fill_the_liquidity_taking_signal_slot():
     _, policy = solve(PARAMS, marks, grid)
     assert not np.any(policy.gamma_star[..., SIGNALS.index(1)])
     assert np.any(policy.gamma_star[..., SIGNALS.index(-1)])
+
+
+def test_desk_tables_never_trade_past_the_floor(solved_signal, solved_blind,
+                                                narrow_policies, desk_grid):
+    """No live-node trade of the desk tables exceeds ``lam - floor``, so the
+    table agent's floor clip never changes a desk trade (the tiny grid,
+    ``d_lambda = 4``, has such trades; see README)."""
+    lam = desk_grid.lam_values[1:, None]
+    floor = desk_grid.lambda_lower
+    tables = {"signal": solved_signal[1], "blind": solved_blind[1],
+              **{f"narrow {k}": v for k, v in narrow_policies.items()}}
+    for label, policy in tables.items():
+        for name, table in (
+                ("gamma_star", policy.gamma_star[:, 1:]),
+                ("delta_star", policy.delta_star[:, 1:, :, None])):
+            past = overshoots(lam[..., None], np.abs(table), floor)
+            assert not past.any(), (label, name, int(past.sum()))
 
 
 def test_narrow_policies_never_trade_from_flat(narrow_policies, desk_grid):

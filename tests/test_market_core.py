@@ -13,9 +13,11 @@ from artifact.market_core import (
     MarketParams,
     MarketState,
     apply_shock_detailed,
+    auction_exposure,
     check_elasticity,
     clip_to_liquidity,
     impact_cost,
+    overshoots,
     price_impact,
     price_volatility,
     terminal_wealth,
@@ -101,11 +103,13 @@ def test_cost_frozen_examples():
 @pytest.mark.parametrize("fn", [price_impact, impact_cost])
 @pytest.mark.parametrize("delta", [0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 3.0, -3.0])
 def test_scalar_branch_is_bitwise_the_array_branch(fn, delta):
+    """Scalars and arrays run one code path: a scalar call returns a float
+    (``np.float64``) with the bits of the array call's element."""
     for lam in (-39.5, -7.3, 0.0, 12.25, 40.0):
-        array = float(fn(np.array([delta]), np.array([lam]), PARAMS)[0])
+        array = fn(np.array([delta]), np.array([lam]), PARAMS)[0]
         for lam_scalar in (lam, np.float64(lam)):
             scalar = fn(delta, lam_scalar, PARAMS)
-            assert type(scalar) is float
+            assert isinstance(scalar, float)
             assert scalar.hex() == array.hex(), (delta, lam_scalar)
 
 
@@ -235,6 +239,23 @@ def test_clip_to_liquidity_examples():
     assert clip_to_liquidity(2.0, 0.0, -40.0) == 2.0
     assert clip_to_liquidity(5.0, -38.0, -40.0) == 2.0
     assert clip_to_liquidity(-5.0, -41.0, -40.0) == 0.0
+    # within the floor tolerance a volume fits and is not clipped
+    assert clip_to_liquidity(2.0 + 5e-10, -38.0, -40.0) == 2.0 + 5e-10
+
+
+def test_overshoots_is_the_floor_test_with_its_tolerance():
+    lam = np.array([-38.0, -38.0, -38.0, -38.0, -41.0])
+    volume = np.array([2.0, 2.0 + 5e-10, 2.0 + 2e-9, 3.0, 0.0])
+    np.testing.assert_array_equal(overshoots(lam, volume, -40.0),
+                                  [False, False, True, True, True])
+
+
+def test_auction_exposure_examples():
+    # covered, partly covered, at the floor, below it (the halted market)
+    q = np.array([2.0, -5.0, 2.0, -3.0])
+    lam = np.array([10.0, -37.0, -40.0, -41.0])
+    np.testing.assert_array_equal(auction_exposure(q, lam, -40.0),
+                                  [0.0, 2.0, 2.0, 3.0])
 
 
 def test_apply_shock_identity():

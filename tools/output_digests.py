@@ -1,4 +1,4 @@
-"""Print sha256 digests of every file the CLI writes on five fixed configs.
+"""Print sha256 digests of every file the CLI writes on six fixed configs.
 
 Runs ``solve``, ``simulate`` (with ``record_events``), ``evaluate`` at
 ``--threads`` 1 and 2, ``sweep`` and ``check`` on the tiny CLI-test config
@@ -8,7 +8,12 @@ floats for int keys (``n_sim: 200.0``, ``q0: -2``, ...), and on
 ``alpha0``, the tiny config with ``market.alpha: 0.0`` (the risk-neutral,
 additive branch of the solver); and ``solve`` and ``evaluate`` alone on
 ``blocks``, the tiny config at 1100 paths, whose ``--threads 1`` run
-simulates one full 1024-path block and one ragged 76-path block.  Each
+simulates one full 1024-path block and one ragged 76-path block; and
+``solve`` and ``evaluate --threads 1`` on ``offgrid``, the tiny config on
+an off-lattice market (band -10.3 to 9.7, ``d_lambda = 0.5``, market
+orders of 1.5 and 0.7 lots, a 1.25 post and a 0.75 cancellation), whose
+liquidity rows are not whole multiples of the trade sizes, so landings
+fall between rows and floor clips fill fractions of an order.  Each
 command runs in a fresh interpreter with the package imported from
 ``src/`` of a checkout, and the tool prints one ``sha256  name`` line per
 output file and per command's stdout (with its exit code).  ``simulate``,
@@ -52,11 +57,17 @@ TYPED = {"grid": TINY["grid"],
                         "threads": 1.0, "lambda0": 0, "target_q": 0}}
 ALPHA0 = dict(TINY, market={"alpha": 0.0})
 BLOCKS = dict(TINY, experiment=dict(TINY["experiment"], n_sim=1100))
+OFFGRID = dict(TINY, market={"lambda_lower": -10.3, "lambda_upper": 9.7},
+               marks={"custom": [[1.5, 0.0, 0.15], [-1.5, 0.0, 0.15],
+                                 [0.7, 0.0, 0.2], [-0.7, 0.0, 0.2],
+                                 [0.0, 1.25, 0.15], [0.0, -0.75, 0.15]]},
+               grid=dict(TINY["grid"], d_lambda=0.5))
 COMMANDS = ("simulate", "evaluate_t1", "evaluate_t2", "sweep", "check")
 # each config with the commands run on it after solve
 CONFIGS = {"tiny": (TINY, COMMANDS), "desk": (DESK, COMMANDS),
            "typed": (TYPED, COMMANDS), "alpha0": (ALPHA0, COMMANDS),
-           "blocks": (BLOCKS, ("evaluate_t1", "evaluate_t2"))}
+           "blocks": (BLOCKS, ("evaluate_t1", "evaluate_t2")),
+           "offgrid": (OFFGRID, ("evaluate_t1",))}
 SOLUTIONS = ("solution_signal.npz", "solution_nosignal.npz")
 
 

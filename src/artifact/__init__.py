@@ -92,4 +92,4 @@ from .evaluation import (
     run_experiment,
     signal_sharpe_ratio,
 )
-from .cli import ConfigError, RunConfig, load_config, run
+from .cli import ConfigError, RunConfig, load_config

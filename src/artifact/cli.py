@@ -13,9 +13,13 @@ sweep), ``check`` (fast self-diagnostics).  Exit codes: 0 success, 2
 configuration error, 3 numerical-stability error, 4 failed consistency or
 diagnostic check.
 
-Every output embeds the config hash (over the resolved scientific content;
-thread counts and directories excluded) and the base seed, and is
-byte-identical across reruns and worker counts.
+Every summary and report embeds the config hash and the base seed.  The
+hash covers what the config builds: the solver inputs
+(``hjb.solver_inputs``) and the converted ``experiment`` and ``output``
+sections, without ``threads`` and ``directory``; so spellings that build
+the same run (``1`` or ``1.0``) hash the same.  Solutions carry only their
+solver inputs.  Every output is byte-identical across reruns and worker
+counts.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 import click
 import numpy as np
@@ -38,12 +42,12 @@ from .market_core import (MarketParams, MarketState, check_elasticity,
                           price_impact)
 from .order_flow import MarkModel, benchmark_mark_model
 
-__all__ = ["ConfigError", "RunConfig", "load_config", "run", "main"]
+__all__ = ["ConfigError", "RunConfig", "load_config", "main"]
 
 _AGENTS = ("table", "do-nothing", "immediate", "twap")
 
-# Each default declares its key's type (see _KINDS); the two null defaults,
-# marks.custom and experiment.spread_override, are checked in _build.
+# Each default declares its key's type (see _KINDS); the null default of
+# marks.custom is checked in _build.
 _DEFAULTS = {
     "schema_version": SCHEMA_VERSION,
     "market": {
@@ -73,7 +77,6 @@ _DEFAULTS = {
         "q_max": 12.0,
     },
     "experiment": {
-        "mode": "solve",
         "n_sim": 10000,
         "base_seed": 2024,
         "lambda0": 0.0,
@@ -85,7 +88,6 @@ _DEFAULTS = {
         "agents": list(_AGENTS),
         "threads": 1,
         "record_events": False,
-        "spread_override": None,
     },
     "output": {
         "directory": "out",
@@ -135,29 +137,26 @@ def _merge(defaults: dict, given: dict, path: str = "") -> dict:
     return out
 
 
-def _typed(defaults: dict, values: dict) -> dict:
-    """``values`` with each int- or float-defaulted number in that type."""
+def _typed(merged: dict, section: str) -> dict:
+    """A merged config section with each int- or float-defaulted number in
+    that type."""
+    defaults = _DEFAULTS[section]
     return {key: type(defaults[key])(val)
             if type(defaults[key]) in (int, float) else val
-            for key, val in values.items()}
+            for key, val in merged[section].items()}
 
 
 @dataclass
 class RunConfig:
-    """Resolved run configuration: the merged JSON as given (``raw``, which
-    the config hash covers), the objects built from it, and the
-    ``experiment`` and ``output`` sections in their defaults' types."""
+    """Resolved run configuration: the objects built from the merged JSON,
+    and the ``experiment`` and ``output`` sections in their defaults'
+    types."""
 
-    raw: dict
     params: MarketParams
     marks: MarkModel
     grid: Grid
     experiment: dict
     output: dict
-
-    @property
-    def mode(self) -> str:
-        return self.experiment["mode"]
 
     def initial_state(self) -> MarketState:
         exp = self.experiment
@@ -165,10 +164,13 @@ class RunConfig:
                            x=exp["x0"])
 
     def config_hash(self) -> str:
-        """Hash of the scientific content (no directories, no threading)."""
-        canon = json.loads(json.dumps(self.raw))
-        canon["experiment"].pop("threads", None)
-        canon["output"].pop("directory", None)
+        """Hash of what the config built: the solver inputs and the
+        experiment and output sections (no threading, no directory)."""
+        canon = hjb.solver_inputs(self.params, self.marks, self.grid)
+        canon["experiment"] = {key: val for key, val
+                               in self.experiment.items() if key != "threads"}
+        canon["output"] = {key: val for key, val in self.output.items()
+                           if key != "directory"}
         blob = json.dumps(canon, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
 
@@ -180,16 +182,8 @@ class RunConfig:
         }
 
 
-def _build(raw: dict) -> RunConfig:
-    spread_override = raw["experiment"]["spread_override"]
-    if spread_override is not None:
-        if not _is_number(spread_override):
-            raise ConfigError("config key experiment.spread_override must "
-                              "be a number or null")
-        raw = json.loads(json.dumps(raw))
-        raw["market"]["spread"] = float(spread_override)
-        raw["experiment"]["spread_override"] = None
-    market = dict(raw["market"])
+def _build(merged: dict) -> RunConfig:
+    market = _typed(merged, "market")
     spread = market.pop("spread")
     if spread < 0.0:
         raise ConfigError("market.spread must be >= 0")
@@ -198,7 +192,7 @@ def _build(raw: dict) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"market section invalid: {exc}") from exc
 
-    marks_cfg = raw["marks"]
+    marks_cfg = _typed(merged, "marks")
     custom = marks_cfg["custom"]
     if custom is not None and not (isinstance(custom, list) and all(
             isinstance(mark, list) and len(mark) == 3
@@ -210,24 +204,20 @@ def _build(raw: dict) -> RunConfig:
             marks = MarkModel(
                 tuple(order_flow.Mark(eta=float(e), rho=float(r), nu=float(v))
                       for e, r, v in custom),
-                float(marks_cfg["signal_prob"]))
+                marks_cfg["signal_prob"])
         else:
             marks = benchmark_mark_model(
-                signal_prob=float(marks_cfg["signal_prob"]),
-                post_fraction=float(marks_cfg["post_fraction"]))
+                signal_prob=marks_cfg["signal_prob"],
+                post_fraction=marks_cfg["post_fraction"])
     except ValueError as exc:
         raise ConfigError(f"marks section invalid: {exc}") from exc
 
-    gc = raw["grid"]
     try:
-        grid = Grid.from_params(params, d_t=float(gc["d_t"]),
-                                d_lambda=float(gc["d_lambda"]),
-                                q_min=float(gc["q_min"]),
-                                q_max=float(gc["q_max"]))
+        grid = Grid.from_params(params, **_typed(merged, "grid"))
     except ValueError as exc:
         raise ConfigError(f"grid section invalid: {exc}") from exc
 
-    exp = _typed(_DEFAULTS["experiment"], raw["experiment"])
+    exp = _typed(merged, "experiment")
     for key, low in (("n_sim", 1), ("threads", 1), ("base_seed", 0)):
         if exp[key] < low:
             raise ConfigError(f"experiment.{key} must be >= {low}")
@@ -247,11 +237,11 @@ def _build(raw: dict) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(
                 f"experiment.target_q - q0 for twap: {exc}") from exc
-    output = _typed(_DEFAULTS["output"], raw["output"])
+    output = _typed(merged, "output")
     if output["histogram_bin_width"] <= 0.0:
         raise ConfigError("output.histogram_bin_width must be > 0")
-    return RunConfig(raw=raw, params=params, marks=marks, grid=grid,
-                     experiment=exp, output=output)
+    return RunConfig(params=params, marks=marks, grid=grid, experiment=exp,
+                     output=output)
 
 
 def load_config(path: Optional[str],
@@ -319,8 +309,7 @@ def _solve_or_load(config: RunConfig, fname: str, marks: MarkModel):
     path = os.path.join(config.output["directory"], fname)
     solution = _stored_solution(path, config, marks)
     if solution is None:
-        solution = hjb.solve(config.params, marks, config.grid,
-                             meta=config.stamp())
+        solution = hjb.solve(config.params, marks, config.grid)
         hjb.save_solution(path, *solution)
     return solution
 
@@ -550,7 +539,7 @@ def _run_check(config: RunConfig) -> int:
     expect(worst <= 1e-12, f"impact splitting residual {worst:.2e}")
 
     click.echo("solver invariants:")
-    surface, pol = hjb.solve(params, marks, config.grid, meta=config.stamp())
+    surface, pol = hjb.solve(params, marks, config.grid)
     res = _q_symmetry_residual(surface)
     if res is not None:
         expect(res <= 1e-8, f"inventory symmetry residual {res:.2e}")
@@ -579,23 +568,6 @@ def _run_check(config: RunConfig) -> int:
     return 0
 
 
-_RUNNERS = {
-    "solve": _run_solve,
-    "simulate": _run_simulate,
-    "evaluate": _run_evaluate,
-    "sweep": _run_sweep,
-    "check": _run_check,
-}
-
-
-def run(config: RunConfig) -> int:
-    """Execute the configured mode; returns the process exit code."""
-    runner = _RUNNERS.get(config.mode)
-    if runner is None:
-        raise ConfigError(f"unknown mode {config.mode!r}")
-    return runner(config)
-
-
 def _common_options(fn):
     fn = click.option("--config", "-c", "config_path", type=click.Path(),
                       default=None, help="JSON config (empty = benchmark)")(fn)
@@ -614,16 +586,17 @@ def main() -> None:
     """Liquidity-driven order-flow model: solver, simulator, evaluation."""
 
 
-def _command(mode: str, doc: str, with_n_sim: bool = False) -> None:
+def _command(mode: str, runner: Callable[[RunConfig], int], doc: str,
+             with_n_sim: bool = False) -> None:
     """Register ``artifact <mode>``: its flags are merged into the config,
-    which is loaded once, and the runner's code is the exit code."""
+    which is loaded once, and ``runner``'s code is the exit code."""
 
     def execute(config_path, out_dir, seed, threads, n_sim=None) -> None:
-        flags = {"experiment": {"mode": mode, "base_seed": seed,
-                                "threads": threads, "n_sim": n_sim},
+        flags = {"experiment": {"base_seed": seed, "threads": threads,
+                                "n_sim": n_sim},
                  "output": {"directory": out_dir}}
         try:
-            code = run(load_config(config_path, flags))
+            code = runner(load_config(config_path, flags))
         except ConfigError as exc:
             click.echo(f"configuration error: {exc}", err=True)
             sys.exit(2)
@@ -639,17 +612,17 @@ def _command(mode: str, doc: str, with_n_sim: bool = False) -> None:
     main.command(mode)(_common_options(execute))
 
 
-_command("solve",
+_command("solve", _run_solve,
          "Solve the control problem; write the surface, policy and summary.")
-_command("simulate",
+_command("simulate", _run_simulate,
          "Simulate paths under the solved policy (requires `solve` output).",
          with_n_sim=True)
-_command("evaluate",
+_command("evaluate", _run_evaluate,
          "Paired agent comparison plus the solver-consistency check.",
          with_n_sim=True)
-_command("sweep", "Sweep the signal probability; write the SSR table.",
+_command("sweep", _run_sweep, "Sweep the signal probability; write the SSR table.",
          with_n_sim=True)
-_command("check",
+_command("check", _run_check,
          "Fast self-diagnostics (invariants + reduced consistency check).")
 
 

@@ -47,7 +47,7 @@ import math
 import warnings
 import zipfile
 from dataclasses import asdict, dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -655,14 +655,16 @@ def solver_inputs(params: MarketParams, marks: MarkModel,
     }
 
 
-def solve(params: MarketParams, marks: MarkModel, grid: Grid,
-          meta: Optional[dict] = None) -> Tuple[ValueSurface, Policy]:
+def solve(params: MarketParams, marks: MarkModel,
+          grid: Grid) -> Tuple[ValueSurface, Policy]:
     """Backward induction of the value surface and optimal trade tables.
 
     Starting from the terminal condition, each step applies the generator
     (with the optimal signal response inside the visible branches) and then
     the block-trade comparison; the frozen row never changes.  The terminal
-    slice gets no block-trade comparison and zero trades.
+    slice gets no block-trade comparison and zero trades.  Both carry the
+    same metadata: the schema version, ``alpha`` and the ``solver_inputs``,
+    which is all a solution depends on, so equal inputs save equal bytes.
     """
     _check_grid_params(grid, params)
     check_stability(grid, params, marks)
@@ -681,14 +683,12 @@ def solve(params: MarketParams, marks: MarkModel, grid: Grid,
         transport.apply(values[k - 1], tilde, gamma_star[k])
         impulse.apply(tilde, values[k], delta_star[k])
 
-    full_meta = {"schema_version": SCHEMA_VERSION, "alpha": params.alpha,
-                 **solver_inputs(params, marks, grid)}
-    if meta:
-        full_meta.update(meta)
+    meta = {"schema_version": SCHEMA_VERSION, "alpha": params.alpha,
+            **solver_inputs(params, marks, grid)}
     surface = ValueSurface(grid=grid, values=values, alpha=params.alpha,
-                           meta=full_meta)
+                           meta=meta)
     policy = Policy(grid=grid, gamma_star=gamma_star, delta_star=delta_star,
-                    meta=full_meta)
+                    meta=meta)
     return surface, policy
 
 

@@ -13,9 +13,6 @@ from click.testing import CliRunner
 from artifact import cli, evaluation, hjb, order_flow
 from artifact.cli import ConfigError, load_config, main
 
-BENCH_HASH_KEYS = {"schema_version", "config_hash", "base_seed"}
-
-
 def _write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -41,7 +38,6 @@ def test_missing_and_empty_configs_resolve_to_the_benchmark(tmp_path):
     assert default.params.theta_f == 20.0
     assert default.marks.signal_prob == 0.2
     assert default.grid.d_t == 0.005
-    assert default.mode == "solve"
     assert default.experiment["n_sim"] == 10000
 
     empty = tmp_path / "empty.json"
@@ -60,15 +56,38 @@ def test_partial_config_keeps_other_defaults(tmp_path):
     assert config.initial_state().q == -8.0
 
 
-def test_spread_override_is_normalized_into_the_market_section(tmp_path):
-    via_override = load_config(_write_config(
-        tmp_path, {"experiment": {"spread_override": 0.002}}, "a.json"))
-    direct = load_config(_write_config(
-        tmp_path, {"market": {"spread": 0.002}}, "b.json"))
-    assert via_override.params.zeta == 0.001
-    assert via_override.raw["market"]["spread"] == 0.002
-    assert via_override.raw["experiment"]["spread_override"] is None
-    assert via_override.config_hash() == direct.config_hash()
+def _whole(text):
+    """A JSON number as an int when it is whole, else as a float."""
+    value = float(text)
+    return int(value) if value.is_integer() else value
+
+
+@pytest.mark.parametrize("payload", [
+    {"market": {"theta_f": 20, "theta_g": 40, "spread": 0.02,
+                "lambda_lower": -40, "lambda_upper": 40, "lot_size": 1,
+                "horizon": 1}},
+    {"marks": {"signal_prob": 0, "post_fraction": 1}},
+    {"marks": {"custom": [[1, 0, 0.25], [-1, 0, 0.25], [0, 2, 0.5]]}},
+    {"grid": {"d_lambda": 2, "q_min": -6, "q_max": 6}},
+    {"experiment": {"n_sim": 200, "base_seed": 99, "q0": -2, "lambda0": 0,
+                    "p0": 100, "x0": 0, "target_q": 0,
+                    "p_hat_values": [0, 1]}},
+    {"output": {"histogram_bin_width": 1}},
+], ids=["market", "marks", "custom-marks", "grid", "experiment", "output"])
+def test_int_and_float_spellings_build_the_same_run(tmp_path, payload):
+    # one JSON text read twice: every number as a float, and every whole
+    # number as an int
+    text = json.dumps(payload)
+    floats = load_config(_write_config(
+        tmp_path, json.loads(text, parse_int=float), "floats.json"))
+    ints = load_config(_write_config(
+        tmp_path, json.loads(text, parse_float=_whole), "ints.json"))
+    assert ints.config_hash() == floats.config_hash()
+    assert ints.config_hash() != load_config(None).config_hash()
+    assert hjb.solver_inputs(ints.params, ints.marks, ints.grid) \
+        == hjb.solver_inputs(floats.params, floats.marks, floats.grid)
+    assert ints.experiment == floats.experiment
+    assert ints.output == floats.output
 
 
 def test_config_hash_ignores_threads_and_directory(tmp_path):
@@ -115,8 +134,8 @@ def test_config_hash_ignores_threads_and_directory(tmp_path):
     ({"experiment": {"target_q": "x"}},
      "experiment.target_q must be a number"),
     ({"market": {"spread": "x"}}, "market.spread must be a number"),
-    ({"experiment": {"spread_override": "x"}},
-     "experiment.spread_override must be a number"),
+    ({"experiment": {"spread_override": 0.002}},
+     "unknown config key: experiment.spread_override"),
     ({"grid": {"d_t": None}}, "grid.d_t must be a number"),
     ({"experiment": {"record_events": "no"}},
      "experiment.record_events must be true or false"),
@@ -200,6 +219,24 @@ def test_solve_reruns_are_byte_identical(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
+def test_solutions_do_not_depend_on_the_seed(tmp_path):
+    # a solution carries only its solver inputs, so any run that solves the
+    # same problem writes the same bytes
+    runner = CliRunner()
+    cfg = _tiny_config(tmp_path)
+    a, b = tmp_path / "a", tmp_path / "b"
+    for seed, out in (("5", a), ("6", b)):
+        result = runner.invoke(main, ["solve", "-c", cfg, "-o", str(out),
+                                      "--seed", seed])
+        assert result.exit_code == 0, _all_output(result)
+    for name in ("solution_signal.npz", "solution_nosignal.npz"):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    assert hjb.load_solution(a / "solution_signal.npz")[0].meta.keys() == {
+        "schema_version", "alpha", "params", "marks", "grid"}
+    assert (a / "solve_summary.json").read_bytes() \
+        != (b / "solve_summary.json").read_bytes()
+
+
 def test_unstable_grid_exits_with_the_numerical_code(tmp_path):
     runner = CliRunner()
     cfg = _write_config(tmp_path, {"grid": dict(TINY_GRID, d_t=0.02)})
@@ -215,6 +252,18 @@ def test_config_errors_exit_with_code_two(tmp_path):
     result = runner.invoke(main, ["solve", "-c", cfg])
     assert result.exit_code == 2
     assert "configuration error" in _all_output(result)
+
+
+@pytest.mark.parametrize("key, value", [("mode", "evaluate"),
+                                        ("spread_override", 0.002)])
+def test_removed_experiment_keys_are_unknown(tmp_path, key, value):
+    runner = CliRunner()
+    cfg = _tiny_config(tmp_path, **{key: value})
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["solve", "-c", cfg, "-o", str(out)])
+    assert result.exit_code == 2
+    assert f"unknown config key: experiment.{key}" in _all_output(result)
+    assert not out.exists()
 
 
 def test_simulate_requires_a_solved_policy(tmp_path):
@@ -348,20 +397,20 @@ def test_each_command_builds_its_config_once(tmp_path, monkeypatch):
     real_build = cli._build
     builds = []
 
-    def counted_build(raw):
-        builds.append(raw["experiment"]["mode"])
-        return real_build(raw)
+    def counted_build(merged):
+        builds.append(merged)
+        return real_build(merged)
 
     monkeypatch.setattr(cli, "_build", counted_build)
     runner = CliRunner()
     cfg = _tiny_config(tmp_path, q0=0.0, n_sim=10, p_hat_values=[0.0, 0.2])
     out = str(tmp_path / "out")
     commands = ("solve", "simulate", "evaluate", "sweep", "check")
-    for command in commands:
+    for count, command in enumerate(commands, 1):
         result = runner.invoke(main, [command, "-c", cfg, "-o", out,
                                       "--seed", "5", "--threads", "1"])
         assert result.exit_code == 0, _all_output(result)
-    assert builds == list(commands)
+        assert len(builds) == count, command
 
 
 def test_sweep_writes_one_row_per_signal_probability(tmp_path):

@@ -4,7 +4,8 @@ Runs ``solve``, ``simulate`` (with ``record_events``), ``evaluate`` at
 ``--threads`` 1 and 2, ``sweep`` and ``check`` on the tiny CLI-test config
 (200 paths, ``d_lambda = 4``), on the desk config (300 paths), on
 ``typed``, the tiny config spelled with ints for float keys and whole
-floats for int keys (``n_sim: 200.0``, ``q0: -2``, ...), and on
+floats for int keys (``horizon: 1``, ``q_min: -2``, ``q0: -2``,
+``n_sim: 200.0``, ...), and on
 ``alpha0``, the tiny config with ``market.alpha: 0.0`` (the risk-neutral,
 additive branch of the solver); and ``solve`` and ``evaluate`` alone on
 ``blocks``, the tiny config at 1100 paths, whose ``--threads 1`` run
@@ -18,9 +19,10 @@ command runs in a fresh interpreter with the package imported from
 ``src/`` of a checkout, and the tool prints one ``sha256  name`` line per
 output file and per command's stdout (with its exit code).  ``simulate``,
 ``evaluate`` and ``sweep`` each start from a copy of the two solutions
-``solve`` wrote, so the listing covers the reuse of stored solutions, and
-``typed`` checks byte for byte that the config's values are converted to
-their defaults' types once, at load.
+``solve`` wrote, so the listing covers the reuse of stored solutions.
+The config hash covers what a config builds, not how it is spelled, so
+the ``typed`` and ``tiny`` listings are identical line for line once the
+config name is stripped.
 Everything runs in a temporary directory that is removed afterwards.
 
 A refactor that must keep outputs byte-identical is checked by diffing the
@@ -52,7 +54,9 @@ TINY = {"grid": {"d_t": 0.01, "d_lambda": 4.0, "q_min": -2.0, "q_max": 2.0},
         "experiment": {"n_sim": 200, "base_seed": 99, "q0": -2.0,
                        "threads": 1}}
 DESK = {"experiment": {"n_sim": 300}}
-TYPED = {"grid": TINY["grid"],
+TYPED = {"market": {"theta_f": 20, "theta_g": 40, "lambda_lower": -40,
+                    "lambda_upper": 40, "lot_size": 1, "horizon": 1},
+         "grid": {"d_t": 0.01, "d_lambda": 4, "q_min": -2, "q_max": 2},
          "experiment": {"n_sim": 200.0, "base_seed": 99.0, "q0": -2,
                         "threads": 1.0, "lambda0": 0, "target_q": 0}}
 ALPHA0 = dict(TINY, market={"alpha": 0.0})

@@ -576,7 +576,8 @@ def _common_options(fn):
     fn = click.option("--seed", type=int, default=None,
                       help="base seed override")(fn)
     fn = click.option("--threads", type=int, default=None,
-                      help="worker count override")(fn)
+                      help="most worker processes (one per block of 1024 "
+                           "paths)")(fn)
     return fn
 
 

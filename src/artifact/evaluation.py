@@ -180,23 +180,28 @@ def run_experiment(params: MarketParams, marks: MarkModel,
                    histogram_bin_width: float = 0.05) -> Dict[str, EvalReport]:
     """Simulate every agent over the same ``n_sim`` seeded paths.
 
-    Returns one report per agent (insertion order preserved).  ``threads``
-    workers share one process pool: each receives the inputs once and one
-    contiguous range of path indices, on which it simulates every agent in
-    one event loop per block (the block engine runs faster on fewer,
-    larger ranges).  Results are independent of the worker count because
-    path seeds are absolute and statistics are reduced from the
-    path-ordered arrays in one thread.
+    Returns one report per agent (insertion order preserved).  At most
+    ``threads`` workers share one process pool, and never more than one
+    per block of ``BLOCK_PATHS`` paths: a block costs about as many event
+    steps as its busiest path has candidates whatever its width, so
+    splitting one block between processes pays those steps twice.  An
+    experiment of one block, or ``threads=1``, runs in this process.
+    Each worker receives the inputs once and one contiguous range of path
+    indices, on which it simulates every agent in one event loop per
+    block.  Results are independent of the worker count because path
+    seeds are absolute and statistics are reduced from the path-ordered
+    arrays in one thread.
     """
     if n_sim <= 0:
         raise ValueError("n_sim must be positive")
     if threads < 1:
         raise ValueError("threads must be >= 1")
     inputs = (params, marks, agents, initial, base_seed)
-    if threads == 1:
+    workers = min(threads, -(-n_sim // BLOCK_PATHS))
+    if workers == 1:
         chunks = [_simulate_chunk(range(n_sim), inputs)]
     else:
-        size = -(-n_sim // threads)
+        size = -(-n_sim // workers)
         ranges = [range(s, min(s + size, n_sim))
                   for s in range(0, n_sim, size)]
         # a pool forks all its workers up front: one per range, no idle ones

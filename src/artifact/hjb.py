@@ -44,6 +44,8 @@ from __future__ import annotations
 import io
 import json
 import math
+import mmap
+import os
 import warnings
 import zipfile
 from dataclasses import asdict, dataclass
@@ -722,29 +724,70 @@ def save_solution(path, surface: ValueSurface, policy: Policy) -> None:
     """Dump a solved surface and policy to one ``.npz`` file.
 
     The file is byte-reproducible for identical inputs (fixed zip
-    timestamps) and loads back bit-exactly with ``load_solution``.
+    timestamps) and loads back bit-exactly with ``load_solution``.  It is
+    written beside ``path`` and then moved over it, so a solution loaded
+    from ``path`` before keeps its contents (rewriting a mapped file in
+    place would cut pages from under the mapping) and a failed save
+    leaves no partial file.
     """
     meta_bytes = json.dumps(surface.meta, sort_keys=True).encode()
-    _write_deterministic_zip(path, {
-        "values": surface.values,
-        "gamma_star": policy.gamma_star,
-        "delta_star": policy.delta_star,
-        "meta": np.frombuffer(meta_bytes, dtype=np.uint8),
-    })
+    path = os.fspath(path)
+    partial = f"{path}.{os.getpid()}.partial"
+    try:
+        _write_deterministic_zip(partial, {
+            "values": surface.values,
+            "gamma_star": policy.gamma_star,
+            "delta_star": policy.delta_star,
+            "meta": np.frombuffer(meta_bytes, dtype=np.uint8),
+        })
+        os.replace(partial, path)
+    except BaseException:
+        if os.path.exists(partial):
+            os.remove(partial)
+        raise
+
+
+def _mapped_members(path) -> dict:
+    """Each ``.npy`` member of a stored ``.npz``, as an array over a
+    private mapping of the file: pages are read when first touched, and
+    writes stay in this process."""
+    fmt = np.lib.format
+    arrays = {}
+    with open(path, "rb") as handle, zipfile.ZipFile(handle) as zf:
+        buffer = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_COPY)
+        for info in zf.infolist():
+            if info.compress_type != zipfile.ZIP_STORED:
+                raise ValueError(f"{path}: member {info.filename} is "
+                                 f"compressed and cannot be mapped")
+            with zf.open(info) as member:
+                version = fmt.read_magic(member)
+                read_header = (fmt.read_array_header_1_0 if version == (1, 0)
+                               else fmt.read_array_header_2_0)
+                shape, fortran, dtype = read_header(member)
+                header_bytes = member.tell()
+            # a local zip header: 30 fixed bytes, the name and an extra field
+            at = info.header_offset
+            name_len = int.from_bytes(buffer[at + 26:at + 28], "little")
+            extra_len = int.from_bytes(buffer[at + 28:at + 30], "little")
+            offset = at + 30 + name_len + extra_len + header_bytes
+            array = np.frombuffer(buffer, dtype, math.prod(shape), offset)
+            arrays[info.filename.removesuffix(".npy")] = array.reshape(
+                shape, order="F" if fortran else "C")
+    return arrays
 
 
 def load_solution(path) -> Tuple[ValueSurface, Policy]:
-    """Reload a surface/policy pair written by ``save_solution``."""
-    # np.load reads each member into a fresh, writeable array of its own
-    with np.load(path) as data:
-        values = data["values"]
-        gamma_star = data["gamma_star"]
-        delta_star = data["delta_star"]
-        meta = json.loads(bytes(data["meta"].tobytes()).decode())
-    grid = Grid(**meta["grid"])
-    surface = ValueSurface(grid=grid, values=values, alpha=meta["alpha"],
-                           meta=meta)
-    policy = Policy(grid=grid, gamma_star=gamma_star, delta_star=delta_star,
-                    meta=meta)
-    return surface, policy
+    """Reload a surface/policy pair written by ``save_solution``.
 
+    The arrays are writeable views of a private (copy-on-write) mapping
+    of the file, so loading copies nothing, memory holds only the pages a
+    run reads, and writing to an array never changes the file.
+    """
+    arrays = _mapped_members(path)
+    meta = json.loads(arrays["meta"].tobytes().decode())
+    grid = Grid(**meta["grid"])
+    surface = ValueSurface(grid=grid, values=arrays["values"],
+                           alpha=meta["alpha"], meta=meta)
+    policy = Policy(grid=grid, gamma_star=arrays["gamma_star"],
+                    delta_star=arrays["delta_star"], meta=meta)
+    return surface, policy

@@ -159,6 +159,8 @@ def test_thread_count_does_not_change_results(monkeypatch, bench_params,
                                 evaluation.futures.ProcessPoolExecutor,
                                 mp_context=multiprocessing.get_context(
                                     start_method)))
+    # blocks of 16 paths: 101 paths span seven, so each run starts a pool
+    monkeypatch.setattr(evaluation, "BLOCK_PATHS", 16)
     # 101 paths: the last chunk is short for both worker counts
     agents = {"do-nothing": DoNothingAgent(),
               "immediate": ImmediateExecutionAgent(0.0, bench_params),
@@ -197,6 +199,8 @@ def test_one_pool_per_experiment_with_path_range_jobs(
 
     monkeypatch.setattr(evaluation.futures, "ProcessPoolExecutor",
                         RecordingPool)
+    # blocks of two paths: 9 and 5 paths span five and three blocks
+    monkeypatch.setattr(evaluation, "BLOCK_PATHS", 2)
     agents = {"a": DoNothingAgent(),
               "b": ImmediateExecutionAgent(0.0, bench_params)}
     # five paths over four threads make three ranges of two: three workers
@@ -211,6 +215,44 @@ def test_one_pool_per_experiment_with_path_range_jobs(
         assert all(isinstance(job, range) for job in jobs)
         assert [i for paths in jobs for i in paths] == list(range(n_sim))
         assert [r.n_sim for r in reports.values()] == [n_sim, n_sim]
+
+
+def test_one_block_experiment_starts_no_pool(monkeypatch, bench_params,
+                                            marks_signal, start_short):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-block experiment started a pool")
+
+    agents = {"a": DoNothingAgent(),
+              "b": ImmediateExecutionAgent(0.0, bench_params)}
+    serial = run_experiment(bench_params, marks_signal, agents, 9, 58,
+                            start_short)
+    monkeypatch.setattr(evaluation.futures, "ProcessPoolExecutor", no_pool)
+    reports = run_experiment(bench_params, marks_signal, agents, 9, 58,
+                             start_short, threads=4)
+    for name, report in serial.items():
+        assert json.dumps(report_to_dict(report)) \
+            == json.dumps(report_to_dict(reports[name]))
+
+
+def test_pool_starts_one_worker_per_block(monkeypatch, bench_params,
+                                          marks_signal, start_short):
+    pools = []
+
+    class RecordingPool(evaluation.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pools.append(self._max_workers)
+
+    monkeypatch.setattr(evaluation.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    monkeypatch.setattr(evaluation, "BLOCK_PATHS", 4)
+    n_sim = 2 * evaluation.BLOCK_PATHS + 1
+    reports = run_experiment(bench_params, marks_signal,
+                             {"a": DoNothingAgent()}, n_sim, 58, start_short,
+                             threads=8)
+    # three blocks: three workers of the eight allowed
+    assert pools == [3]
+    assert reports["a"].n_sim == n_sim
 
 
 def test_one_simulate_block_call_per_block_for_every_agent(

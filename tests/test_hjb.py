@@ -3,7 +3,11 @@
 import dataclasses
 import io
 import math
+import os
+import subprocess
+import sys
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -590,10 +594,16 @@ def test_narrow_policies_never_trade_from_flat(narrow_policies, desk_grid):
 # persistence
 # ---------------------------------------------------------------------------
 
-def test_save_load_roundtrip_is_bit_exact(tmp_path, bench_params):
+@pytest.fixture(scope="module")
+def tiny_solution(bench_params):
     grid = Grid.from_params(bench_params, d_t=0.01, d_lambda=4.0,
                             q_min=-2.0, q_max=2.0)
-    surface, policy = solve(bench_params, benchmark_mark_model(0.2), grid)
+    return solve(bench_params, benchmark_mark_model(0.2), grid)
+
+
+def test_save_load_roundtrip_is_bit_exact(tmp_path, tiny_solution):
+    surface, policy = tiny_solution
+    grid = surface.grid
     one = tmp_path / "one.npz"
     two = tmp_path / "two.npz"
     save_solution(one, surface, policy)
@@ -617,13 +627,107 @@ def test_save_load_roundtrip_is_bit_exact(tmp_path, bench_params):
     assert np.array_equal(surface2.grid.lam_values, grid.lam_values)
     assert np.array_equal(surface2.grid.q_values, grid.q_values)
     assert surface2.grid.n_steps == grid.n_steps
-    # loaded without copies: each array is writeable and owns its memory
+    # each array is writeable and shares memory with no other array
     loaded = (surface2.values, policy2.gamma_star, policy2.delta_star)
     for i, array in enumerate(loaded):
         assert array.flags.writeable
         for other in loaded[i + 1:] + (surface.values, policy.gamma_star,
                                        policy.delta_star):
             assert not np.shares_memory(array, other)
+
+
+def test_loaded_members_equal_np_load_and_are_writeable(tmp_path,
+                                                        tiny_solution):
+    path = tmp_path / "solution.npz"
+    save_solution(path, *tiny_solution)
+    surface, policy = load_solution(path)
+    loaded = {"values": surface.values, "gamma_star": policy.gamma_star,
+              "delta_star": policy.delta_star}
+    with np.load(path) as data:
+        assert set(data.files) == set(loaded) | {"meta"}
+        for name, array in loaded.items():
+            expected = data[name]
+            assert array.dtype == expected.dtype
+            assert array.shape == expected.shape
+            assert array.tobytes() == expected.tobytes()
+            assert array.flags.writeable
+
+
+def test_writing_a_loaded_array_leaves_the_file_unchanged(tmp_path,
+                                                          tiny_solution):
+    path = tmp_path / "solution.npz"
+    save_solution(path, *tiny_solution)
+    before = path.read_bytes()
+    surface, policy = load_solution(path)
+    for array in (surface.values, policy.gamma_star, policy.delta_star):
+        array[...] = 7.0
+    assert path.read_bytes() == before
+    assert np.array_equal(load_solution(path)[0].values,
+                          tiny_solution[0].values)
+
+
+_READ_AFTER_REWRITE = """
+import sys
+import numpy as np
+from artifact.hjb import load_solution, save_solution
+path, other = sys.argv[1:]
+with np.load(path) as data:
+    expected = {name: data[name] for name in data.files}
+surface, policy = load_solution(path)
+save_solution(path, *load_solution(other))
+# the first reads of the loaded arrays come after the rewrite
+loaded = {"values": surface.values, "gamma_star": policy.gamma_star,
+          "delta_star": policy.delta_star}
+print(all(np.array_equal(array, expected[name], equal_nan=True)
+          for name, array in loaded.items()))
+"""
+
+
+def test_a_loaded_solution_survives_a_rewrite_of_its_file(
+        tmp_path, bench_params, tiny_solution):
+    path = tmp_path / "solution.npz"
+    other = tmp_path / "other.npz"
+    save_solution(path, *tiny_solution)
+    # a smaller solution: rewriting in place would shorten the file
+    grid = Grid.from_params(bench_params, d_t=0.01, d_lambda=4.0,
+                            q_min=-1.0, q_max=1.0)
+    save_solution(other, *solve(bench_params, benchmark_mark_model(0.3),
+                                grid))
+    assert other.stat().st_size < path.stat().st_size
+    src = Path(__file__).resolve().parent.parent / "src"
+    # a fresh interpreter: a read past a cut mapping kills it, not pytest
+    result = subprocess.run(
+        [sys.executable, "-c", _READ_AFTER_REWRITE, str(path), str(other)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "True"
+    assert path.read_bytes() == other.read_bytes()
+
+
+def test_compressed_members_are_refused(tmp_path, tiny_solution):
+    surface, policy = tiny_solution
+    path = tmp_path / "compressed.npz"
+    np.savez_compressed(path, values=surface.values,
+                        gamma_star=policy.gamma_star,
+                        delta_star=policy.delta_star,
+                        meta=np.frombuffer(b"{}", dtype=np.uint8))
+    with pytest.raises(ValueError, match="compressed"):
+        load_solution(path)
+
+
+def test_a_failed_save_leaves_no_partial_file(tmp_path, tiny_solution):
+    surface, policy = tiny_solution
+    path = tmp_path / "solution.npz"
+    save_solution(path, surface, policy)
+    before = path.read_bytes()
+    # an object array cannot be streamed: the save fails on its last member
+    broken = dataclasses.replace(surface,
+                                 values=surface.values.astype(object))
+    with pytest.raises(TypeError):
+        save_solution(path, broken, policy)
+    assert os.listdir(tmp_path) == ["solution.npz"]
+    assert path.read_bytes() == before
 
 
 def test_start_value_interpolates_the_full_horizon_slice(solved_signal,

@@ -47,6 +47,8 @@ __all__ = [
     "write_wealth_csv",
 ]
 
+CONSISTENCY_REL_TOLERANCE = 0.02  # share of |value| allowed beyond 3 SE
+
 
 @dataclass
 class EvalReport:
@@ -234,14 +236,13 @@ def signal_sharpe_ratio(with_signal: np.ndarray,
 
 
 def consistency_check(surface: ValueSurface, report: EvalReport,
-                      alpha: float, initial: MarketState,
-                      rel_tolerance: float = 0.02) -> ConsistencyResult:
+                      alpha: float, initial: MarketState) -> ConsistencyResult:
     """Compare the solved start value with the simulated mean utility.
 
     The solver's value at the initial state must match the Monte-Carlo mean
-    of terminal utility within ``3 * SE + rel_tolerance * |value|``.  The
-    surface and the report must describe the same market (hard error
-    otherwise).
+    of terminal utility within three standard errors plus
+    ``CONSISTENCY_REL_TOLERANCE * |value|``.  The surface and the report
+    must describe the same market (hard error otherwise).
     """
     echo = report.config_echo
     if echo["params"] != surface.meta["params"]:
@@ -265,7 +266,7 @@ def consistency_check(surface: ValueSurface, report: EvalReport,
     mc_mean = float(np.mean(utilities))
     mc_se = float(np.std(utilities, ddof=1) / math.sqrt(len(utilities)))
     abs_error = abs(mc_mean - solver_value)
-    tolerance = 3.0 * mc_se + rel_tolerance * abs(solver_value)
+    tolerance = 3.0 * mc_se + CONSISTENCY_REL_TOLERANCE * abs(solver_value)
     return ConsistencyResult(
         passed=bool(abs_error <= tolerance),
         solver_value=solver_value,

@@ -13,8 +13,8 @@ frozen row one step below the floor, which the scheme never updates: it is
 the halted market.
 
 Grids are regular; trades live on the inventory lattice; liquidity
-arguments falling between nodes are linearly interpolated, clamped at the
-cap and floored at the frozen row.  The market's rules are
+arguments falling between nodes are linearly interpolated and clamped at
+the cap; below the floor they read the frozen row.  The market's rules are
 ``market_core``'s, the simulator's own: the floor test and partial fill
 of a trade or market order (``overshoots``, ``clip_to_liquidity``), the
 auction exposure of the terminal condition and the impact closed forms.
@@ -220,7 +220,7 @@ class Policy:
     ``k*d_t``, liquidity node ``i``, inventory node ``j``, for signal
     ``z = SIGNALS[s]``.  ``delta_star[k, i, j]``
     is the state-based block trade (0 = none).  Stored trades are the
-    unclipped lattice volumes; execution clips them at the liquidity floor.
+    unclipped lattice volumes; one past the floor fills to it and halts.
     """
 
     grid: Grid
@@ -258,7 +258,8 @@ def interpolate_lambda(w_slice: np.ndarray, lam: float, grid: Grid):
 
     ``w_slice`` has the liquidity axis first (shape ``(n_lambda,)`` or
     ``(n_lambda, n_q)``).  Arguments above the cap are clamped with a
-    warning; arguments below the frozen row are an error.  Exact on nodes.
+    warning; below the floor they read the frozen row (the halted market),
+    and below the frozen row they are an error.  Exact on nodes.
     """
     base = float(grid.lam_values[0])
     top = float(grid.lam_values[-1])
@@ -316,7 +317,7 @@ def _trade_geometry(grid: Grid, n: np.ndarray):
 
 
 def _lambda_gather(grid: Grid, lam_target: np.ndarray):
-    """Row indices and upper interpolation weight for liquidity values."""
+    """Rows and upper interpolation weight; below the floor, the frozen row."""
     base = float(grid.lam_values[0])
     top = float(grid.lam_values[-1])
     pos = (np.clip(lam_target, base, top) - base) / grid.d_lambda
@@ -324,6 +325,8 @@ def _lambda_gather(grid: Grid, lam_target: np.ndarray):
     lo = np.clip(lo, 0, grid.n_lambda - 1)
     frac = pos - lo
     frac[frac <= _TOL] = 0.0
+    halted = overshoots(lam_target, 0.0, grid.lambda_lower)
+    lo[halted], frac[halted] = 0, 0.0
     hi = np.minimum(lo + 1, grid.n_lambda - 1)
     return lo, hi, frac
 

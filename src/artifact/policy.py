@@ -15,9 +15,9 @@ asked about, and return one value per path:
 ``t``, ``t_from``, ``t_to`` and ``z`` are arrays aligned with the state.
 Every path's answer depends on that path's inputs alone.  The agents of an
 experiment share one event loop, but each agent is asked about its own
-paths only.  All trades are
-lattice volumes (multiples of the lot size) and are clipped at the
-liquidity floor before execution.
+paths only.  All trades are lattice volumes (multiples of the lot size);
+the market fills one that overshoots the floor down to it and halts.  The
+baselines clip theirs at the floor, so they never halt.
 """
 
 from __future__ import annotations
@@ -123,10 +123,10 @@ class TablePolicyAgent(Agent):
     """Feedback agent reading trades from a solved policy table.
 
     Lookups round the state to the nearest grid node (time slices by
-    time-to-go, liquidity and inventory by nearest node) and clip the
-    stored trade at the liquidity floor.  At and after the horizon the
-    agent stops trading (``on_state`` at exactly the horizon reports the
-    full remaining liquidation, which the terminal auction realizes).
+    time-to-go, liquidity and inventory by nearest node); the stored trade
+    goes out unclipped, as the solver valued it.  At and after the horizon
+    the agent stops trading (``on_state`` at exactly the horizon reports
+    the full remaining liquidation, which the terminal auction realizes).
     """
 
     name = "table"
@@ -148,23 +148,18 @@ class TablePolicyAgent(Agent):
     def _nodes(self, state: MarketState) -> tuple:
         return self.grid.lambda_index(state.lam), self.grid.q_index(state.q)
 
-    def _clip(self, trade, state: MarketState):
-        return clip_to_liquidity(trade, state.lam, self.params.lambda_lower)
-
     def on_signal(self, t, state, z):
         slot = np.searchsorted(SIGNALS, z)
         if np.any(np.take(SIGNALS, slot, mode="clip") != z):
             raise ValueError(f"signal z must be one of {SIGNALS}, got {z}")
         k = self.grid.time_index(t, self.params.horizon)
         i, j = self._nodes(state)
-        trade = np.where(k > 0, self.policy.gamma_star[k, i, j, slot], 0.0)
-        return self._clip(trade, state)
+        return np.where(k > 0, self.policy.gamma_star[k, i, j, slot], 0.0)
 
     def on_state(self, t, state):
         k = self.grid.time_index(t, self.params.horizon)
         i, j = self._nodes(state)
-        trade = np.where(k > 0, self.policy.delta_star[k, i, j], -state.q)
-        return self._clip(trade, state)
+        return np.where(k > 0, self.policy.delta_star[k, i, j], -state.q)
 
     def next_impulse(self, t_from, t_to, state):
         horizon = self.params.horizon
@@ -175,5 +170,5 @@ class TablePolicyAgent(Agent):
         k = np.where(k < 1, 0, self._next_trade[np.maximum(k, 0), i, j])
         t_k = horizon - k * d_t
         hit = (k != 0) & (t_k < t_to - 1e-12)
-        delta = self._clip(self.policy.delta_star[k, i, j], state)
+        delta = self.policy.delta_star[k, i, j]
         return np.where(hit, t_k, np.inf), np.where(hit, delta, 0.0)

@@ -64,6 +64,15 @@ def desk_grid(bench_params):
 
 
 @pytest.fixture(scope="session")
+def tiny_solution(bench_params, marks_signal):
+    """(surface, policy) on the coarse CLI-test grid: dT = 0.01,
+    dLambda = 4, q in [-2, 2], with signals."""
+    grid = Grid.from_params(bench_params, d_t=0.01, d_lambda=4.0,
+                            q_min=-2.0, q_max=2.0)
+    return solve(bench_params, marks_signal, grid)
+
+
+@pytest.fixture(scope="session")
 def solved_signal(bench_params, marks_signal, desk_grid):
     """(surface, policy) at the benchmark spread with signals."""
     return solve(bench_params, marks_signal, desk_grid)

@@ -149,10 +149,10 @@ def transport_oracle(w, grid, params, marks):
     branch's marks, added in mark order, is strictly greater.  The trade
     executes ahead of the event.  A trade that overshoots the floor by at
     most one liquidity step fills to the floor and halts the market: the
-    event's own volume does not execute and the value continues at the
-    trade's raw post-trade liquidity.  Otherwise a market order executes up
-    to the floor and moves the price by its own impact too.  Continuation
-    values are interpolated linearly in liquidity, clamped to the grid.
+    event's own volume does not execute.  Otherwise a market order executes
+    up to the floor and moves the price by its own impact too.  Continuation
+    values are interpolated linearly in liquidity, clamped at the cap; a
+    landing below the floor is the halted market and reads the frozen row.
 
     Returns the new slice (frozen row unchanged), the best trade per node
     and signal (``(n_lambda, n_q, 2)``, signals ``-1, +1``; the unclipped
@@ -175,6 +175,8 @@ def transport_oracle(w, grid, params, marks):
         return impact[g, lam]
 
     def continuation(lam, j):
+        if lam < floor - _FLOOR_TOL:
+            return float(w[0, j])
         pos = (min(max(lam, frozen), cap) - frozen) / d_lam
         lo = min(int(math.floor(pos + 1e-9)), len(lam_values) - 1)
         frac = pos - lo
@@ -317,7 +319,8 @@ def next_impulse_walk(agent, t_from, t_to, state):
 
     Starts at the earliest tick strictly after ``t_from`` and looks up the
     stored state trade at each tick in turn, stopping at the first tick not
-    strictly before ``t_to`` or the first non-zero trade.
+    strictly before ``t_to`` or the first non-zero trade, which it returns
+    as stored.
     """
     grid, horizon = agent.grid, agent.params.horizon
     i = int(grid.lambda_index(state.lam))
@@ -331,8 +334,7 @@ def next_impulse_walk(agent, t_from, t_to, state):
         if t_k > t_from and slice_k > 0:
             trade = float(agent.policy.delta_star[slice_k, i, j])
             if trade != 0.0:
-                return t_k, clip_oracle(trade, state.lam,
-                                        agent.params.lambda_lower)
+                return t_k, trade
         k -= 1
     return None
 

@@ -385,6 +385,27 @@ def test_consistency_check_holds_on_the_benchmark(solved_signal,
     assert result.abs_error <= result.tolerance
 
 
+def test_solved_value_is_paid_near_the_floor(tiny_solution, bench_params,
+                                             marks_signal):
+    """One coarse-grid row above the floor, where the solver and the market
+    must agree on every floor-breaking trade and event, the table agent
+    earns the solved value."""
+    surface, policy = tiny_solution
+    initial = MarketState(lam=-36.0, q=-2.0, p=100.0, x=0.0)
+    report = run_experiment(bench_params, marks_signal,
+                            {"table": TablePolicyAgent(policy, bench_params)},
+                            20_000, 7, initial, threads=1)["table"]
+    result = consistency_check(surface, report, bench_params.alpha, initial)
+    # The agent buys its two lots at once and ends flat on every path, so
+    # the paths' utilities are equal up to rounding: the standard error is
+    # rounding noise, and the solved value, formed in another order, sits
+    # some ulps away.  The relative term covers that rounding.
+    bound = 3.0 * result.mc_se + 1e-12 * abs(result.solver_value)
+    assert abs(result.mc_mean - result.solver_value) <= bound, (
+        f"solver {result.solver_value!r} vs mc {result.mc_mean!r} "
+        f"+- {result.mc_se:.2g}")
+
+
 # ---------------------------------------------------------------------------
 # utility helper used throughout the reports
 # ---------------------------------------------------------------------------

@@ -227,6 +227,11 @@ def test_interpolate_lambda_domain_edges():
     w = _terminal_grid(grid, PARAMS)
     with pytest.raises(ValueError, match="frozen"):
         interpolate_lambda(w, -41.5, grid)
+    # below the floor (by more than its tolerance) is the halted market:
+    # the frozen row alone, here set apart from the floor row
+    w[0] -= 1.0
+    assert np.array_equal(interpolate_lambda(w, -40.5, grid), w[0])
+    assert np.array_equal(interpolate_lambda(w, -40.0 - 5e-10, grid), w[1])
     with pytest.warns(UserWarning, match="clamp"):
         top = interpolate_lambda(w, 45.0, grid)
     assert np.array_equal(top, w[-1])
@@ -311,7 +316,7 @@ def test_transport_step_matches_the_per_node_oracle(d_lambda, alpha, p_hat):
     clear = gaps > 1e-9
     np.testing.assert_array_equal(policy.gamma_star[k][clear], trades[clear])
     assert np.any(trades[1:] != 0.0)
-    # the lowest live rows hold trades that overshoot the floor and halt
+    # the lowest live rows admit trades that overshoot the floor and halt
     lam_low = grid.lam_values[1]
     assert lam_low - 2.0 * grid.d_q < params.lambda_lower
 
@@ -562,21 +567,37 @@ def test_cancellations_fill_the_liquidity_taking_signal_slot():
     assert np.any(policy.gamma_star[..., SIGNALS.index(-1)])
 
 
+def _halting_trades(policy) -> dict:
+    """Live-node entries of each table that overshoot the floor."""
+    grid = policy.grid
+    lam = grid.lam_values[1:, None, None]
+    return {name: int(overshoots(lam, np.abs(table), grid.lambda_lower).sum())
+            for name, table in (
+                ("gamma_star", policy.gamma_star[:, 1:]),
+                ("delta_star", policy.delta_star[:, 1:, :, None]))}
+
+
 def test_desk_tables_never_trade_past_the_floor(solved_signal, solved_blind,
-                                                narrow_policies, desk_grid):
-    """No live-node trade of the desk tables exceeds ``lam - floor``, so the
-    table agent's floor clip never changes a desk trade (the tiny grid,
-    ``d_lambda = 4``, has such trades; see README)."""
-    lam = desk_grid.lam_values[1:, None]
-    floor = desk_grid.lambda_lower
+                                                narrow_policies):
+    """No live-node trade of the desk tables exceeds ``lam - floor``: no
+    desk trade halts the market."""
     tables = {"signal": solved_signal[1], "blind": solved_blind[1],
               **{f"narrow {k}": v for k, v in narrow_policies.items()}}
     for label, policy in tables.items():
-        for name, table in (
-                ("gamma_star", policy.gamma_star[:, 1:]),
-                ("delta_star", policy.delta_star[:, 1:, :, None])):
-            past = overshoots(lam[..., None], np.abs(table), floor)
-            assert not past.any(), (label, name, int(past.sum()))
+        assert _halting_trades(policy) == {"gamma_star": 0,
+                                           "delta_star": 0}, label
+
+
+def test_tiny_tables_hold_no_halting_or_flat_start_trades(tiny_solution):
+    """On the coarse tiny grid (``d_lambda = 4``) no live-node trade halts
+    the market and no signal trade starts from flat: a landing below the
+    floor reads the frozen row, so a halt is valued as the market pays
+    it, and on this grid no halting trade beats holding."""
+    _, policy = tiny_solution
+    assert _halting_trades(policy) == {"gamma_star": 0, "delta_star": 0}
+    j0 = policy.grid.q_index(0.0)
+    assert policy.grid.q_values[j0] == 0.0
+    assert np.count_nonzero(policy.gamma_star[:, :, j0, :]) == 0
 
 
 def test_narrow_policies_never_trade_from_flat(narrow_policies, desk_grid):
@@ -593,13 +614,6 @@ def test_narrow_policies_never_trade_from_flat(narrow_policies, desk_grid):
 # ---------------------------------------------------------------------------
 # persistence
 # ---------------------------------------------------------------------------
-
-@pytest.fixture(scope="module")
-def tiny_solution(bench_params):
-    grid = Grid.from_params(bench_params, d_t=0.01, d_lambda=4.0,
-                            q_min=-2.0, q_max=2.0)
-    return solve(bench_params, benchmark_mark_model(0.2), grid)
-
 
 def test_save_load_roundtrip_is_bit_exact(tmp_path, tiny_solution):
     surface, policy = tiny_solution

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from artifact.hjb import Grid, Policy
-from artifact.market_core import MarketParams, MarketState, utility
+from artifact.market_core import (MarketParams, MarketState,
+                                  apply_shock_detailed, utility)
 from artifact.order_flow import make_path_seed, simulate_paths
 from artifact.policy import (Agent, DoNothingAgent, ImmediateExecutionAgent,
                              TablePolicyAgent, TwapAgent)
@@ -110,9 +111,19 @@ def test_table_agent_state_lookup_rounds_to_nodes(toy_hooks):
     assert toy_hooks.on_state(0.5, _state(lam=40.0, q=-2.0)) == 0.0
 
 
-def test_table_agent_clips_at_the_floor(toy_hooks):
-    # stored trade is 2 lots but only half a lot of headroom remains
-    assert toy_hooks.on_state(0.5, _state(lam=-39.5, q=-2.0)) == 0.5
+def _fills_to_the_floor_and_halts(state, trade, filled):
+    after, executed, *_ = apply_shock_detailed(state, trade, 0.0, 0.0, PARAMS)
+    assert executed == filled
+    assert after.lam == PARAMS.lambda_lower and after.halted
+
+
+def test_table_agent_trade_fills_to_the_floor_and_halts(toy_hooks):
+    # the stored trade is 2 lots but only half a lot of headroom remains:
+    # the agent passes it on, and the market fills half a lot and halts,
+    # as the solver valued it
+    state = _state(lam=-39.5, q=-2.0)
+    assert toy_hooks.on_state(0.5, state) == 2.0
+    _fills_to_the_floor_and_halts(state, 2.0, 0.5)
 
 
 def test_table_agent_signal_lookup(toy_hooks):
@@ -126,8 +137,10 @@ def test_table_agent_signal_lookup(toy_hooks):
 def test_table_agent_liquidates_at_and_past_the_horizon(toy_hooks):
     assert toy_hooks.on_state(1.0, _state(lam=0.0, q=-8.0)) == 8.0
     assert toy_hooks.on_state(1.2, _state(lam=0.0, q=3.0)) == -3.0
-    # ... but still clipped at the floor
-    assert toy_hooks.on_state(1.0, _state(lam=-39.5, q=-8.0)) == 0.5
+    # ... and near the floor the market fills what it can and halts
+    state = _state(lam=-39.5, q=-8.0)
+    assert toy_hooks.on_state(1.0, state) == 8.0
+    _fills_to_the_floor_and_halts(state, 8.0, 0.5)
     assert toy_hooks.on_signal(1.0, _state(lam=0.0, q=-8.0), -1) == 0.0
 
 

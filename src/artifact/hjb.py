@@ -7,8 +7,8 @@ function ``w`` on a (time-to-go, liquidity, inventory) grid.  ``w`` is
 computed by an explicit scheme walking backward from the terminal
 condition: each step applies the event generator (every mark, weighted by
 its thinned intensity, with the trader's best signal-response trade inside
-the visible branches) and then an impulse comparison allowing a state-based
-block trade.  Liquidity values below the floor are represented by a single
+the visible branches) and then a comparison allowing a state-based block
+trade.  Liquidity values below the floor are represented by a single
 frozen row one step below the floor, which the scheme never updates: it is
 the halted market.
 
@@ -19,24 +19,27 @@ the cap; below the floor they read the frozen row.  The market's rules are
 of a trade or market order (``overshoots``, ``clip_to_liquidity``), the
 auction exposure of the terminal condition and the impact closed forms.
 
-The kernels precompute every gather of a step on a per-node compacted
-``(row, q, slot)`` layout: the slots of a live node are its admissible
-trades, still in the scan order ``0, -1, +1, -2, +2, ...``, padded to the
-longest list with slots that start at ``-inf``.  (A trade that halts at the
-floor executes the same volume as an ordinary trade, so one node can reach
-one target inventory twice; the slots are trades, not targets.)  Per mark
-the kernels hold flat indices of the interpolation rows and their
+One scheme object, built once per solve, precomputes every gather of a
+step on one per-node compacted ``(row, q, slot)`` trade axis: the slots
+of a live node are its admissible trades, in the scan order
+``0, -1, +1, -2, +2, ...``, padded to the longest list with slots that
+start at ``-inf``.  (A trade that halts at the floor executes the same
+volume as an ordinary trade, so one node can reach one target inventory
+twice; the slots are trades, not targets.)  The visible branches and the
+block-trade comparison are kernels on this axis, run one at a time in its
+shared scratch; the invisible branch has the zero-trade axis.  Per mark a
+kernel holds flat indices of the interpolation rows and their
 multipliers, with intensity, branch weight and utility jump folded in;
 marks that land on the same rows share one index slab, gathered once per
-step into a buffer reused across steps.  A step loops over marks only,
-adding each mark's lower-row, upper-row and (for ``alpha = 0``) additive
-terms in mark order into a zeroed accumulator, so every node's float sum
-is formed in the same order whatever the layout.  Holding is the zero
-trade, slot 0 of the block-trade kernel, so transport and impulse share one
-best-trade reduction: the first maximum over the slots, so a later trade in
-scan order replaces an earlier one only when strictly better.  The scheme
-stays monotone with positive coefficients under the stability bound, which
-is what its convergence rests on (Barles and Souganidis, 1991).
+step.  A step adds each mark's lower-row, upper-row and (for
+``alpha = 0``) additive terms in mark order into a zeroed accumulator, so
+every node's float sum is formed in the same order whatever the layout.
+Holding is slot 0, so the signal response and the block trade share one
+best-trade reduction: the first maximum over the slots, so a later trade
+in scan order replaces an earlier one only when strictly better.  The
+scheme stays monotone with positive coefficients under the stability
+bound, which is what its convergence rests on (Barles and Souganidis,
+1991).
 """
 
 from __future__ import annotations
@@ -164,10 +167,6 @@ class Grid:
     def n_steps(self) -> int:
         return self._n_steps
 
-    @property
-    def time_to_go(self) -> np.ndarray:
-        return self.d_t * np.arange(self._n_steps + 1)
-
     def lambda_index(self, lam):
         """Nearest liquidity node index (never the frozen row).
 
@@ -258,13 +257,11 @@ def interpolate_lambda(w_slice: np.ndarray, lam: float, grid: Grid):
 
     ``w_slice`` has the liquidity axis first (shape ``(n_lambda,)`` or
     ``(n_lambda, n_q)``).  Arguments above the cap are clamped with a
-    warning; below the floor they read the frozen row (the halted market),
-    and below the frozen row they are an error.  Exact on nodes.
+    warning; every argument below the floor, the frozen row's level and
+    below included, reads the frozen row (the halted market).  Exact on
+    nodes.
     """
-    base = float(grid.lam_values[0])
     top = float(grid.lam_values[-1])
-    if lam < base - _TOL:
-        raise ValueError(f"liquidity {lam} below the frozen row {base}")
     if lam > top + _TOL:
         warnings.warn(f"liquidity {lam} above the cap {top}; clamping",
                       stacklevel=2)
@@ -332,13 +329,15 @@ def _lambda_gather(grid: Grid, lam_target: np.ndarray):
 
 
 class _Slots:
-    """The per-node compacted trade axis of a kernel, ``(row, q, slot)``.
+    """The per-node compacted trade axis, ``(row, q, slot)``, with the
+    scratch of the kernels on it.
 
     The slots of a live node are its admissible trades among ``n * d_q``
     (``n`` in scan order), still in scan order, padded to the longest such
     list.  Padding slots repeat the zero trade, so everything computed on
     them is finite and in range; their candidates start at ``-inf`` and
-    never win.
+    never win.  The kernels on one axis run one at a time, so they share
+    its scratch: ``acc``, ``tmp`` and the ``gathered`` slab buffers.
     """
 
     def __init__(self, grid: Grid, params: MarketParams, n: np.ndarray,
@@ -374,6 +373,9 @@ class _Slots:
         self.start = np.where(pad, -np.inf, 0.0)
         # flat index of each node's first slot
         self.node_start = np.arange(0, pad.size, width).reshape(count.shape)
+        self.acc = np.empty(pad.shape)
+        self.tmp = np.empty(pad.shape)
+        self.gathered = []
 
     def take(self, a: np.ndarray) -> np.ndarray:
         """An array on ``(trade, live row)``, on ``(row, q, slot)``."""
@@ -392,17 +394,15 @@ class _Kernel:
     rows share one index slab, gathered once per step.  Index slabs stay
     ``intp``: ``np.take`` would convert narrower ones on every call.  Index
     ranges are checked once, at build time, so a step gathers without
-    bounds checks into buffers allocated here.
+    bounds checks.  A kernel holds only its slabs and multipliers; it
+    gathers and sums in the scratch of its axis.
     """
 
     def __init__(self, slots: _Slots, alpha: float):
         self.slots = slots
         self.alpha = alpha
-        self.acc = np.empty(slots.start.shape)
-        self.tmp = np.empty(slots.start.shape)
         self.rows = []
         self.slabs = []
-        self.gathered = []
         self.terms = []
 
     def add(self, lam_next, impact, base) -> None:
@@ -435,40 +435,45 @@ class _Kernel:
             if np.array_equal(known, rows):
                 break
         else:
-            grid = self.slots.grid
+            slots = self.slots
+            grid = slots.grid
             # flat index of the landing row at the post-trade column
-            idx = self.slots.take(rows * grid.n_q + self.slots.shift)
+            idx = slots.take(rows * grid.n_q + slots.shift)
             idx += np.arange(grid.n_q)[:, None]
             if idx.min() < 0 or idx.max() >= grid.n_lambda * grid.n_q:
                 raise IndexError("gather index off the value slice")
             slab = len(self.slabs)
             self.rows.append(rows)
             self.slabs.append(idx)
-            self.gathered.append(np.empty(idx.shape))
+            if slab == len(slots.gathered):
+                slots.gathered.append(np.empty(idx.shape))
         self.terms.append((slab, multiplier))
 
     def accumulate(self, w: np.ndarray) -> np.ndarray:
         """Sum of the marks' terms per slot, added mark by mark in mark order.
 
-        Returns the kernel's own buffer, overwritten by the next call.
+        Returns the axis's accumulator, overwritten by the next call of any
+        kernel on the axis.
         """
-        grid = self.slots.grid
+        slots = self.slots
+        grid = slots.grid
         if w.shape != (grid.n_lambda, grid.n_q):
             raise ValueError(f"value slice of shape {w.shape}, grid needs "
                              f"{(grid.n_lambda, grid.n_q)}")
         w_flat = w.reshape(-1)
-        for idx, buf in zip(self.slabs, self.gathered):
+        gathered = slots.gathered
+        for idx, buf in zip(self.slabs, gathered):
             # indices were range-checked at build time
             np.take(w_flat, idx, out=buf, mode="clip")
-        acc, tmp = self.acc, self.tmp
+        acc, tmp = slots.acc, slots.tmp
         # start from +0.0 (not the first product) so a -0.0 product sums
         # to +0.0 as in a plain sum
-        np.copyto(acc, self.slots.start)
+        np.copyto(acc, slots.start)
         for slab, multiplier in self.terms:
             if slab is None:
                 acc += multiplier
             else:
-                np.multiply(self.gathered[slab], multiplier, out=tmp)
+                np.multiply(gathered[slab], multiplier, out=tmp)
                 acc += tmp
         return acc
 
@@ -486,42 +491,55 @@ class _Kernel:
         trade_out[...] = self.slots.trades[arg]
 
 
-class _TransportKernels:
-    """Precomputed generator terms for one (grid, params, marks) triple."""
+def _block_trades(grid: Grid, params: MarketParams):
+    """The block-trade comparison's kernel on the full trade axis, with
+    the scan-ordered trades, their geometry and price impact.
+
+    Holding is slot 0, the zero trade: a gather of ``w`` itself with
+    multiplier 1 and zero upper and additive terms.  It reads back ``w``
+    (bar the sign of a ``-0.0``, which live rows of a generator pass never
+    hold) and wins unless a trade is strictly better.
+    """
+    n = _scan_trades(grid)
+    geometry = _trade_geometry(grid, n)
+    _, _, gamma_exec, _, lam_after_raw = geometry
+    imp_gamma = price_impact(gamma_exec, grid.lam_values[1:], params)
+    kernel = _Kernel(_Slots(grid, params, n, geometry), params.alpha)
+    kernel.add(lam_after_raw, imp_gamma, 1.0)
+    return kernel, n, geometry, imp_gamma
+
+
+class _Scheme:
+    """The explicit step for one (grid, params, marks) triple: the
+    generator pass, then the block-trade comparison."""
 
     def __init__(self, grid: Grid, params: MarketParams, marks: MarkModel):
         self.grid = grid
+        self.block, n, geometry, imp_gamma = _block_trades(grid, params)
+        _, trig, gamma_exec, _, lam_after_raw = geometry
         lam = grid.lam_values[1:]
+        lam1 = lam - np.abs(gamma_exec)
         p_hat = marks.signal_prob
-        f_lam = params.f(lam)
-        g_lam = params.g(lam)
-
+        f_lam, g_lam = params.f(lam), params.g(lam)
         # total thinned intensity per liquidity row (the -w coefficient)
         lam_coeff = np.zeros(len(lam))
-        for m in marks.marks:
-            lam_coeff += m.nu * (f_lam if m.eta != 0.0 else g_lam)
-        self.lam_coeff = lam_coeff[:, None]
 
-        n = _scan_trades(grid)
-        geometry = _trade_geometry(grid, n)
-        _, trig, gamma_exec, _, lam_after_raw = geometry
-        lam1 = lam - np.abs(gamma_exec)
-        imp_gamma = price_impact(gamma_exec, lam, params)
-
-        # visible branches (weight p_hat, one kernel per signal): the
-        # trader's trade executes ahead of the event's volume, clipped at the
-        # floor; an unclipped overshoot halts the market and suppresses the
-        # external volume.  The invisible branch (weight 1 - p_hat) is the
-        # no-trade slot: every mark lands, and the wealth jump is the
-        # own-inventory markup by the external market order's impact.
-        slots = _Slots(grid, params, n, geometry)
-        self.visible = {z: _Kernel(slots, params.alpha) for z in SIGNALS}
+        # visible branches (weight p_hat, one kernel per signal, on the
+        # block trades' axis): the trader's trade executes ahead of the
+        # event's volume, clipped at the floor; an unclipped overshoot halts
+        # the market and suppresses the external volume.  The invisible
+        # branch (weight 1 - p_hat) is the no-trade slot: every mark lands,
+        # and the wealth jump is the own-inventory markup by the external
+        # market order's impact.
+        self.visible = {z: _Kernel(self.block.slots, params.alpha)
+                        for z in SIGNALS}
         self.invisible = _Kernel(
             _Slots(grid, params, n[:1], tuple(g[:1] for g in geometry)),
             params.alpha)
         for m in marks.marks:
             is_mo = m.eta != 0.0
             rate = f_lam if is_mo else g_lam
+            lam_coeff += m.nu * rate
             if is_mo:
                 eta_exec = np.where(trig, 0.0, clip_to_liquidity(
                     m.eta, lam1, grid.lambda_lower))
@@ -536,11 +554,13 @@ class _TransportKernels:
             if p_hat > 0.0:
                 self.visible[m.signal].add(lam_next, imp,
                                            p_hat * m.nu * rate)
+        self.lam_coeff = lam_coeff[:, None]
         self.branch_value = np.empty((grid.n_lambda - 1, grid.n_q))
+        self.transported = np.empty((grid.n_lambda, grid.n_q))
 
-    def apply(self, w: np.ndarray, out: np.ndarray,
-              gamma: np.ndarray) -> None:
-        """One generator step of ``w`` into ``out``.
+    def transport(self, w: np.ndarray, out: np.ndarray,
+                  gamma: np.ndarray) -> None:
+        """The generator pass of ``w`` into ``out``.
 
         The signal trades go into ``gamma[1:, :, s]``.  A branch without
         marks is skipped: it would add ``+0.0`` (trade 0), which changes no
@@ -555,33 +575,14 @@ class _TransportKernels:
         out[0] = w[0]
         out[1:] = w_live + self.grid.d_t * (acc - self.lam_coeff * w_live)
 
-
-class _ImpulseKernels:
-    """Precomputed block-trade comparison terms.
-
-    Holding is slot 0, the zero trade: it stays on its own node with no
-    wealth jump, so it is a gather of ``w`` itself with multiplier 1 and
-    zero upper and additive terms.  It reads back ``w`` (bar the sign of a
-    ``-0.0``, which live rows of a transport step never hold) and wins
-    unless a trade is strictly better.
-    """
-
-    def __init__(self, grid: Grid, params: MarketParams):
-        n = _scan_trades(grid)
-        geometry = _trade_geometry(grid, n)
-        _, _, gamma_exec, _, lam_after_raw = geometry
-        self.kernel = _Kernel(_Slots(grid, params, n, geometry),
-                              params.alpha)
-        self.kernel.add(lam_after_raw,
-                        price_impact(gamma_exec, grid.lam_values[1:], params),
-                        1.0)
-
-    def apply(self, w: np.ndarray, out: np.ndarray,
-              delta: np.ndarray) -> None:
-        """Pointwise max over block trades of ``w`` into ``out``; the trades
-        go into ``delta[1:]``."""
+    def step(self, w: np.ndarray, out: np.ndarray, gamma: np.ndarray,
+             delta: np.ndarray) -> None:
+        """One step of ``w`` into ``out``: the generator pass, its signal
+        trades into ``gamma``, then the block-trade comparison, its trades
+        into ``delta[1:]``."""
+        self.transport(w, self.transported, gamma)
         out[0] = w[0]
-        self.kernel.best(w, out[1:], delta[1:])
+        self.block.best(self.transported, out[1:], delta[1:])
 
 
 def _check_grid_params(grid: Grid, params: MarketParams) -> None:
@@ -620,13 +621,13 @@ def transport_step(w_slice: np.ndarray, grid: Grid, params: MarketParams,
                    marks: MarkModel) -> np.ndarray:
     """One explicit generator step applied to a value slice.
 
-    Convenience wrapper that rebuilds the kernel tables; ``solve`` amortizes
-    them across all steps.
+    Convenience wrapper that rebuilds the scheme, block-trade kernel
+    included; ``solve`` amortizes it across all steps.
     """
     check_stability(grid, params, marks)
     w = np.ascontiguousarray(w_slice, dtype=float)
     out = np.empty_like(w)
-    _TransportKernels(grid, params, marks).apply(
+    _Scheme(grid, params, marks).transport(
         w, out, np.zeros(w.shape + (len(SIGNALS),)))
     return out
 
@@ -638,9 +639,8 @@ def impulse_step(w_slice: np.ndarray, grid: Grid, params: MarketParams):
     trade per node (0 where no trade improves on holding).
     """
     w = np.ascontiguousarray(w_slice, dtype=float)
-    out = np.empty_like(w)
-    delta = np.zeros_like(w)
-    _ImpulseKernels(grid, params).apply(w, out, delta)
+    out, delta = w.copy(), np.zeros_like(w)
+    _block_trades(grid, params)[0].best(w, out[1:], delta[1:])
     return out, delta
 
 
@@ -673,8 +673,7 @@ def solve(params: MarketParams, marks: MarkModel,
     """
     _check_grid_params(grid, params)
     check_stability(grid, params, marks)
-    transport = _TransportKernels(grid, params, marks)
-    impulse = _ImpulseKernels(grid, params)
+    scheme = _Scheme(grid, params, marks)
 
     n_t = grid.n_steps + 1
     values = np.empty((n_t, grid.n_lambda, grid.n_q))
@@ -682,11 +681,8 @@ def solve(params: MarketParams, marks: MarkModel,
     delta_star = np.zeros((n_t, grid.n_lambda, grid.n_q))
     values[0] = terminal_condition(grid.lam_values[:, None], grid.q_values,
                                    params)
-    tilde = np.empty((grid.n_lambda, grid.n_q))
-
     for k in range(1, n_t):
-        transport.apply(values[k - 1], tilde, gamma_star[k])
-        impulse.apply(tilde, values[k], delta_star[k])
+        scheme.step(values[k - 1], values[k], gamma_star[k], delta_star[k])
 
     meta = {"schema_version": SCHEMA_VERSION, "alpha": params.alpha,
             **solver_inputs(params, marks, grid)}

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import artifact.hjb as hjb
 from artifact.hjb import (
     SIGNALS,
     Grid,
@@ -78,7 +79,7 @@ def test_grid_layout():
     assert list(grid.q_values[:3]) == [-12.0, -11.0, -10.0]
     assert grid.n_q == 25
     assert grid.n_steps == 200
-    assert grid.time_to_go[-1] == pytest.approx(PARAMS.horizon)
+    assert grid.n_steps * grid.d_t == pytest.approx(PARAMS.horizon)
 
 
 def test_grid_index_lookups():
@@ -225,11 +226,11 @@ def test_interpolate_lambda_domain_edges():
     grid = Grid.from_params(PARAMS, d_t=0.01, d_lambda=1.0,
                             q_min=-2.0, q_max=2.0)
     w = _terminal_grid(grid, PARAMS)
-    with pytest.raises(ValueError, match="frozen"):
-        interpolate_lambda(w, -41.5, grid)
     # below the floor (by more than its tolerance) is the halted market:
-    # the frozen row alone, here set apart from the floor row
+    # the frozen row alone, here set apart from the floor row, at and
+    # below the frozen row's level too
     w[0] -= 1.0
+    assert np.array_equal(interpolate_lambda(w, -41.5, grid), w[0])
     assert np.array_equal(interpolate_lambda(w, -40.5, grid), w[0])
     assert np.array_equal(interpolate_lambda(w, -40.0 - 5e-10, grid), w[1])
     with pytest.warns(UserWarning, match="clamp"):
@@ -444,6 +445,58 @@ def test_impulse_step_identity_on_inventory_singleton():
     out, delta = impulse_step(w, grid, PARAMS)
     np.testing.assert_array_equal(out, w)
     assert np.all(delta == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the one-step wrappers and solve's scheme
+# ---------------------------------------------------------------------------
+
+_TINY = dict(d_t=0.01, d_lambda=4.0, q_min=-2.0, q_max=2.0)
+
+
+@pytest.mark.parametrize("case, p_hat", [
+    ("desk", 0.2), ("desk", 0.0), ("tiny", 0.2), ("tiny", 0.0),
+    ("tiny-alpha0", 0.2), ("tiny-alpha0", 0.0),
+])
+def test_wrappers_compose_to_the_solve_step(case, p_hat, request):
+    """``impulse_step(transport_step(values[k - 1]))`` is ``solve``'s step
+    k, values and block trades bit for bit."""
+    params = PARAMS
+    if case == "desk":
+        surface, policy = request.getfixturevalue(
+            "solved_signal" if p_hat else "solved_blind")
+    elif case == "tiny" and p_hat:
+        surface, policy = request.getfixturevalue("tiny_solution")
+    else:
+        if case == "tiny-alpha0":
+            params = dataclasses.replace(PARAMS, alpha=0.0)
+        surface, policy = solve(params, benchmark_mark_model(p_hat),
+                                Grid.from_params(params, **_TINY))
+    grid = surface.grid
+    marks = benchmark_mark_model(p_hat)
+    for k in sorted({1, 2, grid.n_steps // 2, grid.n_steps}):
+        out, delta = impulse_step(
+            transport_step(surface.values[k - 1], grid, params, marks),
+            grid, params)
+        np.testing.assert_array_equal(out, surface.values[k], strict=True)
+        np.testing.assert_array_equal(delta, policy.delta_star[k],
+                                      strict=True)
+
+
+def test_a_solve_builds_one_full_trade_axis(monkeypatch):
+    """The visible branches and the block-trade comparison share one trade
+    axis; the invisible branch has the zero-trade one."""
+    widths = []
+
+    class CountingSlots(hjb._Slots):
+        def __init__(self, grid, params, n, geometry):
+            super().__init__(grid, params, n, geometry)
+            widths.append(len(n))
+
+    monkeypatch.setattr(hjb, "_Slots", CountingSlots)
+    grid = Grid.from_params(PARAMS, **_TINY)
+    solve(PARAMS, benchmark_mark_model(0.2), grid)
+    assert sorted(widths) == [1, len(_scan_trades(grid))]
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, Dict, Optional
 
 import click
@@ -47,24 +47,12 @@ __all__ = ["ConfigError", "RunConfig", "load_config", "main"]
 _AGENTS = ("table", "do-nothing", "immediate", "twap")
 
 # Each default declares its key's type (see _KINDS); the null default of
-# marks.custom is checked in _build.
+# marks.custom is checked in _build.  The market section is MarketParams'
+# defaults, with the quoted spread 2*zeta in place of zeta.
 _DEFAULTS = {
     "schema_version": SCHEMA_VERSION,
-    "market": {
-        "theta_f": 20.0,
-        "kappa_f": 0.01,
-        "theta_g": 40.0,
-        "kappa_g": 0.01,
-        "theta_iota": 0.01,
-        "kappa_iota": -0.0002,
-        "spread": 0.01,
-        "sigma_auction": 0.3,
-        "alpha": 0.1,
-        "lambda_lower": -40.0,
-        "lambda_upper": 40.0,
-        "lot_size": 1.0,
-        "horizon": 1.0,
-    },
+    "market": {f.name: f.default for f in fields(MarketParams)
+               if f.name != "zeta"} | {"spread": 2 * MarketParams.zeta},
     "marks": {
         "signal_prob": 0.2,
         "post_fraction": 0.75,
@@ -292,11 +280,14 @@ def _q_symmetry_residual(surface: hjb.ValueSurface) -> Optional[float]:
 
 
 def _stored_solution(path: str, config: RunConfig, marks: MarkModel):
-    """The solution at ``path`` if it exists and was solved for the config's
-    market and grid with ``marks``, else ``None``."""
+    """The solution at ``path`` if it exists, is readable and was solved for
+    the config's market and grid with ``marks``, else ``None``."""
     if not os.path.exists(path):
         return None
-    surface, pol = hjb.load_solution(path)
+    try:
+        surface, pol = hjb.load_solution(path)
+    except ValueError:
+        return None
     inputs = hjb.solver_inputs(config.params, marks, config.grid)
     if any(surface.meta.get(key) != value for key, value in inputs.items()):
         return None
@@ -395,8 +386,9 @@ def _run_simulate(config: RunConfig) -> int:
     solution = _stored_solution(path, config, config.marks)
     if solution is None:
         raise ConfigError(
-            f"policy file {path} was solved for other market, mark or grid "
-            f"settings than this config (run `artifact solve` again)")
+            f"policy file {path} is unreadable or was solved for other "
+            f"market, mark or grid settings than this config (run "
+            f"`artifact solve` again)")
     exp = config.experiment
     agent = policy_mod.TablePolicyAgent(solution[1], config.params)
     if exp["record_events"]:
@@ -450,8 +442,7 @@ def _run_evaluate(config: RunConfig) -> int:
     code = 0
     if "table" in reports:
         result = evaluation.consistency_check(
-            surface, reports["table"], config.params.alpha,
-            config.initial_state())
+            surface, reports["table"], config.initial_state())
         summary["consistency"] = asdict(result)
         if not result.passed:
             click.echo(
@@ -555,7 +546,7 @@ def _run_check(config: RunConfig) -> int:
     report = _experiment(
         config, marks, {"table": policy_mod.TablePolicyAgent(pol, params)},
         n_sim=min(config.experiment["n_sim"], 2000))["table"]
-    result = evaluation.consistency_check(surface, report, params.alpha,
+    result = evaluation.consistency_check(surface, report,
                                           config.initial_state())
     expect(result.passed,
            f"solver vs simulation ({result.abs_error:.3g} <= "

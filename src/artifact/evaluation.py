@@ -236,13 +236,14 @@ def signal_sharpe_ratio(with_signal: np.ndarray,
 
 
 def consistency_check(surface: ValueSurface, report: EvalReport,
-                      alpha: float, initial: MarketState) -> ConsistencyResult:
+                      initial: MarketState) -> ConsistencyResult:
     """Compare the solved start value with the simulated mean utility.
 
     The solver's value at the initial state must match the Monte-Carlo mean
-    of terminal utility within three standard errors plus
-    ``CONSISTENCY_REL_TOLERANCE * |value|``.  The surface and the report
-    must describe the same market (hard error otherwise).
+    of terminal utility, under the surface's risk aversion, within three
+    standard errors plus ``CONSISTENCY_REL_TOLERANCE * |value|``.  The
+    surface and the report must describe the same market (hard error
+    otherwise).
     """
     echo = report.config_echo
     if echo["params"] != surface.meta["params"]:
@@ -257,6 +258,7 @@ def consistency_check(surface: ValueSurface, report: EvalReport,
                              f"check asked for {val}")
 
     w0 = surface.start_value(initial.lam, initial.q)
+    alpha = surface.alpha
     book = initial.x + initial.p * initial.q
     if alpha > 0.0:
         solver_value = w0 * math.exp(-alpha * book)

@@ -466,10 +466,16 @@ class _Kernel:
             # indices were range-checked at build time
             np.take(w_flat, idx, out=buf, mode="clip")
         acc, tmp = slots.acc, slots.tmp
-        # start from +0.0 (not the first product) so a -0.0 product sums
-        # to +0.0 as in a plain sum
-        np.copyto(acc, slots.start)
-        for slab, multiplier in self.terms:
+        if not self.terms:
+            np.copyto(acc, slots.start)
+            return acc
+        # the first term (``add`` starts each mark with a gathered one)
+        # goes straight into acc; adding the start after it sums a -0.0
+        # product to +0.0 as a plain sum from +0.0 would
+        (slab, multiplier), *rest = self.terms
+        np.multiply(gathered[slab], multiplier, out=acc)
+        acc += slots.start
+        for slab, multiplier in rest:
             if slab is None:
                 acc += multiplier
             else:
@@ -585,19 +591,6 @@ class _Scheme:
         self.block.best(self.transported, out[1:], delta[1:])
 
 
-def _check_grid_params(grid: Grid, params: MarketParams) -> None:
-    pairs = [
-        ("lambda_lower", grid.lambda_lower, params.lambda_lower),
-        ("lambda_upper", grid.lambda_upper, params.lambda_upper),
-        ("horizon", grid.horizon, params.horizon),
-        ("d_q vs lot_size", grid.d_q, params.lot_size),
-    ]
-    for name, gval, pval in pairs:
-        if abs(gval - pval) > _TOL:
-            raise ValueError(f"grid/params mismatch on {name}: "
-                             f"{gval} vs {pval}")
-
-
 def check_stability(grid: Grid, params: MarketParams,
                     marks: MarkModel) -> float:
     """Stability number ``d_t * (f(cap) + g(floor)) * total mark weight``.
@@ -654,9 +647,7 @@ def solver_inputs(params: MarketParams, marks: MarkModel,
     return {
         "params": asdict(params),
         "marks": marks.fingerprint(),
-        "grid": {name: getattr(grid, name) for name in (
-            "d_t", "d_lambda", "d_q", "lambda_lower", "lambda_upper",
-            "q_min", "q_max", "horizon")},
+        "grid": asdict(grid),
     }
 
 
@@ -670,8 +661,13 @@ def solve(params: MarketParams, marks: MarkModel,
     slice gets no block-trade comparison and zero trades.  Both carry the
     same metadata: the schema version, ``alpha`` and the ``solver_inputs``,
     which is all a solution depends on, so equal inputs save equal bytes.
+    ``grid`` must be the one ``Grid.from_params`` maps ``params`` to.
     """
-    _check_grid_params(grid, params)
+    mapped = Grid.from_params(params, grid.d_t, grid.d_lambda, grid.q_min,
+                              grid.q_max)
+    if grid != mapped:
+        raise ValueError(f"grid mismatch: {grid} is not the market's "
+                         f"grid {mapped}")
     check_stability(grid, params, marks)
     scheme = _Scheme(grid, params, marks)
 
@@ -756,8 +752,8 @@ def _mapped_members(path) -> dict:
         buffer = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_COPY)
         for info in zf.infolist():
             if info.compress_type != zipfile.ZIP_STORED:
-                raise ValueError(f"{path}: member {info.filename} is "
-                                 f"compressed and cannot be mapped")
+                raise ValueError(f"member {info.filename} is compressed "
+                                 f"and cannot be mapped")
             with zf.open(info) as member:
                 version = fmt.read_magic(member)
                 read_header = (fmt.read_array_header_1_0 if version == (1, 0)
@@ -780,13 +776,26 @@ def load_solution(path) -> Tuple[ValueSurface, Policy]:
 
     The arrays are writeable views of a private (copy-on-write) mapping
     of the file, so loading copies nothing, memory holds only the pages a
-    run reads, and writing to an array never changes the file.
+    run reads, and writing to an array never changes the file.  A file
+    that cannot be mapped so (not a zip, a missing or compressed member,
+    bad metadata, arrays off its grid) raises ``ValueError`` naming the
+    path.
     """
-    arrays = _mapped_members(path)
-    meta = json.loads(arrays["meta"].tobytes().decode())
-    grid = Grid(**meta["grid"])
-    surface = ValueSurface(grid=grid, values=arrays["values"],
-                           alpha=meta["alpha"], meta=meta)
-    policy = Policy(grid=grid, gamma_star=arrays["gamma_star"],
-                    delta_star=arrays["delta_star"], meta=meta)
+    try:
+        arrays = _mapped_members(path)
+        meta = json.loads(arrays["meta"].tobytes().decode())
+        grid = Grid(**meta["grid"])
+        shape = (grid.n_steps + 1, grid.n_lambda, grid.n_q)
+        for name, want in (("values", shape), ("delta_star", shape),
+                           ("gamma_star", shape + (len(SIGNALS),))):
+            if arrays[name].shape != want:
+                raise ValueError(f"{name} of shape {arrays[name].shape}, "
+                                 f"its grid needs {want}")
+        surface = ValueSurface(grid=grid, values=arrays["values"],
+                               alpha=meta["alpha"], meta=meta)
+        policy = Policy(grid=grid, gamma_star=arrays["gamma_star"],
+                        delta_star=arrays["delta_star"], meta=meta)
+    except (zipfile.BadZipFile, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{os.fspath(path)} is not a readable solution: "
+                         f"{exc!r}") from exc
     return surface, policy

@@ -172,7 +172,7 @@ def test_criterion_05_solved_surface_structure(solved_signal, desk_grid):
 def test_criterion_06_solver_matches_simulation(solved_signal, report_signal,
                                                 start_short):
     """Mean simulated utility equals the solved start value within tolerance."""
-    res = consistency_check(solved_signal[0], report_signal, 0.1, start_short)
+    res = consistency_check(solved_signal[0], report_signal, start_short)
     _criterion(6, res.passed, (
         f"solver {res.solver_value:.6e} vs Monte-Carlo {res.mc_mean:.6e} "
         f"+- {res.mc_se:.2e} SE; |gap| {res.abs_error:.2e} <= "

@@ -12,6 +12,7 @@ from click.testing import CliRunner
 
 from artifact import cli, evaluation, hjb, order_flow
 from artifact.cli import ConfigError, load_config, main
+from artifact.market_core import MarketParams
 
 def _write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
@@ -36,6 +37,7 @@ def test_missing_and_empty_configs_resolve_to_the_benchmark(tmp_path):
     default = load_config(None)
     assert default.params.zeta == 0.005          # quoted spread 0.01
     assert default.params.theta_f == 20.0
+    assert default.params == MarketParams()      # field for field
     assert default.marks.signal_prob == 0.2
     assert default.grid.d_t == 0.005
     assert default.experiment["n_sim"] == 10000
@@ -291,6 +293,30 @@ def test_simulate_refuses_a_policy_solved_for_other_inputs(tmp_path):
     assert result.exit_code == 2
     assert "solved for other" in _all_output(result)
     assert not (out / "simulate_report.json").exists()
+
+
+def test_solve_replaces_an_unreadable_stored_solution(tmp_path):
+    runner = CliRunner()
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "solution_signal.npz").write_bytes(b"junk\n")
+    result = runner.invoke(main, ["solve", "-c", _tiny_config(tmp_path),
+                                  "-o", str(out)])
+    assert result.exit_code == 0, _all_output(result)
+    surface, _ = hjb.load_solution(out / "solution_signal.npz")
+    assert surface.values.shape[0] == surface.grid.n_steps + 1
+
+
+def test_simulate_refuses_an_unreadable_stored_solution(tmp_path):
+    runner = CliRunner()
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "solution_signal.npz").write_bytes(b"junk\n")
+    result = runner.invoke(main, ["simulate", "-c", _tiny_config(tmp_path),
+                                  "-o", str(out)])
+    assert result.exit_code == 2
+    assert "unreadable" in _all_output(result)
+    assert sorted(os.listdir(out)) == ["solution_signal.npz"]
 
 
 def test_simulate_after_solve_writes_reports(tmp_path):
@@ -550,13 +576,15 @@ def test_python_dash_m_runs_the_cli_without_warnings():
 @pytest.mark.parametrize("exported, expected", [(None, "1"), ("2", "2")],
                          ids=["unset", "exported"])
 def test_importing_the_package_starts_no_blas_threads(exported, expected):
-    """One BLAS thread by default, and a value the caller exported wins."""
+    """One BLAS thread by default, and a value the caller exported wins.
+    The probe imports ``artifact.cli``, which loads numpy."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     env.pop("OPENBLAS_NUM_THREADS", None)
     if exported is not None:
         env["OPENBLAS_NUM_THREADS"] = exported
-    probe = ("import os, artifact; print(os.environ['OPENBLAS_NUM_THREADS']);"
+    probe = ("import os, artifact.cli;"
+             " print(os.environ['OPENBLAS_NUM_THREADS']);"
              " task = '/proc/self/task';"
              " print(len(os.listdir(task)) if os.path.isdir(task) else '')")
     result = subprocess.run([sys.executable, "-c", probe], env=env,

@@ -340,7 +340,7 @@ def test_consistency_check_is_exact_without_event_risk(zero_rate_solution):
     report = run_experiment(ZERO_RATE, marks,
                             {"table": TablePolicyAgent(policy, ZERO_RATE)},
                             4, 60, initial)["table"]
-    result = consistency_check(surface, report, ZERO_RATE.alpha, initial)
+    result = consistency_check(surface, report, initial)
     assert result.passed
     assert result.mc_se == 0.0
     assert result.abs_error <= 1e-6 * abs(result.solver_value)
@@ -359,26 +359,24 @@ def test_consistency_check_rejects_mismatched_inputs(zero_rate_solution,
     other_params = run_experiment(bench_params, marks, {"t": agent}, 2, 61,
                                   initial)["t"]
     with pytest.raises(ValueError, match="market parameters"):
-        consistency_check(surface, other_params, 0.1, initial)
+        consistency_check(surface, other_params, initial)
 
     other_marks = run_experiment(ZERO_RATE, marks_signal, {"t": agent}, 2,
                                  61, initial)["t"]
     with pytest.raises(ValueError, match="mark model"):
-        consistency_check(surface, other_marks, 0.1, initial)
+        consistency_check(surface, other_marks, initial)
 
     good = run_experiment(ZERO_RATE, marks, {"t": agent}, 2, 61,
                           initial)["t"]
     with pytest.raises(ValueError, match="initial"):
-        consistency_check(surface, good, 0.1,
+        consistency_check(surface, good,
                           MarketState(lam=0.0, q=-1.0, p=100.0, x=0.0))
 
 
 def test_consistency_check_holds_on_the_benchmark(solved_signal,
-                                                  report_signal,
-                                                  bench_params, start_short):
+                                                  report_signal, start_short):
     surface, _ = solved_signal
-    result = consistency_check(surface, report_signal, bench_params.alpha,
-                               start_short)
+    result = consistency_check(surface, report_signal, start_short)
     assert result.passed, (
         f"solver {result.solver_value:.6g} vs mc {result.mc_mean:.6g} "
         f"+- {result.mc_se:.2g} (tolerance {result.tolerance:.2g})")
@@ -395,7 +393,7 @@ def test_solved_value_is_paid_near_the_floor(tiny_solution, bench_params,
     report = run_experiment(bench_params, marks_signal,
                             {"table": TablePolicyAgent(policy, bench_params)},
                             20_000, 7, initial, threads=1)["table"]
-    result = consistency_check(surface, report, bench_params.alpha, initial)
+    result = consistency_check(surface, report, initial)
     # The agent buys its two lots at once and ends flat on every path, so
     # the paths' utilities are equal up to rounding: the standard error is
     # rounding noise, and the solved value, formed in another order, sits

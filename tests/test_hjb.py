@@ -4,6 +4,7 @@ import dataclasses
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import zipfile
@@ -133,12 +134,25 @@ def test_unstable_step_raises(bench_params, marks_signal):
         solve(bench_params, marks_signal, grid)
 
 
-def test_solve_rejects_mismatched_grid(bench_params, marks_signal):
-    shifted = dataclasses.replace(bench_params, lambda_upper=30.0)
+@pytest.mark.parametrize("field, value", [("lambda_upper", 30.0),
+                                          ("lambda_lower", -30.0),
+                                          ("horizon", 0.5),
+                                          ("lot_size", 2.0)],
+                         ids=["lambda_upper", "lambda_lower", "horizon",
+                              "lot_size"])
+def test_solve_rejects_mismatched_grid(bench_params, marks_signal, field,
+                                       value):
+    """A grid built from another cap, floor, horizon or lot size."""
+    shifted = dataclasses.replace(bench_params, **{field: value})
     grid = Grid.from_params(shifted, d_t=0.005, d_lambda=1.0,
                             q_min=-2.0, q_max=2.0)
-    with pytest.raises(ValueError, match="mismatch"):
+    mapped = Grid.from_params(bench_params, d_t=0.005, d_lambda=1.0,
+                              q_min=-2.0, q_max=2.0)
+    with pytest.raises(ValueError, match="mismatch") as info:
         solve(bench_params, marks_signal, grid)
+    # the error names both grids
+    assert repr(grid) in str(info.value)
+    assert repr(mapped) in str(info.value)
 
 
 # ---------------------------------------------------------------------------
@@ -780,6 +794,36 @@ def test_compressed_members_are_refused(tmp_path, tiny_solution):
                         delta_star=policy.delta_star,
                         meta=np.frombuffer(b"{}", dtype=np.uint8))
     with pytest.raises(ValueError, match="compressed"):
+        load_solution(path)
+
+
+@pytest.mark.parametrize("case", ["not a zip", "missing member",
+                                  "bad metadata", "arrays off the grid"])
+def test_an_unreadable_solution_is_a_value_error_naming_it(tmp_path,
+                                                           tiny_solution,
+                                                           case):
+    path = tmp_path / "solution.npz"
+    if case == "not a zip":
+        path.write_bytes(b"junk\n")
+    else:
+        save_solution(path, *tiny_solution)
+        with zipfile.ZipFile(path) as zf:
+            members = {name: zf.read(name) for name in zf.namelist()}
+        if case == "missing member":
+            del members["values.npy"]
+        elif case == "arrays off the grid":
+            npy = io.BytesIO()
+            np.lib.format.write_array(npy, tiny_solution[0].values[:, :, 1:])
+            members["values.npy"] = npy.getvalue()
+        else:
+            npy = io.BytesIO()
+            np.lib.format.write_array(
+                npy, np.frombuffer(b"{not json", dtype=np.uint8))
+            members["meta.npy"] = npy.getvalue()
+        with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
+            for name, data in members.items():
+                zf.writestr(name, data)
+    with pytest.raises(ValueError, match=re.escape(str(path))):
         load_solution(path)
 
 

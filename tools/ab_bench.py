@@ -21,10 +21,16 @@ The record has the schema of the committed ``BENCH_*.json`` files:
 ``command``, ``pairs``, per workload the ``seeds``, the ``failed`` and
 ``attempted`` run counts summed per side and, per end-to-end metric of
 ``BENCHMARK.json``, each side's runs with their median and quartiles
-(linear interpolation), the number of pairs the change wins and the
-change's median relative to the parent's.  ``stamp`` holds, per side, the
-environment fields every record line of that side agrees on; the parent's
-``git_commit`` is the archived commit.
+(linear interpolation), the number of pairs the change wins, the
+change's median relative to the parent's, the metric's ``bound`` and two
+verdicts: ``worse_than_bound``, the change's median is worse than the
+parent's by more than ``bound`` of the parent's median; and
+``gain_holds``, the change wins at least nine tenths of the pairs (ties
+count for neither side) and its median is better than the parent's by
+more than the parent's interquartile range.  One stderr line per
+workload names the metrics with either verdict set.  ``stamp`` holds,
+per side, the environment fields every record line of that side agrees
+on; the parent's ``git_commit`` is the archived commit.
 
 Uses the standard library only; the benchmark runs in the child processes.
 """
@@ -101,12 +107,30 @@ def summarize(runs: dict, metrics: list) -> dict:
         wins = sum((c < p) if lower else (c > p)
                    for p, c in zip(values["parent"], values["change"]))
         parent, change = (quartiles(values[side]) for side in SIDES)
+        relative = change["median"] / parent["median"] - 1
+        # how much better the change's median is, in the metric's units
+        gain = (parent["median"] - change["median"]) * (1 if lower else -1)
         entry["metrics"][name] = {
             "parent": parent, "change": change,
             "change_better_pairs": wins,
-            "change_vs_parent_median": change["median"] / parent["median"] - 1,
+            "change_vs_parent_median": relative,
+            "bound": metric["bound"],
+            "worse_than_bound": (relative if lower else -relative)
+            > metric["bound"],
+            "gain_holds": wins >= 0.9 * len(values["parent"])
+            and gain > parent["q3"] - parent["q1"],
         }
     return entry
+
+
+def verdict_line(workload: str, entry: dict) -> str:
+    """The metrics of a workload's entry with either verdict set."""
+    flagged = {verdict: [name for name, m in entry["metrics"].items()
+                         if m[verdict]]
+               for verdict in ("worse_than_bound", "gain_holds")}
+    named = "; ".join(f"{verdict}: {', '.join(names)}"
+                      for verdict, names in flagged.items() if names)
+    return f"ab_bench: {workload}: {named or 'no verdict set'}"
 
 
 def common_stamp(records: list) -> dict:
@@ -151,6 +175,8 @@ def main(argv=None) -> int:
                     records[side].append(run["record"])
             workloads_out[workload] = {"seeds": seeds,
                                        **summarize(runs, spec["end_to_end"])}
+            print(verdict_line(workload, workloads_out[workload]),
+                  file=sys.stderr, flush=True)
 
     stamp = {side: common_stamp(records[side]) for side in SIDES}
     stamp["parent"]["git_commit"] = parent_commit

@@ -400,7 +400,9 @@ def _run_simulate(config: RunConfig) -> int:
                                   os.path.join(out_dir, "paths.csv"))
         reports = evaluation.build_reports(
             config.params, config.marks,
-            {"table": [evaluation.path_outcome(path) for path in paths]},
+            {"table": (paths.terminal_wealth,
+                       evaluation.detect_speculation(paths),
+                       np.isfinite(paths.breaker_time))},
             exp["base_seed"], config.initial_state(),
             target_q=exp["target_q"],
             histogram_bin_width=config.output["histogram_bin_width"])
@@ -417,7 +419,14 @@ def _run_simulate(config: RunConfig) -> int:
     return 0
 
 
+def _two_paths(config: RunConfig) -> None:
+    if config.experiment["n_sim"] < 2:  # for the check's standard error
+        raise ConfigError("experiment.n_sim must be >= 2 for the "
+                          "consistency check")
+
+
 def _run_evaluate(config: RunConfig) -> int:
+    _two_paths(config)
     out_dir = config.output["directory"]
     os.makedirs(out_dir, exist_ok=True)
     (surface, pol), (surface0, pol0) = _solve_pair(config)
@@ -452,7 +461,10 @@ def _run_evaluate(config: RunConfig) -> int:
                 f"{result.tolerance:.3g})", err=True)
             code = 4
     _write_json(os.path.join(out_dir, "eval_summary.json"), summary)
-    if code == 0:
+    if "table" not in reports:
+        click.echo("evaluation complete; consistency check skipped (table "
+                   "is not among experiment.agents)")
+    elif code == 0:
         click.echo("evaluation complete; consistency check passed")
     return code
 
@@ -496,6 +508,7 @@ def _run_sweep(config: RunConfig) -> int:
 
 
 def _run_check(config: RunConfig) -> int:
+    _two_paths(config)
     params = config.params
     marks = config.marks
     failures = []

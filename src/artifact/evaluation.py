@@ -5,9 +5,10 @@ paths: path ``i`` of every agent uses the same 128-bit stream key, so the
 candidate event streams coincide and comparisons are paired.  Each block
 of paths is drawn once, and one event loop simulates it for every agent
 at once (``order_flow.simulate_block``: lanes are agents × paths, and each
-agent's hooks see only its own lanes).  Per-path scalars are assembled in
-path order and every statistic is reduced single-threaded from the
-assembled arrays, which makes results bit-identical whatever the worker
+agent's hooks see only its own lanes).  The block's per-lane columns of
+wealth, speculation and breaker flags are cut into one row per agent and
+joined in path order, and every statistic is reduced single-threaded from
+those columns, which makes results bit-identical whatever the worker
 count.
 """
 
@@ -21,7 +22,7 @@ import warnings
 # only runs that start a pool pay for it
 from concurrent import futures
 from dataclasses import asdict, dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -36,7 +37,6 @@ from .order_flow import simulate_path  # noqa: F401
 __all__ = [
     "EvalReport",
     "ConsistencyResult",
-    "path_outcome",
     "build_reports",
     "run_experiment",
     "signal_sharpe_ratio",
@@ -80,8 +80,8 @@ class ConsistencyResult:
     tolerance: float
 
 
-def detect_speculation(path: PathRecord) -> bool:
-    """Whether the path trades in both directions.
+def detect_speculation(path: PathRecord):
+    """Whether the path (or each lane of a block) trades both ways.
 
     Counts the executed signal- and state-based trades plus the implicit
     terminal liquidation of whatever inventory remains at the horizon
@@ -90,9 +90,9 @@ def detect_speculation(path: PathRecord) -> bool:
     does.
     """
     q_t = path.terminal_state.q
-    bought = path.n_buy_trades > 0 or q_t < 0.0
-    sold = path.n_sell_trades > 0 or q_t > 0.0
-    return bought and sold
+    bought = (path.n_buy_trades > 0) | (q_t < 0.0)
+    sold = (path.n_sell_trades > 0) | (q_t > 0.0)
+    return bought & sold
 
 
 def _histogram(wealth: np.ndarray, bin_width: float):
@@ -103,28 +103,22 @@ def _histogram(wealth: np.ndarray, bin_width: float):
     return edges, counts
 
 
-def path_outcome(path: PathRecord) -> Tuple[float, bool, bool]:
-    """A path's terminal wealth, speculation flag and breaker flag."""
-    return (path.terminal_wealth, detect_speculation(path),
-            math.isfinite(path.breaker_time))
-
-
 def build_reports(params: MarketParams, marks: MarkModel,
-                  outcomes: Dict[str, list], base_seed: int,
+                  outcomes: Dict[str, tuple], base_seed: int,
                   initial: MarketState, *, target_q: float = 0.0,
                   histogram_bin_width: float = 0.05) -> Dict[str, EvalReport]:
     """One report per agent from its path outcomes, given in path order.
 
-    ``outcomes`` maps each agent to the ``path_outcome`` of every path;
-    the statistics are reduced from the assembled arrays in one thread.
+    ``outcomes`` maps each agent to its ``(wealth, speculation, breaker)``
+    arrays, one entry per path; the statistics are reduced from them in
+    one thread.
     """
     reports: Dict[str, EvalReport] = {}
-    for name, rows in outcomes.items():
-        wealth, spec, brk = (np.array(col) for col in zip(*rows))
+    for name, (wealth, spec, brk) in outcomes.items():
         edges, counts = _histogram(wealth, histogram_bin_width)
         reports[name] = EvalReport(
             agent=name,
-            n_sim=len(rows),
+            n_sim=len(wealth),
             base_seed=base_seed,
             wealth=wealth,
             mean=float(np.mean(wealth)),
@@ -139,7 +133,7 @@ def build_reports(params: MarketParams, marks: MarkModel,
                 "marks": marks.fingerprint(),
                 "initial": {"lam": initial.lam, "q": initial.q,
                             "p": initial.p, "x": initial.x},
-                "n_sim": len(rows),
+                "n_sim": len(wealth),
                 "base_seed": base_seed,
                 "target_q": target_q,
                 "agent": name,
@@ -158,21 +152,22 @@ def _share(*inputs) -> None:
 
 
 def _simulate_chunk(paths: range, inputs: tuple = ()) -> list:
-    """Every agent's path outcomes on ``paths``, one block at a time."""
+    """Every agent's path outcomes on ``paths``, one block at a time: per
+    block, its wealth, speculation and breaker columns as ``(agents,
+    paths)`` arrays."""
     params, marks, agents, initial, base_seed = inputs or _shared
-    outcomes = [[] for _ in agents]
+    blocks = []
     for start in range(paths.start, paths.stop, BLOCK_PATHS):
-        stop = min(start + BLOCK_PATHS, paths.stop)
-        records = simulate_block(params, marks, list(agents.values()),
-                                 initial, draw_candidates(params, marks, [
-                                     make_path_seed(base_seed, i)
-                                     for i in range(start, stop)]))
-        # lane a * n + b is agent a on path b
-        n = stop - start
-        for a, rows in enumerate(outcomes):
-            rows += map(path_outcome, records[a * n:(a + 1) * n])
-        del records  # before the next block is drawn: one block in memory
-    return outcomes
+        ids = range(start, min(start + BLOCK_PATHS, paths.stop))
+        rec = simulate_block(
+            params, marks, list(agents.values()), initial, draw_candidates(
+                params, marks, [make_path_seed(base_seed, i) for i in ids]))
+        # lane a * n + b is agent a on path b: row a of an (agents, n) view
+        blocks.append([column.reshape(len(agents), -1) for column in (
+            rec.terminal_wealth, detect_speculation(rec),
+            np.isfinite(rec.breaker_time))])
+        del rec  # before the next block is drawn: one block in memory
+    return blocks
 
 
 def run_experiment(params: MarketParams, marks: MarkModel,
@@ -210,7 +205,9 @@ def run_experiment(params: MarketParams, marks: MarkModel,
         with futures.ProcessPoolExecutor(len(ranges), initializer=_share,
                                          initargs=inputs) as pool:
             chunks = list(pool.map(_simulate_chunk, ranges))
-    outcomes = {name: [row for chunk in chunks for row in chunk[a]]
+    wealth, spec, brk = (np.concatenate(columns, axis=1) for columns in zip(
+        *(block for chunk in chunks for block in chunk)))
+    outcomes = {name: (wealth[a], spec[a], brk[a])
                 for a, name in enumerate(agents)}
     return build_reports(params, marks, outcomes, base_seed, initial,
                          target_q=target_q,
@@ -242,9 +239,11 @@ def consistency_check(surface: ValueSurface, report: EvalReport,
     The solver's value at the initial state must match the Monte-Carlo mean
     of terminal utility, under the surface's risk aversion, within three
     standard errors plus ``CONSISTENCY_REL_TOLERANCE * |value|``.  The
-    surface and the report must describe the same market (hard error
-    otherwise).
+    surface and the report must describe the same market, and a standard
+    error needs two paths (hard errors otherwise).
     """
+    if report.n_sim < 2:
+        raise ValueError("the consistency check needs at least two paths")
     echo = report.config_echo
     if echo["params"] != surface.meta["params"]:
         raise ValueError("report and surface disagree on market parameters")

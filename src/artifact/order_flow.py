@@ -26,8 +26,9 @@ lane ``a * n_paths + b`` is agent ``a`` on path ``b``, and the market state
 and every path accumulator are arrays with one entry per lane.  Each agent's
 hooks are called on its own contiguous share of the lanes and see only
 those.  Each lane does exactly the arithmetic its path would do alone with
-its agent, in the same order, so a record depends neither on the block nor
-on the other agents it ran with.
+its agent, in the same order, so a lane depends neither on the block nor
+on the other agents it ran with.  The result is one ``PathRecord`` of
+per-lane arrays; ``simulate_path`` alone reads a lane back as scalars.
 """
 
 from __future__ import annotations
@@ -35,8 +36,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass
-from itertools import repeat
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -63,7 +63,6 @@ __all__ = [
     "simulate_block",
     "simulate_paths",
     "simulate_path",
-    "vbar_bound",
     "write_path_log",
     "PATH_LOG_COLUMNS",
 ]
@@ -148,40 +147,22 @@ class MarkModel:
         # the inverse-CDF table numpy's Generator.choice builds from p=nus
         cdf = np.cumsum(nus)
         cdf /= cdf[-1]
-        object.__setattr__(self, "marks", marks)
-        object.__setattr__(self, "_nus", nus)
-        object.__setattr__(self, "_cdf", cdf)
-        object.__setattr__(self, "_etas",
-                           np.array([m.eta for m in marks], dtype=float))
-        object.__setattr__(self, "_rhos",
-                           np.array([m.rho for m in marks], dtype=float))
-        resilience = float(np.sum(nus * self._rhos))
+        # the marks as a tuple; what derives from them is outside eq, hash
+        vars(self).update(
+            marks=marks, nus=nus, _cdf=cdf, n_marks=len(marks),
+            etas=np.array([m.eta for m in marks], dtype=float),
+            rhos=np.array([m.rho for m in marks], dtype=float))
+        resilience = float(np.sum(nus * self.rhos))
         if resilience <= 0.0:
             warnings.warn(
                 f"mean limit volume sum(nu*rho) = {resilience} is not "
                 "positive; the book is not resilient", stacklevel=2)
-
-    @property
-    def nus(self) -> np.ndarray:
-        return self._nus
 
     def mark_indices(self, u: np.ndarray) -> np.ndarray:
         """Mark indices of the uniforms ``u``: drawing ``u = gen.random(n)``
         gives the indices ``gen.choice(n_marks, size=n, p=nus)`` would, from
         the same stream, without re-validating ``p``."""
         return self._cdf.searchsorted(u, side="right")
-
-    @property
-    def etas(self) -> np.ndarray:
-        return self._etas
-
-    @property
-    def rhos(self) -> np.ndarray:
-        return self._rhos
-
-    @property
-    def n_marks(self) -> int:
-        return len(self.marks)
 
     def with_signal_prob(self, signal_prob: float) -> "MarkModel":
         return MarkModel(self.marks, signal_prob)
@@ -265,7 +246,14 @@ class EventRecord:
 
 @dataclass(frozen=True)
 class PathRecord:
-    """Scalar summary (and optional event log) of one simulated path."""
+    """Summary (and optional event log) of simulated paths.
+
+    The fields are scalars for one path, or equal-length arrays with one
+    entry per lane for a block (see ``simulate_block``); the terminal state
+    is then a ``MarketState`` of arrays.  ``events`` holds a path's
+    ``EventRecord``s, or for a block one such tuple per lane; it is ``()``
+    unless events were recorded.
+    """
 
     terminal_state: MarketState
     terminal_wealth: float
@@ -570,16 +558,17 @@ class _Block:
 
 def simulate_block(params: MarketParams, marks: MarkModel, agents: Sequence,
                    initial: MarketState, candidates: CandidateBlock, *,
-                   record_events: bool = False) -> list:
+                   record_events: bool = False) -> PathRecord:
     """Simulate the paths of one candidate block for each of ``agents``.
 
     Every agent is any object with the array hooks ``on_signal(t, state,
     z)``, ``on_state(t, state)`` and ``next_impulse(t_from, t_to, state)``
     (see ``policy``), or ``None`` for a passive trader.  One event loop runs
     over ``len(agents) * n_paths`` lanes over ``[0, horizon]``; each hook is
-    called with the agent's own lanes only.  Returns one ``PathRecord`` per
-    lane, in lane order: record ``a * n_paths + b`` is agent ``a`` on path
-    ``b``.  Each is reproducible bit-exactly from ``(seed, agent)`` alone.
+    called with the agent's own lanes only.  Returns one ``PathRecord`` of
+    per-lane arrays, in lane order: entry ``a * n_paths + b`` is agent
+    ``a`` on path ``b``.  Each entry is reproducible bit-exactly from
+    ``(seed, agent)`` alone.
     """
     if initial.lam < params.lambda_lower or initial.lam > params.lambda_upper:
         raise ValueError(
@@ -675,70 +664,67 @@ def simulate_block(params: MarketParams, marks: MarkModel, agents: Sequence,
                       r_exec, delta_r)
 
     block.advance(every, np.full(n_lanes, horizon))
-    wealth = terminal_wealth(block.state(every), params, auction)
-    states = map(MarketState, *(a.tolist() for a in (
-        block.lam, block.q, block.p, block.x, block.halted)))
-    # PathRecord's fields in order, between the terminal state and events
-    columns = (a.tolist() for a in (
-        wealth, auction, block.breaker_time, counts, n_live_mo,
-        n_live_limit, n_signals, block.n_buy, block.n_sell, block.v_q,
-        block.v_m, block.v_lminus, block.qv, block.integ_var, vbar_rho,
-        block.min_lam))
-    events = map(tuple, block.events) if record_events else repeat(())
-    return [PathRecord(state, *row, events=path_events)
-            for state, *row, path_events in zip(states, *columns, events)]
+    state = block.state(every)
+    return PathRecord(
+        state, terminal_wealth(state, params, auction), auction,
+        block.breaker_time, counts, n_live_mo, n_live_limit, n_signals,
+        block.n_buy, block.n_sell, block.v_q, block.v_m, block.v_lminus,
+        block.qv, block.integ_var, vbar_rho, block.min_lam,
+        events=tuple(map(tuple, block.events)) if record_events else ())
+
+
+def _map_columns(fn, records: Sequence[PathRecord],
+                 events: tuple) -> PathRecord:
+    """A record with ``events`` whose every other field, terminal state
+    included, is ``fn`` of the list of that field in ``records``."""
+    return PathRecord(
+        MarketState(*(fn([getattr(r.terminal_state, f.name) for r in records])
+                      for f in fields(MarketState))),
+        *(fn([getattr(rec, f.name) for rec in records])
+          for f in fields(PathRecord)[1:-1]),
+        events=events)
 
 
 def simulate_paths(params: MarketParams, marks: MarkModel, agent,
                    initial: MarketState, seeds: Sequence[int], *,
-                   record_events: bool = False) -> list:
-    """Simulate the paths keyed by ``seeds``, ``BLOCK_PATHS`` at a time.
-
-    Returns one ``PathRecord`` per seed, in order; see ``simulate_block``.
-    """
-    paths = []
-    for start in range(0, len(seeds), BLOCK_PATHS):
-        paths += simulate_block(
-            params, marks, [agent], initial,
-            draw_candidates(params, marks, seeds[start:start + BLOCK_PATHS]),
-            record_events=record_events)
-    return paths
+                   record_events: bool = False) -> PathRecord:
+    """Simulate the paths keyed by ``seeds``, ``BLOCK_PATHS`` at a time,
+    into one record of per-path arrays in seed order, zero-length for no
+    seeds (see ``simulate_block``)."""
+    blocks = [simulate_block(
+        params, marks, [agent], initial,
+        draw_candidates(params, marks, seeds[start:start + BLOCK_PATHS]),
+        record_events=record_events)
+        for start in range(0, max(len(seeds), 1), BLOCK_PATHS)]
+    return _map_columns(np.concatenate, blocks,
+                        sum((block.events for block in blocks), ()))
 
 
 def simulate_path(params: MarketParams, marks: MarkModel, policy,
                   initial: MarketState, seed: int, *,
                   record_events: bool = False) -> PathRecord:
-    """Simulate the one path keyed by ``seed`` (see ``simulate_paths``)."""
-    return simulate_paths(params, marks, policy, initial, [seed],
-                          record_events=record_events)[0]
+    """Simulate the one path keyed by ``seed`` (see ``simulate_paths``);
+    its record holds Python scalars."""
+    rec = simulate_paths(params, marks, policy, initial, [seed],
+                         record_events=record_events)
+    return _map_columns(lambda values: values[0].item(), [rec],
+                        rec.events[0] if record_events else ())
 
 
-def vbar_bound(initial_lambda: float, path: PathRecord,
-               params: MarketParams) -> float:
-    """Pathwise dominating volume for total liquidity turnover.
-
-    ``initial_lambda - lambda_lower`` plus the absolute limit volumes of
-    every candidate whose thinning coordinate falls below ``g(lambda_lower)``
-    dominates the realized ``inventory_variation + market_volume +
-    cancel_volume`` on the same path, whatever the policy.
-    """
-    return (initial_lambda - params.lambda_lower) + path.vbar_rho_sum
-
-
-def write_path_log(paths: Sequence[PathRecord], file) -> None:
+def write_path_log(paths: PathRecord, file) -> None:
     """Write recorded events as CSV (one row per candidate or impulse).
 
     Columns: ``path_id, t, kind, z, gamma, eta, rho, lambda, q, p, x``
-    with executed volumes and the post-event state.  Paths must have been
-    simulated with ``record_events=True`` to have rows here.
+    with executed volumes and the post-event state, from a record of
+    per-path arrays simulated with ``record_events=True``.
     """
     own = isinstance(file, (str, bytes)) or hasattr(file, "__fspath__")
     handle = open(file, "w", newline="") if own else file
     try:
         writer = csv.writer(handle)
         writer.writerow(PATH_LOG_COLUMNS)
-        for pid, path in enumerate(paths):
-            for ev in path.events:
+        for pid, events in enumerate(paths.events):
+            for ev in events:
                 st = ev.post_state
                 writer.writerow([
                     pid, repr(float(ev.time)), ev.kind, ev.z,

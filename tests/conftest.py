@@ -8,7 +8,6 @@ Session scope keeps the expensive artifacts (four desk solves, several
 
 import dataclasses
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -16,8 +15,9 @@ from artifact.evaluation import run_experiment
 from artifact.hjb import Grid, solve
 from artifact.market_core import MarketParams, MarketState
 from artifact.order_flow import (benchmark_mark_model, make_path_seed,
-                                 simulate_paths, vbar_bound)
+                                 simulate_paths)
 from artifact.policy import TablePolicyAgent
+from oracles import vbar_bound
 
 settings.register_profile(
     "artifact",
@@ -102,15 +102,13 @@ def passive_path_stats(bench_params, marks_blind, start_short):
     paths = simulate_paths(bench_params, marks_blind, None, start_short,
                            [make_path_seed(7, i) for i in range(N_SIM)])
     return {
-        "turnover": np.array([rec.inventory_variation + rec.market_volume
-                              + rec.cancel_volume for rec in paths]),
-        "qv": np.array([rec.price_qv for rec in paths]),
-        "iv": np.array([rec.integrated_variance for rec in paths]),
-        "live_mo": np.array([rec.n_live_market for rec in paths],
-                            dtype=float),
-        "vbar": np.array([vbar_bound(start_short.lam, rec, bench_params)
-                          for rec in paths]),
-        "min_lambda": np.array([rec.min_lambda for rec in paths]),
+        "turnover": (paths.inventory_variation + paths.market_volume
+                     + paths.cancel_volume),
+        "qv": paths.price_qv,
+        "iv": paths.integrated_variance,
+        "live_mo": paths.n_live_market.astype(float),
+        "vbar": vbar_bound(start_short.lam, paths, bench_params),
+        "min_lambda": paths.min_lambda,
     }
 
 

@@ -297,6 +297,18 @@ def euler_thinning_oracle(params, marks, initial_lam, n_paths, dt, seed):
     return {"live_mo": live_mo, "fband": fband, "int_f": int_f}
 
 
+def vbar_bound(initial_lambda, path, params):
+    """Pathwise dominating volume for total liquidity turnover.
+
+    ``initial_lambda - lambda_lower`` plus the absolute limit volumes of
+    every candidate whose thinning coordinate falls below ``g(lambda_lower)``
+    dominates the realized ``inventory_variation + market_volume +
+    cancel_volume`` on the same path, whatever the policy.  Elementwise on
+    a record of per-path arrays.
+    """
+    return (initial_lambda - params.lambda_lower) + path.vbar_rho_sum
+
+
 def paired_mean_gain(a, b):
     """Paired mean difference and its standard error."""
     d = np.asarray(a, float) - np.asarray(b, float)

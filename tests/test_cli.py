@@ -400,6 +400,39 @@ def test_evaluate_reuses_solutions_solved_for_the_same_inputs(tmp_path):
     assert [(out / name).stat().st_mtime_ns for name in names] == before
 
 
+def test_one_path_refuses_the_consistency_check_before_solving(
+        tmp_path, monkeypatch):
+    """A standard error needs two paths: ``evaluate`` and ``check`` refuse
+    ``n_sim`` 1 with a configuration error before anything is solved;
+    ``simulate`` and ``sweep`` still accept one path."""
+    solves = _count_solves(monkeypatch)
+    runner = CliRunner()
+    cfg = _tiny_config(tmp_path, n_sim=1)
+    out = tmp_path / "out"
+    for command in ("evaluate", "check"):
+        result = runner.invoke(main, [command, "-c", cfg, "-o", str(out)])
+        assert result.exit_code == 2, _all_output(result)
+        assert "experiment.n_sim must be >= 2" in _all_output(result)
+    assert solves == []
+    assert not (out / "eval_summary.json").exists()
+    assert load_config(cfg).experiment["n_sim"] == 1
+
+
+@pytest.mark.filterwarnings("ignore:degenerate wealth sample")
+def test_evaluate_without_the_table_agent_says_the_check_was_skipped(
+        tmp_path):
+    runner = CliRunner()
+    cfg = _tiny_config(tmp_path, agents=[], n_sim=20)
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["evaluate", "-c", cfg, "-o", str(out)])
+    assert result.exit_code == 0, _all_output(result)
+    summary = json.loads((out / "eval_summary.json").read_text())
+    assert list(summary["agents"]) == ["table-nosignal"]
+    assert "consistency" not in summary
+    assert "consistency check skipped" in result.output
+    assert "consistency check passed" not in result.output
+
+
 def test_a_bad_value_exits_before_anything_is_solved(tmp_path):
     runner = CliRunner()
     cfg = _tiny_config(tmp_path, p0="x")

@@ -10,7 +10,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from artifact import evaluation
+from artifact import evaluation, order_flow
 from artifact.evaluation import (
     consistency_check,
     detect_speculation,
@@ -23,8 +23,8 @@ from artifact.evaluation import (
 from artifact.hjb import Grid, solve
 from artifact.market_core import MarketParams, MarketState, utility
 from artifact.order_flow import (Mark, MarkModel, benchmark_mark_model,
-                                 make_path_seed, simulate_block,
-                                 simulate_path)
+                                 draw_candidates, make_path_seed,
+                                 simulate_block, simulate_path)
 from artifact.policy import (Agent, DoNothingAgent, ImmediateExecutionAgent,
                              TablePolicyAgent, TwapAgent)
 
@@ -78,6 +78,26 @@ def test_roundtrips_and_overshoots_flag_speculation():
     # any trading away from a flat book is speculative
     assert detect_speculation(
         _zero_rate_path(_ScriptedAgent([(0.3, 1.0)]), q0=0.0))
+
+
+def test_speculation_flags_each_lane_as_its_path_alone(bench_params,
+                                                       marks_signal):
+    """On a block's record of per-lane arrays the rule answers lane by
+    lane, as it does for each path simulated alone."""
+    initial = MarketState(lam=0.0, q=-2.0, p=100.0, x=0.0)
+    agents = [_ScriptedAgent([(0.3, 1.0), (0.6, -1.0)]),
+              ImmediateExecutionAgent(0.0, bench_params), None,
+              _ScriptedAgent([(0.3, 3.0)])]
+    seeds = [make_path_seed(3, i) for i in range(30)]
+    flags = detect_speculation(simulate_block(
+        bench_params, marks_signal, agents, initial,
+        draw_candidates(bench_params, marks_signal, seeds)))
+    alone = [detect_speculation(simulate_path(bench_params, marks_signal,
+                                              agent, initial, seed))
+             for agent in agents for seed in seeds]
+    assert flags.dtype == bool
+    assert flags.tolist() == alone
+    assert 0 < sum(alone) < len(alone)
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +300,35 @@ def test_one_simulate_block_call_per_block_for_every_agent(
         np.testing.assert_array_equal(report.wealth, alone[name].wealth)
 
 
+def test_an_experiment_builds_no_per_path_record(
+        monkeypatch, bench_params, solved_signal, solved_blind, marks_signal,
+        start_short):
+    """The five desk agents' reports are reduced from the block's columns:
+    one record of per-lane arrays per block, none per path."""
+    built = []
+
+    class CountedRecord(order_flow.PathRecord):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(np.shape(self.terminal_wealth))
+
+    agents = {
+        "table": TablePolicyAgent(solved_signal[1], bench_params),
+        "do-nothing": DoNothingAgent(),
+        "immediate": ImmediateExecutionAgent(0.0, bench_params),
+        "twap": TwapAgent(0.0, start_short.q, bench_params),
+        "table-nosignal": TablePolicyAgent(solved_blind[1], bench_params,
+                                           name="table-nosignal"),
+    }
+    monkeypatch.setattr(order_flow, "PathRecord", CountedRecord)
+    monkeypatch.setattr(evaluation, "BLOCK_PATHS", 4)
+    reports = run_experiment(bench_params, marks_signal, agents, 9, 58,
+                             start_short)
+    # blocks of 4, 4 and 1 paths, each of five agents' lanes
+    assert built == [(20,), (20,), (5,)]
+    assert [r.n_sim for r in reports.values()] == [9] * 5
+
+
 def test_run_experiment_validation(bench_params, marks_signal, start_short):
     with pytest.raises(ValueError, match="n_sim"):
         run_experiment(bench_params, marks_signal, {"a": DoNothingAgent()},
@@ -347,6 +396,19 @@ def test_consistency_check_is_exact_without_event_risk(zero_rate_solution):
     assert result.solver_value == pytest.approx(result.mc_mean, rel=1e-12)
     # and the sign convention is the utility one
     assert result.solver_value < 0.0
+
+
+def test_consistency_check_needs_two_paths(zero_rate_solution):
+    """One path has no standard error: the check refuses it rather than
+    compare against a NaN tolerance."""
+    marks, surface, policy = zero_rate_solution
+    initial = MarketState(lam=0.0, q=-2.0, p=100.0, x=0.0)
+    agent = TablePolicyAgent(policy, ZERO_RATE)
+    one = run_experiment(ZERO_RATE, marks, {"t": agent}, 1, 60, initial)["t"]
+    with pytest.raises(ValueError, match="at least two paths"):
+        consistency_check(surface, one, initial)
+    two = run_experiment(ZERO_RATE, marks, {"t": agent}, 2, 60, initial)["t"]
+    assert consistency_check(surface, two, initial).passed
 
 
 def test_consistency_check_rejects_mismatched_inputs(zero_rate_solution,

@@ -597,6 +597,27 @@ def test_solved_surface_monotone_in_time_to_go(solved_signal):
     assert np.all(np.diff(surface.values, axis=0) >= -1e-10)
 
 
+def test_half_step_liquidity_rows_are_exact_on_whole_lot_markets(
+        bench_params, marks_signal):
+    """Marks, trades and the floor are whole lots, so from a whole-lot
+    level every landing is a whole-lot level: the half-lot rows of a
+    ``d_lambda`` 0.5 solve are never reached from the ``d_lambda`` 1 rows,
+    and those rows equal the coarse solve bit for bit."""
+    solutions = [solve(bench_params, marks_signal, Grid.from_params(
+        bench_params, d_t=0.005, d_lambda=d_lambda, q_min=-6.0, q_max=6.0))
+        for d_lambda in (1.0, 0.5)]
+    (coarse, coarse_pol), (fine, fine_pol) = solutions
+    # live rows: the coarse row i >= 1 sits at the level of fine row 2i - 1
+    np.testing.assert_array_equal(fine.grid.lam_values[1::2],
+                                  coarse.grid.lam_values[1:])
+    for name, a, b in (("values", coarse.values, fine.values),
+                       ("gamma_star", coarse_pol.gamma_star,
+                        fine_pol.gamma_star),
+                       ("delta_star", coarse_pol.delta_star,
+                        fine_pol.delta_star)):
+        assert a[:, 1:].tobytes() == b[:, 1::2].tobytes(), name
+
+
 def test_policy_tables_stay_on_the_lattice(solved_signal, desk_grid):
     _, policy = solved_signal
     q = desk_grid.q_values

@@ -21,14 +21,14 @@ from artifact.order_flow import (
     simulate_block,
     simulate_path,
     simulate_paths,
-    vbar_bound,
     write_path_log,
 )
 from artifact import order_flow
 from artifact.policy import (Agent, DoNothingAgent, ImmediateExecutionAgent,
                              TablePolicyAgent, TwapAgent)
 import oracles
-from oracles import cost_oracle, euler_thinning_oracle, impact_oracle
+from oracles import (cost_oracle, euler_thinning_oracle, impact_oracle,
+                     vbar_bound)
 
 PARAMS = MarketParams()
 ZERO_RATE = dataclasses.replace(PARAMS, theta_f=0.0, theta_g=0.0)
@@ -212,6 +212,33 @@ def test_initial_state_validation():
                                   halted=True), 1)
 
 
+def test_one_path_reads_back_as_python_scalars():
+    """``simulate_path`` is the per-path view: plain numbers, as callers
+    that trace single paths read them."""
+    initial = MarketState(lam=0.0, q=-8.0, p=100.0, x=0.0)
+    rec = simulate_path(PARAMS, benchmark_mark_model(0.2),
+                        TwapAgent(0.0, -8.0, PARAMS), initial,
+                        make_path_seed(42, 3), record_events=True)
+    values = [getattr(rec, f.name) for f in dataclasses.fields(rec)[1:-1]]
+    values += [getattr(rec.terminal_state, f.name)
+               for f in dataclasses.fields(rec.terminal_state)]
+    assert {type(v) for v in values} == {float, int, bool}
+    assert rec.events and all(isinstance(e, order_flow.EventRecord)
+                              for e in rec.events)
+
+
+def test_no_seeds_give_a_record_of_empty_columns():
+    initial = MarketState(lam=0.0, q=-8.0, p=100.0, x=0.0)
+    rec = simulate_paths(PARAMS, benchmark_mark_model(0.2),
+                         TwapAgent(0.0, -8.0, PARAMS), initial, [],
+                         record_events=True)
+    assert rec.terminal_wealth.shape == rec.terminal_state.q.shape == (0,)
+    assert rec.events == ()
+    buf = io.StringIO()
+    write_path_log(rec, buf)
+    assert buf.getvalue().splitlines() == [",".join(PATH_LOG_COLUMNS)]
+
+
 # ---------------------------------------------------------------------------
 # degenerate markets
 # ---------------------------------------------------------------------------
@@ -255,8 +282,7 @@ def test_live_counts_poisson_at_constant_rates():
     n = 10_000
     paths = simulate_paths(params, marks, None, initial,
                            [make_path_seed(31, i) for i in range(n)])
-    mo = np.array([rec.n_live_market for rec in paths])
-    lim = np.array([rec.n_live_limit for rec in paths])
+    mo, lim = paths.n_live_market, paths.n_live_limit
     # live market orders: rate f * nu(market half) = 5 * 0.5; same for limits
     for sample, rate in ((mo, 2.5), (lim, 2.5)):
         assert sample.mean() == pytest.approx(rate, abs=4 * math.sqrt(rate / n))
@@ -277,17 +303,16 @@ def test_event_rate_matches_fixed_step_oracle(bench_params, marks_blind):
     n = 1200
     fband = np.empty(n)
     int_f = np.empty(n)
-    live = np.empty(n)
     paths = simulate_paths(bench_params, marks_blind, None, initial,
                            [make_path_seed(999, i) for i in range(n)],
                            record_events=True)
-    for i, rec in enumerate(paths):
-        live[i] = rec.n_live_market
+    live = paths.n_live_market.astype(float)
+    for i, events in enumerate(paths.events):
         lam = initial.lam
         t_prev = 0.0
         count = 0
         acc = 0.0
-        for ev in rec.events:
+        for ev in events:
             acc += bench_params.f(lam) * (ev.time - t_prev)
             if ev.y <= bench_params.f(lam):
                 count += 1
@@ -345,12 +370,11 @@ def test_vbar_dominates_realized_turnover(passive_path_stats, bench_params,
     seeds = [make_path_seed(13, i) for i in range(300)]
     for agent in (ImmediateExecutionAgent(0.0, bench_params),
                   TwapAgent(0.0, -8.0, bench_params)):
-        for rec in simulate_paths(bench_params, marks_blind, agent, initial,
-                                  seeds):
-            turnover = (rec.inventory_variation + rec.market_volume
-                        + rec.cancel_volume)
-            assert vbar_bound(initial.lam, rec, bench_params) + 1e-9 \
-                >= turnover
+        rec = simulate_paths(bench_params, marks_blind, agent, initial, seeds)
+        turnover = (rec.inventory_variation + rec.market_volume
+                    + rec.cancel_volume)
+        assert np.all(vbar_bound(initial.lam, rec, bench_params) + 1e-9
+                      >= turnover)
 
 
 def test_vbar_without_limit_flow_is_initial_headroom():
@@ -470,9 +494,9 @@ def test_path_log_roundtrip(bench_params, marks_blind, tmp_path):
     with open(target, newline="") as handle:
         rows = list(csv.reader(handle))
     assert tuple(rows[0]) == PATH_LOG_COLUMNS
-    assert len(rows) - 1 == sum(len(p.events) for p in paths)
+    assert len(rows) - 1 == sum(map(len, paths.events))
     # spot-check the first logged event against the record
-    first = paths[0].events[0]
+    first = paths.events[0][0]
     row = rows[1]
     assert row[0] == "0"
     assert float(row[1]) == first.time
@@ -501,12 +525,37 @@ def desk_agents(bench_params, solved_signal, solved_blind):
     }
 
 
-def _assert_records_equal(got, expected, label):
-    assert len(got) == len(expected)
-    for i, (a, b) in enumerate(zip(got, expected)):
-        differ = [f.name for f in dataclasses.fields(a)
-                  if getattr(a, f.name) != getattr(b, f.name)]
-        assert not differ, f"{label}, path {i}: {differ} differ"
+def _columns(rec) -> dict:
+    """Every field of a record of per-lane arrays by name, the terminal
+    state's as ``terminal_state.<field>``, and ``events``."""
+    state = rec.terminal_state
+    columns = {f"terminal_state.{f.name}": getattr(state, f.name)
+               for f in dataclasses.fields(state)}
+    columns.update((f.name, getattr(rec, f.name))
+                   for f in dataclasses.fields(rec)
+                   if f.name != "terminal_state")
+    return columns
+
+
+def _stacked(records) -> dict:
+    """The ``_columns`` of a list of one-path records, as arrays."""
+    rows = [_columns(rec) for rec in records]
+    return {name: tuple(row[name] for row in rows) if name == "events"
+            else np.array([row[name] for row in rows]) for name in rows[0]}
+
+
+def _assert_records_equal(got: dict, expected: dict, label):
+    """Every column of ``got`` equals ``expected``'s, dtype and lane for
+    lane, recorded events included."""
+    assert got.keys() == expected.keys()
+    for name, column in got.items():
+        want = expected[name]
+        if name != "events":
+            assert column.dtype == want.dtype, f"{label}: {name} dtype"
+            column, want = column.tolist(), want.tolist()
+        assert len(column) == len(want), f"{label}: {name} length"
+        differ = [i for i, (a, b) in enumerate(zip(column, want)) if a != b]
+        assert not differ, f"{label}: {name} differs on paths {differ}"
 
 
 @pytest.mark.parametrize("impact, lam0, signal_prob, n_paths", [
@@ -534,8 +583,8 @@ def test_block_engine_matches_the_scalar_loop(bench_params, desk_agents,
                     for seed in seeds]
         got = simulate_paths(params, marks, agent, initial, seeds,
                              record_events=True)
-        _assert_records_equal(got, expected, name)
-        breakers += sum(rec.terminal_state.halted for rec in got)
+        _assert_records_equal(_columns(got), _stacked(expected), name)
+        breakers += int(got.terminal_state.halted.sum())
     if lam0 < -30.0:
         assert breakers > len(desk_agents) * n_paths / 2
 
@@ -562,7 +611,8 @@ def test_records_do_not_depend_on_the_block_size(
                 bench_params, marks_signal, desk_agents[name], initial,
                 seeds, record_events=True)
         for block_paths in (1, 7):
-            _assert_records_equal(runs[block_paths], runs[len(seeds)],
+            _assert_records_equal(_columns(runs[block_paths]),
+                                  _columns(runs[len(seeds)]),
                                   f"{name}, blocks of {block_paths}")
 
 
@@ -583,13 +633,16 @@ def test_a_mixed_block_equals_each_agent_alone(bench_params, marks_signal,
                             [make_path_seed(63, i) for i in range(n_paths)])
     mixed = simulate_block(bench_params, marks_signal, agents, initial,
                            block, record_events=record_events)
-    assert len(mixed) == len(agents) * n_paths
+    assert len(mixed.terminal_wealth) == len(agents) * n_paths
     for a, (name, agent) in enumerate(zip(names, agents)):
         alone = simulate_block(bench_params, marks_signal, [agent], initial,
                                block, record_events=record_events)
-        _assert_records_equal(mixed[a * n_paths:(a + 1) * n_paths], alone,
-                              name)
+        lanes = slice(a * n_paths, (a + 1) * n_paths)
+        _assert_records_equal({field: column[lanes] for field, column
+                               in _columns(mixed).items()},
+                              _columns(alone), name)
     if lam0 < -30.0:
-        assert any(math.isfinite(rec.breaker_time) for rec in mixed)
+        assert np.isfinite(mixed.breaker_time).any()
     if record_events:
-        assert all(rec.events for rec in mixed)
+        assert len(mixed.events) == len(agents) * n_paths
+        assert all(mixed.events)

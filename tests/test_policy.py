@@ -267,9 +267,8 @@ def test_table_policy_dominates_baselines(bench_params, marks_signal,
     }
     n = 1500
     seeds = [make_path_seed(11, i) for i in range(n)]
-    utils = {name: utility(np.array([
-        rec.terminal_wealth for rec in simulate_paths(
-            bench_params, marks_signal, agent, start_short, seeds)]),
+    utils = {name: utility(simulate_paths(
+        bench_params, marks_signal, agent, start_short, seeds).terminal_wealth,
         bench_params.alpha) for name, agent in agents.items()}
     for name in ("do-nothing", "immediate", "twap"):
         diff = utils["table"] - utils[name]

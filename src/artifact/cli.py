@@ -225,6 +225,12 @@ def _build(merged: dict) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(
                 f"experiment.target_q - q0 for twap: {exc}") from exc
+    # the solve and the table agent read q0 at its nearest inventory node
+    q0 = exp["q0"]
+    if abs(grid.q_values[grid.q_index(q0)] - q0) > hjb._TOL * max(1, abs(q0)):
+        raise ConfigError(f"experiment.q0 ({q0!r}) must be an inventory node: "
+                          f"a whole number of lots from grid.q_min "
+                          f"({grid.q_min!r}) to grid.q_max ({grid.q_max!r})")
     output = _typed(merged, "output")
     if output["histogram_bin_width"] <= 0.0:
         raise ConfigError("output.histogram_bin_width must be > 0")
@@ -265,10 +271,10 @@ def load_config(path: Optional[str],
     return _build(_merge(_DEFAULTS, given))
 
 
-def _write_json(path, payload: dict) -> None:
-    with open(path, "w") as handle:
-        json.dump(payload, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+def _json_ssr(ssr: float) -> Optional[float]:
+    """A signal sharpe ratio as JSON writes it: ``None`` (``null``) where
+    it is undefined (NaN)."""
+    return None if np.isnan(ssr) else ssr
 
 
 def _q_symmetry_residual(surface: hjb.ValueSurface) -> Optional[float]:
@@ -349,7 +355,8 @@ def _run_solve(config: RunConfig) -> int:
                 for j, q in enumerate(grid.q_values):
                     writer.writerow([repr(float(lam)), repr(float(q)),
                                      repr(float(ce[i, j]))])
-    _write_json(os.path.join(out_dir, "solve_summary.json"), summary)
+    evaluation.write_json(os.path.join(out_dir, "solve_summary.json"),
+                          summary)
     click.echo(f"solved; w at start = {summary['w_start']:.6f}; "
                f"q-symmetry residual = {summary['q_symmetry_residual']}")
     return 0
@@ -433,8 +440,8 @@ def _run_evaluate(config: RunConfig) -> int:
     agents = _make_agents(config, pol, pol0)
     reports = _experiment(config, config.marks, agents)
     if "table" in reports and "table-nosignal" in reports:
-        reports["table"].ssr = evaluation.signal_sharpe_ratio(
-            reports["table"].wealth, reports["table-nosignal"].wealth)
+        reports["table"].ssr = _json_ssr(evaluation.signal_sharpe_ratio(
+            reports["table"].wealth, reports["table-nosignal"].wealth))
     summary = dict(config.stamp())
     summary["agents"] = {}
     for name, report in reports.items():
@@ -460,7 +467,8 @@ def _run_evaluate(config: RunConfig) -> int:
                 f"(error {result.abs_error:.3g} > tolerance "
                 f"{result.tolerance:.3g})", err=True)
             code = 4
-    _write_json(os.path.join(out_dir, "eval_summary.json"), summary)
+    evaluation.write_json(os.path.join(out_dir, "eval_summary.json"),
+                          summary)
     if "table" not in reports:
         click.echo("evaluation complete; consistency check skipped (table "
                    "is not among experiment.agents)")
@@ -484,6 +492,8 @@ def _run_sweep(config: RunConfig) -> int:
             "table": policy_mod.TablePolicyAgent(pol, config.params)})["table"]
 
     ref = table_report(0.0)
+    columns = ("p_hat", "mean", "variance", "ssr", "speculation_fraction",
+               "breaker_fraction")
     rows = []
     for p_hat in config.experiment["p_hat_values"]:
         report = ref if p_hat == 0.0 else table_report(p_hat)
@@ -494,15 +504,14 @@ def _run_sweep(config: RunConfig) -> int:
     with open(os.path.join(out_dir, "ssr_sweep.csv"), "w",
               newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["p_hat", "mean", "variance", "ssr",
-                         "speculation_fraction", "breaker_fraction"])
+        writer.writerow(columns)
         for row in rows:
             writer.writerow([repr(float(v)) for v in row])
     summary = dict(config.stamp())
-    summary["rows"] = [dict(zip(("p_hat", "mean", "variance", "ssr",
-                                 "speculation_fraction",
-                                 "breaker_fraction"), row)) for row in rows]
-    _write_json(os.path.join(out_dir, "sweep_summary.json"), summary)
+    summary["rows"] = [dict(zip(columns, row), ssr=_json_ssr(row[3]))
+                       for row in rows]
+    evaluation.write_json(os.path.join(out_dir, "sweep_summary.json"),
+                          summary)
     click.echo(f"swept {len(rows)} signal probabilities")
     return 0
 

@@ -43,6 +43,7 @@ __all__ = [
     "detect_speculation",
     "consistency_check",
     "report_to_dict",
+    "write_json",
     "write_report_json",
     "write_wealth_csv",
 ]
@@ -298,10 +299,16 @@ def report_to_dict(report: EvalReport) -> dict:
     }
 
 
-def write_report_json(report: EvalReport, path) -> None:
+def write_json(path, payload: dict) -> None:
+    """Write ``payload`` as sorted, indented JSON.  A NaN or infinity,
+    which JSON parsers refuse, is a ``ValueError`` before the file opens."""
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
     with open(path, "w") as handle:
-        json.dump(report_to_dict(report), handle, sort_keys=True, indent=2)
-        handle.write("\n")
+        handle.write(text + "\n")
+
+
+def write_report_json(report: EvalReport, path) -> None:
+    write_json(path, report_to_dict(report))
 
 
 def write_wealth_csv(report: EvalReport, path) -> None:

@@ -26,14 +26,15 @@ of a live node are its admissible trades, in the scan order
 start at ``-inf``.  (A trade that halts at the floor executes the same
 volume as an ordinary trade, so one node can reach one target inventory
 twice; the slots are trades, not targets.)  The visible branches and the
-block-trade comparison are kernels on this axis, run one at a time in its
-shared scratch; the invisible branch has the zero-trade axis.  Per mark a
-kernel holds flat indices of the interpolation rows and their
-multipliers, with intensity, branch weight and utility jump folded in;
-marks that land on the same rows share one index slab, gathered once per
-step.  A step adds each mark's lower-row, upper-row and (for
-``alpha = 0``) additive terms in mark order into a zeroed accumulator, so
-every node's float sum is formed in the same order whatever the layout.
+block-trade comparison are kernels on this axis, run one at a time into
+its shared accumulator; the invisible branch has the zero-trade axis.  A
+kernel is built whole from its marks: one slab of flat indices per set
+of interpolation rows that some mark lands on, with one multiplier that
+sums, in mark order, the terms of every mark landing there (intensity,
+branch weight, interpolation weight and utility jump).  A step gathers
+all slabs in one ``np.take``, multiplies once and sums each node's slabs
+in order of their first appearance, then adds the slot's start (``0`` or
+``-inf``) and, for ``alpha = 0``, the marks' summed additive terms.
 Holding is slot 0, so the signal response and the block trade share one
 best-trade reduction: the first maximum over the slots, so a later trade
 in scan order replaces an earlier one only when strictly better.  The
@@ -330,14 +331,14 @@ def _lambda_gather(grid: Grid, lam_target: np.ndarray):
 
 class _Slots:
     """The per-node compacted trade axis, ``(row, q, slot)``, with the
-    scratch of the kernels on it.
+    accumulator of the kernels on it.
 
     The slots of a live node are its admissible trades among ``n * d_q``
     (``n`` in scan order), still in scan order, padded to the longest such
     list.  Padding slots repeat the zero trade, so everything computed on
     them is finite and in range; their candidates start at ``-inf`` and
     never win.  The kernels on one axis run one at a time, so they share
-    its scratch: ``acc``, ``tmp`` and the ``gathered`` slab buffers.
+    its accumulator ``acc``.
     """
 
     def __init__(self, grid: Grid, params: MarketParams, n: np.ndarray,
@@ -374,8 +375,6 @@ class _Slots:
         # flat index of each node's first slot
         self.node_start = np.arange(0, pad.size, width).reshape(count.shape)
         self.acc = np.empty(pad.shape)
-        self.tmp = np.empty(pad.shape)
-        self.gathered = []
 
     def take(self, a: np.ndarray) -> np.ndarray:
         """An array on ``(trade, live row)``, on ``(row, q, slot)``."""
@@ -383,74 +382,64 @@ class _Slots:
 
 
 class _Kernel:
-    """Gather-multiply slabs of the scheme on a compacted trade axis.
+    """A kernel of the scheme on a compacted trade axis, built whole.
 
-    Each added mark contributes ``w[lo] * m_lo + w[hi] * m_hi (+ add)`` per
-    slot: linear interpolation between the rows around the post-event
-    liquidity, with intensities, branch weights and (for ``alpha > 0``) the
-    utility jump factor folded into the multipliers.  The upper slab is
-    kept only when the mark's interpolation weights are not all zero, and
-    the additive slab only for ``alpha = 0``.  Marks landing on the same
-    rows share one index slab, gathered once per step.  Index slabs stay
-    ``intp``: ``np.take`` would convert narrower ones on every call.  Index
-    ranges are checked once, at build time, so a step gathers without
-    bounds checks.  A kernel holds only its slabs and multipliers; it
-    gathers and sums in the scratch of its axis.
+    Each landing ``(lam_next, impact, base)``, one per mark, adds
+    ``w[lo] * m_lo + w[hi] * m_hi (+ add)`` per slot: interpolation between
+    the rows around the post-event liquidity ``lam_next`` (on ``(trade,
+    live row)``), with the weight ``base`` (per live row or scalar) and,
+    for ``alpha > 0``, the utility jump of the price move ``impact`` in the
+    multipliers.  Terms on the same rows are one slab whose multiplier is
+    their sum.  The slabs are stacked on one ``intp`` index ``(slab, row,
+    q, slot)`` (``np.take`` would convert a narrower one on every call),
+    range-checked here, so a step gathers without bounds checks.
     """
 
-    def __init__(self, slots: _Slots, alpha: float):
+    def __init__(self, slots: _Slots, alpha: float, landings) -> None:
         self.slots = slots
-        self.alpha = alpha
-        self.rows = []
-        self.slabs = []
-        self.terms = []
-
-    def add(self, lam_next, impact, base) -> None:
-        """Add a mark landing at ``lam_next`` with weight ``base``.
-
-        ``lam_next`` (post-event liquidity) and ``impact`` (price move
-        marking the post-trade inventory) are on ``(trade, live row)``,
-        ``base`` per live row or a scalar.
-        """
-        slots = self.slots
-        lo, hi, frac = _lambda_gather(slots.grid, lam_next)
-        base = np.reshape(base, (-1, 1, 1))
-        jump = slots.take(impact)
-        jump *= slots.q_after
-        jump += slots.jump_fixed
-        if self.alpha > 0.0:
-            jump *= -self.alpha
-            factor, add = np.exp(jump, out=jump), None
-            factor *= base
-        else:
-            factor, add = base, base * jump
-        self._add_term(lo, factor * slots.take(1.0 - frac))
-        if frac.any():
-            self._add_term(hi, factor * slots.take(frac))
-        if add is not None:
-            self.terms.append((None, add))
-
-    def _add_term(self, rows, multiplier) -> None:
-        for slab, known in enumerate(self.rows):
-            if np.array_equal(known, rows):
-                break
-        else:
-            slots = self.slots
-            grid = slots.grid
+        grid = slots.grid
+        # one entry per set of landing rows, keyed by their bytes, in the
+        # order of first appearance
+        rows, multipliers, self.add = {}, {}, None
+        for lam_next, impact, base in landings:
+            lo, hi, frac = _lambda_gather(grid, lam_next)
+            base = np.reshape(base, (-1, 1, 1))
+            jump = slots.take(impact)
+            jump *= slots.q_after
+            jump += slots.jump_fixed
+            if alpha > 0.0:
+                jump *= -alpha
+                factor = np.exp(jump, out=jump)
+                factor *= base
+            else:
+                factor, add = base, base * jump
+                self.add = add if self.add is None else self.add + add
+            terms = [(lo, slots.take(1.0 - frac))]
+            if frac.any():
+                terms.append((hi, slots.take(frac)))
+            for landing, weight in terms:
+                weight *= factor
+                key = landing.tobytes()
+                if key in multipliers:
+                    multipliers[key] += weight
+                else:
+                    rows[key], multipliers[key] = landing, weight
+        shape = (len(rows),) + slots.start.shape
+        self.index = np.empty(shape, np.intp)
+        self.multiplier = np.empty(shape)
+        for slab, key in enumerate(rows):
             # flat index of the landing row at the post-trade column
-            idx = slots.take(rows * grid.n_q + slots.shift)
+            idx = slots.take(rows[key] * grid.n_q + slots.shift)
             idx += np.arange(grid.n_q)[:, None]
             if idx.min() < 0 or idx.max() >= grid.n_lambda * grid.n_q:
                 raise IndexError("gather index off the value slice")
-            slab = len(self.slabs)
-            self.rows.append(rows)
-            self.slabs.append(idx)
-            if slab == len(slots.gathered):
-                slots.gathered.append(np.empty(idx.shape))
-        self.terms.append((slab, multiplier))
+            self.index[slab] = idx
+            self.multiplier[slab] = multipliers[key]
+        self.gathered = np.empty(shape)
 
     def accumulate(self, w: np.ndarray) -> np.ndarray:
-        """Sum of the marks' terms per slot, added mark by mark in mark order.
+        """Sum of the slabs per slot, slab by slab, then ``start``, then
+        the additive sum.
 
         Returns the axis's accumulator, overwritten by the next call of any
         kernel on the axis.
@@ -460,27 +449,13 @@ class _Kernel:
         if w.shape != (grid.n_lambda, grid.n_q):
             raise ValueError(f"value slice of shape {w.shape}, grid needs "
                              f"{(grid.n_lambda, grid.n_q)}")
-        w_flat = w.reshape(-1)
-        gathered = slots.gathered
-        for idx, buf in zip(self.slabs, gathered):
-            # indices were range-checked at build time
-            np.take(w_flat, idx, out=buf, mode="clip")
-        acc, tmp = slots.acc, slots.tmp
-        if not self.terms:
-            np.copyto(acc, slots.start)
-            return acc
-        # the first term (``add`` starts each mark with a gathered one)
-        # goes straight into acc; adding the start after it sums a -0.0
-        # product to +0.0 as a plain sum from +0.0 would
-        (slab, multiplier), *rest = self.terms
-        np.multiply(gathered[slab], multiplier, out=acc)
+        # indices were range-checked at build time
+        np.take(w.reshape(-1), self.index, out=self.gathered, mode="clip")
+        self.gathered *= self.multiplier
+        acc = np.sum(self.gathered, axis=0, out=slots.acc)
         acc += slots.start
-        for slab, multiplier in rest:
-            if slab is None:
-                acc += multiplier
-            else:
-                np.multiply(gathered[slab], multiplier, out=tmp)
-                acc += tmp
+        if self.add is not None:
+            acc += self.add
         return acc
 
     def best(self, w: np.ndarray, value_out: np.ndarray,
@@ -510,8 +485,8 @@ def _block_trades(grid: Grid, params: MarketParams):
     geometry = _trade_geometry(grid, n)
     _, _, gamma_exec, _, lam_after_raw = geometry
     imp_gamma = price_impact(gamma_exec, grid.lam_values[1:], params)
-    kernel = _Kernel(_Slots(grid, params, n, geometry), params.alpha)
-    kernel.add(lam_after_raw, imp_gamma, 1.0)
+    kernel = _Kernel(_Slots(grid, params, n, geometry), params.alpha,
+                     [(lam_after_raw, imp_gamma, 1.0)])
     return kernel, n, geometry, imp_gamma
 
 
@@ -537,11 +512,8 @@ class _Scheme:
         # branch (weight 1 - p_hat) is the no-trade slot: every mark lands,
         # and the wealth jump is the own-inventory markup by the external
         # market order's impact.
-        self.visible = {z: _Kernel(self.block.slots, params.alpha)
-                        for z in SIGNALS}
-        self.invisible = _Kernel(
-            _Slots(grid, params, n[:1], tuple(g[:1] for g in geometry)),
-            params.alpha)
+        visible = {z: [] for z in SIGNALS}
+        invisible = []
         for m in marks.marks:
             is_mo = m.eta != 0.0
             rate = f_lam if is_mo else g_lam
@@ -555,11 +527,16 @@ class _Scheme:
                 imp = imp_gamma
                 lam_next = np.where(trig, lam_after_raw, lam1 + m.rho)
             if p_hat < 1.0:
-                self.invisible.add(lam_next[:1], imp[:1],
-                                   (1.0 - p_hat) * m.nu * rate)
+                invisible.append((lam_next[:1], imp[:1],
+                                  (1.0 - p_hat) * m.nu * rate))
             if p_hat > 0.0:
-                self.visible[m.signal].add(lam_next, imp,
-                                           p_hat * m.nu * rate)
+                visible[m.signal].append((lam_next, imp,
+                                          p_hat * m.nu * rate))
+        self.visible = {z: _Kernel(self.block.slots, params.alpha, landings)
+                        for z, landings in visible.items()}
+        self.invisible = _Kernel(
+            _Slots(grid, params, n[:1], tuple(g[:1] for g in geometry)),
+            params.alpha, invisible)
         self.lam_coeff = lam_coeff[:, None]
         self.branch_value = np.empty((grid.n_lambda - 1, grid.n_q))
         self.transported = np.empty((grid.n_lambda, grid.n_q))
@@ -575,7 +552,7 @@ class _Scheme:
         w_live = w[1:]
         acc = self.invisible.accumulate(w)[..., 0]
         for s, z in enumerate(SIGNALS):
-            if self.visible[z].terms:
+            if len(self.visible[z].index):
                 self.visible[z].best(w, self.branch_value, gamma[1:, :, s])
                 acc += self.branch_value
         out[0] = w[0]

@@ -70,7 +70,7 @@ def _whole(text):
                 "horizon": 1}},
     {"marks": {"signal_prob": 0, "post_fraction": 1}},
     {"marks": {"custom": [[1, 0, 0.25], [-1, 0, 0.25], [0, 2, 0.5]]}},
-    {"grid": {"d_lambda": 2, "q_min": -6, "q_max": 6}},
+    {"grid": {"d_lambda": 2, "q_min": -8, "q_max": 8}},
     {"experiment": {"n_sim": 200, "base_seed": 99, "q0": -2, "lambda0": 0,
                     "p0": 100, "x0": 0, "target_q": 0,
                     "p_hat_values": [0, 1]}},
@@ -145,6 +145,8 @@ def test_config_hash_ignores_threads_and_directory(tmp_path):
     ({"experiment": {"p0": float("inf")}}, "experiment.p0 must be a number"),
     ({"experiment": {"q0": float("nan")}}, "experiment.q0 must be a number"),
     ({"market": {"horizon": 10 ** 400}}, "market.horizon must be a number"),
+    ({"experiment": {"q0": -13.0}}, "experiment.q0"),
+    ({"experiment": {"q0": 0.5, "agents": ["table"]}}, "experiment.q0"),
 ])
 def test_invalid_configs_are_rejected_with_their_path(tmp_path, payload,
                                                       fragment):
@@ -241,7 +243,8 @@ def test_solutions_do_not_depend_on_the_seed(tmp_path):
 
 def test_unstable_grid_exits_with_the_numerical_code(tmp_path):
     runner = CliRunner()
-    cfg = _write_config(tmp_path, {"grid": dict(TINY_GRID, d_t=0.02)})
+    cfg = _write_config(tmp_path, {"grid": dict(TINY_GRID, d_t=0.02),
+                                   "experiment": {"q0": -2.0}})
     result = runner.invoke(main, ["solve", "-c", cfg,
                                   "-o", str(tmp_path / "out")])
     assert result.exit_code == 3
@@ -383,6 +386,34 @@ def test_evaluate_writes_per_agent_reports_and_passes_consistency(tmp_path):
         assert (out / f"eval_{name}.json").is_file()
         assert (out / f"eval_{name}_wealth.csv").is_file()
     assert "consistency check passed" in result.output
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.filterwarnings("ignore:degenerate wealth sample")
+def test_an_undefined_ssr_is_written_as_null(tmp_path):
+    """From flat the table agent never trades, so its wealth has no spread
+    and the SSR is undefined: the JSON outputs say ``null``, which every
+    JSON parser reads, and the sweep CSV keeps ``nan``."""
+    runner = CliRunner()
+    cfg = _tiny_config(tmp_path, q0=0.0, n_sim=30)
+    out = tmp_path / "out"
+    for command in ("evaluate", "sweep"):
+        result = runner.invoke(main, [command, "-c", cfg, "-o", str(out)])
+        assert result.exit_code == 0, _all_output(result)
+    parsed = {name: json.loads((out / name).read_text(),
+                               parse_constant=_refuse_constant)
+              for name in ("eval_summary.json", "eval_table.json",
+                           "sweep_summary.json")}
+    assert parsed["eval_summary.json"]["agents"]["table"]["ssr"] is None
+    assert parsed["eval_table.json"]["ssr"] is None
+    assert [row["ssr"] for row in parsed["sweep_summary.json"]["rows"]] \
+        == [None] * len(load_config(cfg).experiment["p_hat_values"])
+    with open(out / "ssr_sweep.csv") as handle:
+        assert all(row.split(",")[3] == "nan"
+                   for row in handle.read().splitlines()[1:])
 
 
 @pytest.mark.filterwarnings("ignore:degenerate wealth sample")

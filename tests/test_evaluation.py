@@ -17,6 +17,7 @@ from artifact.evaluation import (
     report_to_dict,
     run_experiment,
     signal_sharpe_ratio,
+    write_json,
     write_report_json,
     write_wealth_csv,
 )
@@ -365,6 +366,17 @@ def test_report_writers_roundtrip(tmp_path, bench_params, marks_signal,
     assert len(rows) == 51
     assert float(rows[1][1]) == report.wealth[0]
     assert int(rows[-1][0]) == 49
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_json_outputs_refuse_what_json_cannot_hold(tmp_path, value):
+    path = tmp_path / "out.json"
+    with pytest.raises(ValueError, match="JSON compliant"):
+        write_json(path, {"ssr": value})
+    assert not path.exists()
+    write_json(path, {"ssr": None})
+    assert path.read_text() == '{\n  "ssr": null\n}\n'
+
 
 
 # ---------------------------------------------------------------------------

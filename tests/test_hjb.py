@@ -1,6 +1,7 @@
 """Backward solver: terminal condition, kernels, convergence, persistence."""
 
 import dataclasses
+import hashlib
 import io
 import math
 import os
@@ -513,6 +514,26 @@ def test_a_solve_builds_one_full_trade_axis(monkeypatch):
     assert sorted(widths) == [1, len(_scan_trades(grid))]
 
 
+def test_each_kernel_holds_one_multiplier_per_landing_slab(
+        bench_params, marks_signal, desk_grid):
+    """Marks that land on the same rows are folded into one slab at build
+    time: a buy and a sell of one size land together, so on the desk grid
+    the nine liquidity-taking marks of the -1 branch read three slabs."""
+    scheme = hjb._Scheme(desk_grid, bench_params, marks_signal)
+    kernels = {"visible -1": scheme.visible[-1],
+               "visible +1": scheme.visible[1],
+               "invisible": scheme.invisible, "block": scheme.block}
+    slabs = {}
+    for name, kernel in kernels.items():
+        assert kernel.multiplier.shape == kernel.index.shape, name
+        assert kernel.index.dtype == np.intp, name
+        rows = kernel.index.reshape(len(kernel.index), -1)
+        assert len(np.unique(rows, axis=0)) == len(rows), name
+        slabs[name] = len(rows)
+    assert slabs == {"visible -1": 3, "visible +1": 3, "invisible": 6,
+                     "block": 1}
+
+
 # ---------------------------------------------------------------------------
 # zero-rate solve against the exhaustive block-trade scan
 # ---------------------------------------------------------------------------
@@ -616,6 +637,49 @@ def test_half_step_liquidity_rows_are_exact_on_whole_lot_markets(
                        ("delta_star", coarse_pol.delta_star,
                         fine_pol.delta_star)):
         assert a[:, 1:].tobytes() == b[:, 1::2].tobytes(), name
+
+
+#: sha256 of the ``gamma_star`` and ``delta_star`` bytes (float64,
+#: little-endian), recorded under the term-by-term sum of the kernels
+#: before their marks were folded per slab: the fold may move values in
+#: their last bits, but no trade.
+_TABLE_DIGESTS = {
+    "solved_signal": (
+        "d47d6ae15c62cdf94f27479417ef8f82b7ac6a5533f46a3629058e427aa6ba90",
+        "d68e4bd2025a3560cef7bbe784b71d7d0eaf3702cd3993ef1fab2dc725d161fe"),
+    "solved_blind": (
+        "65b412124d844a7c440334a2bf52ca6eb8c3dca6413c027d4e24543f4af9a945",
+        "dc542967e833f6d139a8b32f94287b9cf20eb63bb014f8f7ff6bbcbec4699260"),
+    "tiny_solution": (
+        "bcd8e4e3136ab7d8373b31bee4bde670dddef1636f8e552f07ae95c56bfa1af8",
+        "e9415e571b5f52456db5facf026f2707bca418b1298a43b5fb0e0fa0607c3bc7"),
+}
+
+#: Desk start values ``w`` (signal, blind) at (lambda0, q0), recorded
+#: under the same term-by-term sum.
+_DESK_STARTS = {
+    (0.0, -8.0): (-1.0377063992895836, -1.0383960323007728),
+    (0.0, 0.0): (-1.0, -1.0),
+    (-36.0, 4.0): (-1.0159609449719904, -1.0161015890024376),
+    (20.0, -8.0): (-1.025217022397912, -1.0252194289121912),
+}
+
+
+@pytest.mark.parametrize("solution", sorted(_TABLE_DIGESTS))
+def test_trade_tables_keep_their_recorded_bytes(solution, request):
+    _, policy = request.getfixturevalue(solution)
+    digests = tuple(hashlib.sha256(table.tobytes()).hexdigest()
+                    for table in (policy.gamma_star, policy.delta_star))
+    assert digests == _TABLE_DIGESTS[solution]
+
+
+def test_desk_start_values_drift_at_most_8_ulp(solved_signal, solved_blind):
+    for (lam, q), recorded in _DESK_STARTS.items():
+        for (surface, _), want in zip((solved_signal, solved_blind),
+                                      recorded):
+            got = surface.start_value(lam, q)
+            assert abs(got - want) <= 8 * np.spacing(abs(want)), \
+                (lam, q, got, want)
 
 
 def test_policy_tables_stay_on_the_lattice(solved_signal, desk_grid):

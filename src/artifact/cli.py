@@ -319,7 +319,7 @@ def _solve_pair(config: RunConfig):
 
 
 def _experiment(config: RunConfig, marks: MarkModel, agents: dict,
-                n_sim: Optional[int] = None):
+                n_sim: Optional[int] = None, record_events: bool = False):
     """``evaluation.run_experiment`` on the configured experiment section
     (``n_sim`` paths when given, else the configured count)."""
     exp = config.experiment
@@ -327,7 +327,8 @@ def _experiment(config: RunConfig, marks: MarkModel, agents: dict,
         config.params, marks, agents, n_sim or exp["n_sim"],
         exp["base_seed"], config.initial_state(), target_q=exp["target_q"],
         threads=exp["threads"],
-        histogram_bin_width=config.output["histogram_bin_width"])
+        histogram_bin_width=config.output["histogram_bin_width"],
+        record_events=record_events)
 
 
 def _run_solve(config: RunConfig) -> int:
@@ -398,24 +399,11 @@ def _run_simulate(config: RunConfig) -> int:
             f"`artifact solve` again)")
     exp = config.experiment
     agent = policy_mod.TablePolicyAgent(solution[1], config.params)
+    report = _experiment(config, config.marks, {"table": agent},
+                         record_events=exp["record_events"])["table"]
     if exp["record_events"]:
-        paths = order_flow.simulate_paths(
-            config.params, config.marks, agent, config.initial_state(),
-            [order_flow.make_path_seed(exp["base_seed"], i)
-             for i in range(exp["n_sim"])], record_events=True)
-        order_flow.write_path_log(paths,
+        order_flow.write_path_log(report.events,
                                   os.path.join(out_dir, "paths.csv"))
-        reports = evaluation.build_reports(
-            config.params, config.marks,
-            {"table": (paths.terminal_wealth,
-                       evaluation.detect_speculation(paths),
-                       np.isfinite(paths.breaker_time))},
-            exp["base_seed"], config.initial_state(),
-            target_q=exp["target_q"],
-            histogram_bin_width=config.output["histogram_bin_width"])
-    else:
-        reports = _experiment(config, config.marks, {"table": agent})
-    report = reports["table"]
     report.config_echo.update(config.stamp())
     evaluation.write_report_json(
         report, os.path.join(out_dir, "simulate_report.json"))

@@ -6,10 +6,10 @@ candidate event streams coincide and comparisons are paired.  Each block
 of paths is drawn once, and one event loop simulates it for every agent
 at once (``order_flow.simulate_block``: lanes are agents × paths, and each
 agent's hooks see only its own lanes).  The block's per-lane columns of
-wealth, speculation and breaker flags are cut into one row per agent and
-joined in path order, and every statistic is reduced single-threaded from
-those columns, which makes results bit-identical whatever the worker
-count.
+wealth, speculation and breaker flags, and of recorded events, are cut
+into one row per agent and joined in path order, and every statistic is
+reduced single-threaded from those columns, which makes results
+bit-identical whatever the worker count.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .order_flow import simulate_path  # noqa: F401
 __all__ = [
     "EvalReport",
     "ConsistencyResult",
-    "build_reports",
     "run_experiment",
     "signal_sharpe_ratio",
     "detect_speculation",
@@ -53,7 +52,11 @@ CONSISTENCY_REL_TOLERANCE = 0.02  # share of |value| allowed beyond 3 SE
 
 @dataclass
 class EvalReport:
-    """Summary of one agent's simulated wealth distribution."""
+    """Summary of one agent's simulated wealth distribution.
+
+    ``events`` holds each path's ``EventRecord`` tuple in path order, empty
+    unless the experiment recorded events; no report file carries it.
+    """
 
     agent: str
     n_sim: int
@@ -66,6 +69,7 @@ class EvalReport:
     histogram_edges: np.ndarray
     histogram_counts: np.ndarray
     config_echo: dict
+    events: np.ndarray
     ssr: Optional[float] = None
 
 
@@ -104,22 +108,82 @@ def _histogram(wealth: np.ndarray, bin_width: float):
     return edges, counts
 
 
-def build_reports(params: MarketParams, marks: MarkModel,
-                  outcomes: Dict[str, tuple], base_seed: int,
-                  initial: MarketState, *, target_q: float = 0.0,
-                  histogram_bin_width: float = 0.05) -> Dict[str, EvalReport]:
-    """One report per agent from its path outcomes, given in path order.
+# A pool worker's experiment inputs, handed over once by the initializer.
+_shared: tuple = ()
 
-    ``outcomes`` maps each agent to its ``(wealth, speculation, breaker)``
-    arrays, one entry per path; the statistics are reduced from them in
-    one thread.
+
+def _share(*inputs) -> None:
+    global _shared
+    _shared = inputs
+
+
+def _simulate_chunk(paths: range, inputs: tuple = ()) -> list:
+    """Every agent's path outcomes on ``paths``, one block at a time: per
+    block, its wealth, speculation, breaker and events columns as
+    ``(agents, paths)`` arrays."""
+    params, marks, agents, initial, base_seed, record_events = \
+        inputs or _shared
+    blocks = []
+    for start in range(paths.start, paths.stop, BLOCK_PATHS):
+        ids = range(start, min(start + BLOCK_PATHS, paths.stop))
+        rec = simulate_block(
+            params, marks, list(agents.values()), initial, draw_candidates(
+                params, marks, [make_path_seed(base_seed, i) for i in ids]),
+            record_events=record_events)
+        # lane a * n + b is agent a on path b: row a of an (agents, n) view
+        blocks.append([column.reshape(len(agents), -1) for column in (
+            rec.terminal_wealth, detect_speculation(rec),
+            np.isfinite(rec.breaker_time), rec.events)])
+        del rec  # before the next block is drawn: one block in memory
+    return blocks
+
+
+def run_experiment(params: MarketParams, marks: MarkModel,
+                   agents: Dict[str, object], n_sim: int, base_seed: int,
+                   initial: MarketState, *, target_q: float = 0.0,
+                   threads: int = 1, histogram_bin_width: float = 0.05,
+                   record_events: bool = False) -> Dict[str, EvalReport]:
+    """Simulate every agent over the same ``n_sim`` seeded paths.
+
+    Returns one report per agent (insertion order preserved), with each
+    path's events when ``record_events`` is set.  At most ``threads``
+    workers share one process pool, and never more than one per block of
+    ``BLOCK_PATHS`` paths: a block costs about as many event steps as its
+    busiest path has candidates whatever its width, so splitting one
+    block between processes pays those steps twice.  An experiment of one
+    block, one that records events (sending them back from workers costs
+    more than the workers save), or ``threads=1`` runs in this process.
+    Each worker receives the inputs once and one contiguous range of path
+    indices, on which it simulates every agent in one event loop per
+    block.  Results are independent of the worker count because path
+    seeds are absolute and statistics are reduced from the path-ordered
+    arrays in one thread.
     """
+    if n_sim <= 0:
+        raise ValueError("n_sim must be positive")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+    inputs = (params, marks, agents, initial, base_seed, record_events)
+    workers = 1 if record_events else min(threads, -(-n_sim // BLOCK_PATHS))
+    if workers == 1:
+        chunks = [_simulate_chunk(range(n_sim), inputs)]
+    else:
+        size = -(-n_sim // workers)
+        ranges = [range(s, min(s + size, n_sim))
+                  for s in range(0, n_sim, size)]
+        # a pool forks all its workers up front: one per range, no idle ones
+        with futures.ProcessPoolExecutor(len(ranges), initializer=_share,
+                                         initargs=inputs) as pool:
+            chunks = list(pool.map(_simulate_chunk, ranges))
+    columns = (np.concatenate(blocks, axis=1) for blocks in zip(
+        *(block for chunk in chunks for block in chunk)))
     reports: Dict[str, EvalReport] = {}
-    for name, (wealth, spec, brk) in outcomes.items():
+    # one row of each (agents, paths) column per agent
+    for name, wealth, spec, brk, events in zip(agents, *columns):
         edges, counts = _histogram(wealth, histogram_bin_width)
         reports[name] = EvalReport(
             agent=name,
-            n_sim=len(wealth),
+            n_sim=n_sim,
             base_seed=base_seed,
             wealth=wealth,
             mean=float(np.mean(wealth)),
@@ -134,85 +198,14 @@ def build_reports(params: MarketParams, marks: MarkModel,
                 "marks": marks.fingerprint(),
                 "initial": {"lam": initial.lam, "q": initial.q,
                             "p": initial.p, "x": initial.x},
-                "n_sim": len(wealth),
+                "n_sim": n_sim,
                 "base_seed": base_seed,
                 "target_q": target_q,
                 "agent": name,
             },
+            events=events,
         )
     return reports
-
-
-# A pool worker's experiment inputs, handed over once by the initializer.
-_shared: tuple = ()
-
-
-def _share(*inputs) -> None:
-    global _shared
-    _shared = inputs
-
-
-def _simulate_chunk(paths: range, inputs: tuple = ()) -> list:
-    """Every agent's path outcomes on ``paths``, one block at a time: per
-    block, its wealth, speculation and breaker columns as ``(agents,
-    paths)`` arrays."""
-    params, marks, agents, initial, base_seed = inputs or _shared
-    blocks = []
-    for start in range(paths.start, paths.stop, BLOCK_PATHS):
-        ids = range(start, min(start + BLOCK_PATHS, paths.stop))
-        rec = simulate_block(
-            params, marks, list(agents.values()), initial, draw_candidates(
-                params, marks, [make_path_seed(base_seed, i) for i in ids]))
-        # lane a * n + b is agent a on path b: row a of an (agents, n) view
-        blocks.append([column.reshape(len(agents), -1) for column in (
-            rec.terminal_wealth, detect_speculation(rec),
-            np.isfinite(rec.breaker_time))])
-        del rec  # before the next block is drawn: one block in memory
-    return blocks
-
-
-def run_experiment(params: MarketParams, marks: MarkModel,
-                   agents: Dict[str, object], n_sim: int, base_seed: int,
-                   initial: MarketState, *, target_q: float = 0.0,
-                   threads: int = 1,
-                   histogram_bin_width: float = 0.05) -> Dict[str, EvalReport]:
-    """Simulate every agent over the same ``n_sim`` seeded paths.
-
-    Returns one report per agent (insertion order preserved).  At most
-    ``threads`` workers share one process pool, and never more than one
-    per block of ``BLOCK_PATHS`` paths: a block costs about as many event
-    steps as its busiest path has candidates whatever its width, so
-    splitting one block between processes pays those steps twice.  An
-    experiment of one block, or ``threads=1``, runs in this process.
-    Each worker receives the inputs once and one contiguous range of path
-    indices, on which it simulates every agent in one event loop per
-    block.  Results are independent of the worker count because path
-    seeds are absolute and statistics are reduced from the path-ordered
-    arrays in one thread.
-    """
-    if n_sim <= 0:
-        raise ValueError("n_sim must be positive")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-    inputs = (params, marks, agents, initial, base_seed)
-    workers = min(threads, -(-n_sim // BLOCK_PATHS))
-    if workers == 1:
-        chunks = [_simulate_chunk(range(n_sim), inputs)]
-    else:
-        size = -(-n_sim // workers)
-        ranges = [range(s, min(s + size, n_sim))
-                  for s in range(0, n_sim, size)]
-        # a pool forks all its workers up front: one per range, no idle ones
-        with futures.ProcessPoolExecutor(len(ranges), initializer=_share,
-                                         initargs=inputs) as pool:
-            chunks = list(pool.map(_simulate_chunk, ranges))
-    wealth, spec, brk = (np.concatenate(columns, axis=1) for columns in zip(
-        *(block for chunk in chunks for block in chunk)))
-    outcomes = {name: (wealth[a], spec[a], brk[a])
-                for a, name in enumerate(agents)}
-    return build_reports(params, marks, outcomes, base_seed, initial,
-                         target_q=target_q,
-                         histogram_bin_width=histogram_bin_width)
 
 
 def signal_sharpe_ratio(with_signal: np.ndarray,

@@ -246,13 +246,13 @@ class EventRecord:
 
 @dataclass(frozen=True)
 class PathRecord:
-    """Summary (and optional event log) of simulated paths.
+    """Summary and event log of simulated paths.
 
     The fields are scalars for one path, or equal-length arrays with one
     entry per lane for a block (see ``simulate_block``); the terminal state
-    is then a ``MarketState`` of arrays.  ``events`` holds a path's
-    ``EventRecord``s, or for a block one such tuple per lane; it is ``()``
-    unless events were recorded.
+    is then a ``MarketState`` of arrays.  ``events`` is a path's tuple of
+    ``EventRecord``s, empty unless events were recorded; for a block it is
+    a column like the others, an object array of one such tuple per lane.
     """
 
     terminal_state: MarketState
@@ -272,7 +272,7 @@ class PathRecord:
     integrated_variance: float    # integral of sigma^2(lam_t) dt up to halt
     vbar_rho_sum: float           # sum |rho(e)| over candidates with y <= g(floor)
     min_lambda: float
-    events: tuple = ()
+    events: tuple
 
 
 @dataclass(frozen=True)
@@ -670,19 +670,18 @@ def simulate_block(params: MarketParams, marks: MarkModel, agents: Sequence,
         block.breaker_time, counts, n_live_mo, n_live_limit, n_signals,
         block.n_buy, block.n_sell, block.v_q, block.v_m, block.v_lminus,
         block.qv, block.integ_var, vbar_rho, block.min_lam,
-        events=tuple(map(tuple, block.events)) if record_events else ())
+        np.fromiter(map(tuple, block.events or [()] * n_lanes), object,
+                    n_lanes))
 
 
-def _map_columns(fn, records: Sequence[PathRecord],
-                 events: tuple) -> PathRecord:
-    """A record with ``events`` whose every other field, terminal state
-    included, is ``fn`` of the list of that field in ``records``."""
+def _map_columns(fn, records: Sequence[PathRecord]) -> PathRecord:
+    """A record whose every field, terminal state included, is ``fn`` of
+    the list of that field in ``records``."""
     return PathRecord(
         MarketState(*(fn([getattr(r.terminal_state, f.name) for r in records])
                       for f in fields(MarketState))),
         *(fn([getattr(rec, f.name) for rec in records])
-          for f in fields(PathRecord)[1:-1]),
-        events=events)
+          for f in fields(PathRecord)[1:]))
 
 
 def simulate_paths(params: MarketParams, marks: MarkModel, agent,
@@ -696,8 +695,7 @@ def simulate_paths(params: MarketParams, marks: MarkModel, agent,
         draw_candidates(params, marks, seeds[start:start + BLOCK_PATHS]),
         record_events=record_events)
         for start in range(0, max(len(seeds), 1), BLOCK_PATHS)]
-    return _map_columns(np.concatenate, blocks,
-                        sum((block.events for block in blocks), ()))
+    return _map_columns(np.concatenate, blocks)
 
 
 def simulate_path(params: MarketParams, marks: MarkModel, policy,
@@ -707,24 +705,23 @@ def simulate_path(params: MarketParams, marks: MarkModel, policy,
     its record holds Python scalars."""
     rec = simulate_paths(params, marks, policy, initial, [seed],
                          record_events=record_events)
-    return _map_columns(lambda values: values[0].item(), [rec],
-                        rec.events[0] if record_events else ())
+    return _map_columns(lambda values: values[0].item(), [rec])
 
 
-def write_path_log(paths: PathRecord, file) -> None:
-    """Write recorded events as CSV (one row per candidate or impulse).
+def write_path_log(events: Sequence[tuple], path) -> None:
+    """Write recorded events to ``path`` as CSV (one row per candidate or
+    impulse).
 
     Columns: ``path_id, t, kind, z, gamma, eta, rho, lambda, q, p, x``
-    with executed volumes and the post-event state, from a record of
-    per-path arrays simulated with ``record_events=True``.
+    with executed volumes and the post-event state, from an ``events``
+    column of per-path ``EventRecord`` tuples recorded with
+    ``record_events=True``.
     """
-    own = isinstance(file, (str, bytes)) or hasattr(file, "__fspath__")
-    handle = open(file, "w", newline="") if own else file
-    try:
+    with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(PATH_LOG_COLUMNS)
-        for pid, events in enumerate(paths.events):
-            for ev in events:
+        for pid, path_events in enumerate(events):
+            for ev in path_events:
                 st = ev.post_state
                 writer.writerow([
                     pid, repr(float(ev.time)), ev.kind, ev.z,
@@ -732,6 +729,3 @@ def write_path_log(paths: PathRecord, file) -> None:
                     repr(float(ev.rho)), repr(float(st.lam)),
                     repr(float(st.q)), repr(float(st.p)), repr(float(st.x)),
                 ])
-    finally:
-        if own:
-            handle.close()

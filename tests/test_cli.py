@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from artifact import cli, evaluation, hjb, order_flow
+from artifact import cli, evaluation, hjb
 from artifact.cli import ConfigError, load_config, main
 from artifact.market_core import MarketParams
 
@@ -342,20 +342,13 @@ def test_simulate_after_solve_writes_reports(tmp_path):
 
 def test_simulate_with_recorded_events_simulates_each_path_once(
         tmp_path, monkeypatch):
-    real_simulate_paths = order_flow.simulate_paths
     real_draw_candidates = evaluation.draw_candidates
     seeds = []
-
-    def counted_simulate_paths(*args, **kwargs):
-        seeds.extend(args[4])
-        return real_simulate_paths(*args, **kwargs)
 
     def counted_draw_candidates(*args, **kwargs):
         seeds.extend(args[2])
         return real_draw_candidates(*args, **kwargs)
 
-    # the recorded run and any experiment would both show up here
-    monkeypatch.setattr(order_flow, "simulate_paths", counted_simulate_paths)
     monkeypatch.setattr(evaluation, "draw_candidates",
                         counted_draw_candidates)
     runner = CliRunner()
@@ -367,6 +360,32 @@ def test_simulate_with_recorded_events_simulates_each_path_once(
     assert result.exit_code == 0, _all_output(result)
     assert len(seeds) == 25
     assert len(set(seeds)) == 25
+
+
+def test_recorded_simulate_runs_in_process_whatever_the_threads(
+        tmp_path, monkeypatch):
+    """Two blocks of recorded paths at ``--threads 2`` start no pool and
+    write the ``--threads 1`` bytes."""
+    runner = CliRunner()
+    cfg = _tiny_config(tmp_path, n_sim=1100, record_events=True)
+    out = tmp_path / "out"
+    assert runner.invoke(main, ["solve", "-c", cfg,
+                                "-o", str(out)]).exit_code == 0
+
+    def simulate(threads):
+        result = runner.invoke(main, ["simulate", "-c", cfg, "-o", str(out),
+                                      "--threads", threads])
+        assert result.exit_code == 0, _all_output(result)
+        return [(out / name).read_bytes() for name in (
+            "paths.csv", "simulate_report.json", "simulate_wealth.csv")]
+
+    serial = simulate("1")
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a recorded run started a pool")
+
+    monkeypatch.setattr(evaluation.futures, "ProcessPoolExecutor", no_pool)
+    assert simulate("2") == serial
 
 
 @pytest.mark.filterwarnings("ignore:degenerate wealth sample")

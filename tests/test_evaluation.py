@@ -25,7 +25,8 @@ from artifact.hjb import Grid, solve
 from artifact.market_core import MarketParams, MarketState, utility
 from artifact.order_flow import (Mark, MarkModel, benchmark_mark_model,
                                  draw_candidates, make_path_seed,
-                                 simulate_block, simulate_path)
+                                 simulate_block, simulate_path,
+                                 simulate_paths)
 from artifact.policy import (Agent, DoNothingAgent, ImmediateExecutionAgent,
                              TablePolicyAgent, TwapAgent)
 
@@ -299,6 +300,31 @@ def test_one_simulate_block_call_per_block_for_every_agent(
     assert calls == [(3, 4), (3, 4), (3, 1)]
     for name, report in reports.items():
         np.testing.assert_array_equal(report.wealth, alone[name].wealth)
+
+
+def test_recorded_events_are_each_agent_alone_over_ragged_blocks(
+        monkeypatch, bench_params, marks_signal, start_short):
+    """Each agent's ``report.events`` is, lane for lane, what the agent
+    records alone; without recording every path holds an empty tuple."""
+    agents = {"a": DoNothingAgent(),
+              "b": ImmediateExecutionAgent(0.0, bench_params),
+              "c": TwapAgent(0.0, start_short.q, bench_params)}
+    # blocks of 4, 4 and 1 paths
+    monkeypatch.setattr(evaluation, "BLOCK_PATHS", 4)
+    seeds = [make_path_seed(58, i) for i in range(9)]
+    reports = run_experiment(bench_params, marks_signal, agents, 9, 58,
+                             start_short, record_events=True)
+    for name, agent in agents.items():
+        alone = simulate_paths(bench_params, marks_signal, agent,
+                               start_short, seeds, record_events=True)
+        assert len(reports[name].events) == 9
+        assert all(reports[name].events)
+        assert list(reports[name].events) == list(alone.events), name
+    unrecorded = run_experiment(bench_params, marks_signal, agents, 9, 58,
+                                start_short)
+    for name, report in unrecorded.items():
+        assert list(report.events) == [()] * 9, name
+        np.testing.assert_array_equal(report.wealth, reports[name].wealth)
 
 
 def test_an_experiment_builds_no_per_path_record(

@@ -22,25 +22,38 @@ auction exposure of the terminal condition and the impact closed forms.
 One scheme object, built once per solve, precomputes every gather of a
 step on one per-node compacted ``(row, q, slot)`` trade axis: the slots
 of a live node are its admissible trades, in the scan order
-``0, -1, +1, -2, +2, ...``, padded to the longest list with slots that
-start at ``-inf``.  (A trade that halts at the floor executes the same
-volume as an ordinary trade, so one node can reach one target inventory
-twice; the slots are trades, not targets.)  The visible branches and the
-block-trade comparison are kernels on this axis, run one at a time into
-its shared accumulator; the invisible branch has the zero-trade axis.  A
-kernel is built whole from its marks: one slab of flat indices per set
-of interpolation rows that some mark lands on, with one multiplier that
-sums, in mark order, the terms of every mark landing there (intensity,
-branch weight, interpolation weight and utility jump).  A step gathers
-all slabs in one ``np.take``, multiplies once and sums each node's slabs
-in order of their first appearance, then adds the slot's start (``0`` or
-``-inf``) and, for ``alpha = 0``, the marks' summed additive terms.
-Holding is slot 0, so the signal response and the block trade share one
-best-trade reduction: the first maximum over the slots, so a later trade
-in scan order replaces an earlier one only when strictly better.  The
-scheme stays monotone with positive coefficients under the stability
-bound, which is what its convergence rests on (Barles and Souganidis,
-1991).
+``0, -1, +1, -2, +2, ...``, padded to the longest list with copies of
+slot 0, the zero trade.  (A trade that halts at the floor executes the
+same volume as an ordinary trade, so one node can reach one target
+inventory twice; the slots are trades, not targets.)  The visible
+branches and the block-trade comparison are kernels on this axis, run
+one at a time into its shared accumulator; the invisible branch has the
+zero-trade axis.  A kernel is built whole from its marks: one slab of
+flat indices per set of interpolation rows that some mark lands on, with
+one multiplier that sums, in mark order, the terms of every mark landing
+there (intensity, branch weight, interpolation weight and utility jump).
+A step gathers all slabs in one ``np.take``, multiplies once and sums
+each node's slabs in order of their first appearance, then, for
+``alpha = 0``, adds the marks' summed additive terms.  Holding is slot 0,
+so the signal response and the block trade share one best-trade
+reduction: the first maximum over the slots, so a later trade in scan
+order replaces an earlier one only when strictly better, and a padding
+copy of slot 0 never does.  The scheme stays monotone with positive
+coefficients under the stability bound, which is what its convergence
+rests on (Barles and Souganidis, 1991).
+
+A market can be its own mirror image in inventory: its inventory nodes
+are ``q`` and ``-q`` in pairs and its marks, as a multiset of ``(eta,
+rho, nu, signal)``, are closed under ``eta -> -eta``.  The impact is odd
+in the trade and the frictions are even, so there node ``(lam, -q)``
+with trade ``-g`` is node ``(lam, q)`` with trade ``g``: the kernels run
+on the columns ``q >= 0`` only, and each step copies them to ``q < 0``,
+values as they are and trades as ``0.0 - g`` (a hold stays ``+0.0``).
+Computed there, a lower column would sum some slabs' marks in the
+mirrored order, so its values could differ in the last bits (at most
+5 ulp on the tiny grid, ``d_lambda = 4``), and where a trade and its
+opposite tie exactly it would keep the one scanned first, the sell,
+where the mirror holds the buy.  Any other market computes every column.
 """
 
 from __future__ import annotations
@@ -330,25 +343,27 @@ def _lambda_gather(grid: Grid, lam_target: np.ndarray):
 
 
 class _Slots:
-    """The per-node compacted trade axis, ``(row, q, slot)``, with the
-    accumulator of the kernels on it.
+    """The per-node compacted trade axis, ``(row, q, slot)``, on the
+    inventory columns from ``first`` up, with the accumulator of the
+    kernels on it.
 
     The slots of a live node are its admissible trades among ``n * d_q``
     (``n`` in scan order), still in scan order, padded to the longest such
-    list.  Padding slots repeat the zero trade, so everything computed on
-    them is finite and in range; their candidates start at ``-inf`` and
-    never win.  The kernels on one axis run one at a time, so they share
-    its accumulator ``acc``.
+    list.  Padding slots repeat the node's zero trade, slot 0, with its
+    multipliers, so they compute slot 0's candidate and never win the
+    first maximum.  The kernels on one axis run one at a time, so they
+    share its accumulator ``acc``.
     """
 
     def __init__(self, grid: Grid, params: MarketParams, n: np.ndarray,
-                 geometry: tuple):
+                 geometry: tuple, first: int):
         """``geometry`` is ``_trade_geometry(grid, n)``."""
         self.grid = grid
+        self.columns = np.arange(first, grid.n_q)
         ok, _, gamma_exec, shift, _ = geometry
         # admissible (trade, row) pairs that land on the inventory grid, on
         # (row, q, trade)
-        j = np.arange(grid.n_q)[:, None]
+        j = self.columns[:, None]
         to = shift.T[:, None, :]
         valid = ok.T[:, None, :] & (j >= -to) & (j < grid.n_q - to)
         count = valid.sum(axis=-1)
@@ -370,8 +385,7 @@ class _Slots:
         lam = grid.lam_values[1:]
         self.jump_fixed = self.take(-params.zeta * np.abs(gamma_exec)
                                     - impact_cost(gamma_exec, lam, params))
-        self.q_after = grid.q_values[:, None] + self.take(gamma_exec)
-        self.start = np.where(pad, -np.inf, 0.0)
+        self.q_after = grid.q_values[first:, None] + self.take(gamma_exec)
         # flat index of each node's first slot
         self.node_start = np.arange(0, pad.size, width).reshape(count.shape)
         self.acc = np.empty(pad.shape)
@@ -424,13 +438,13 @@ class _Kernel:
                     multipliers[key] += weight
                 else:
                     rows[key], multipliers[key] = landing, weight
-        shape = (len(rows),) + slots.start.shape
+        shape = (len(rows),) + slots.acc.shape
         self.index = np.empty(shape, np.intp)
         self.multiplier = np.empty(shape)
         for slab, key in enumerate(rows):
             # flat index of the landing row at the post-trade column
             idx = slots.take(rows[key] * grid.n_q + slots.shift)
-            idx += np.arange(grid.n_q)[:, None]
+            idx += slots.columns[:, None]
             if idx.min() < 0 or idx.max() >= grid.n_lambda * grid.n_q:
                 raise IndexError("gather index off the value slice")
             self.index[slab] = idx
@@ -438,8 +452,7 @@ class _Kernel:
         self.gathered = np.empty(shape)
 
     def accumulate(self, w: np.ndarray) -> np.ndarray:
-        """Sum of the slabs per slot, slab by slab, then ``start``, then
-        the additive sum.
+        """Sum of the slabs per slot, slab by slab, then the additive sum.
 
         Returns the axis's accumulator, overwritten by the next call of any
         kernel on the axis.
@@ -453,7 +466,6 @@ class _Kernel:
         np.take(w.reshape(-1), self.index, out=self.gathered, mode="clip")
         self.gathered *= self.multiplier
         acc = np.sum(self.gathered, axis=0, out=slots.acc)
-        acc += slots.start
         if self.add is not None:
             acc += self.add
         return acc
@@ -472,9 +484,10 @@ class _Kernel:
         trade_out[...] = self.slots.trades[arg]
 
 
-def _block_trades(grid: Grid, params: MarketParams):
-    """The block-trade comparison's kernel on the full trade axis, with
-    the scan-ordered trades, their geometry and price impact.
+def _block_trades(grid: Grid, params: MarketParams, first: int):
+    """The block-trade comparison's kernel on the full trade axis of the
+    columns from ``first`` up, with the scan-ordered trades, their geometry
+    and price impact.
 
     Holding is slot 0, the zero trade: a gather of ``w`` itself with
     multiplier 1 and zero upper and additive terms.  It reads back ``w``
@@ -485,18 +498,37 @@ def _block_trades(grid: Grid, params: MarketParams):
     geometry = _trade_geometry(grid, n)
     _, _, gamma_exec, _, lam_after_raw = geometry
     imp_gamma = price_impact(gamma_exec, grid.lam_values[1:], params)
-    kernel = _Kernel(_Slots(grid, params, n, geometry), params.alpha,
+    kernel = _Kernel(_Slots(grid, params, n, geometry, first), params.alpha,
                      [(lam_after_raw, imp_gamma, 1.0)])
     return kernel, n, geometry, imp_gamma
 
 
+def _mirror_first(grid: Grid, marks: MarkModel) -> int:
+    """The first inventory column a step computes: ``n_q // 2`` on a
+    market that is its own mirror image in inventory (module docstring),
+    else 0."""
+    q = grid.q_values
+    marks = marks.marks
+    if (np.array_equal(q, -q[::-1])
+            and sorted((m.eta, m.rho, m.nu, m.signal) for m in marks)
+            == sorted((-m.eta, m.rho, m.nu, m.signal) for m in marks)):
+        return grid.n_q // 2
+    return 0
+
+
 class _Scheme:
     """The explicit step for one (grid, params, marks) triple: the
-    generator pass, then the block-trade comparison."""
+    generator pass, then the block-trade comparison, on the inventory
+    columns from ``_mirror_first`` up; the columns below, if any, are
+    their mirror image."""
 
-    def __init__(self, grid: Grid, params: MarketParams, marks: MarkModel):
+    def __init__(self, grid: Grid, params: MarketParams, marks: MarkModel,
+                 mirror: bool = True):
+        """``mirror=False`` computes every column whatever the market."""
         self.grid = grid
-        self.block, n, geometry, imp_gamma = _block_trades(grid, params)
+        first = _mirror_first(grid, marks) if mirror else 0
+        self.block, n, geometry, imp_gamma = _block_trades(grid, params,
+                                                           first)
         _, trig, gamma_exec, _, lam_after_raw = geometry
         lam = grid.lam_values[1:]
         lam1 = lam - np.abs(gamma_exec)
@@ -535,10 +567,15 @@ class _Scheme:
         self.visible = {z: _Kernel(self.block.slots, params.alpha, landings)
                         for z, landings in visible.items()}
         self.invisible = _Kernel(
-            _Slots(grid, params, n[:1], tuple(g[:1] for g in geometry)),
+            _Slots(grid, params, n[:1], tuple(g[:1] for g in geometry),
+                   first),
             params.alpha, invisible)
         self.lam_coeff = lam_coeff[:, None]
-        self.branch_value = np.empty((grid.n_lambda - 1, grid.n_q))
+        # the computed columns, and the columns below with their images
+        self.upper = np.s_[:, first:]
+        self.lower = np.s_[:, :first]
+        self.image = np.s_[:, grid.n_q - 1:grid.n_q - 1 - first:-1]
+        self.branch_value = np.empty((grid.n_lambda - 1, grid.n_q - first))
         self.transported = np.empty((grid.n_lambda, grid.n_q))
 
     def transport(self, w: np.ndarray, out: np.ndarray,
@@ -547,16 +584,24 @@ class _Scheme:
 
         The signal trades go into ``gamma[1:, :, s]``.  A branch without
         marks is skipped: it would add ``+0.0`` (trade 0), which changes no
-        sum that starts from ``+0.0``, and leaves its zero trades.
+        sum that starts from ``+0.0``, and leaves its zero trades, and
+        their pages, untouched.
         """
-        w_live = w[1:]
+        w_live = w[1:][self.upper]
         acc = self.invisible.accumulate(w)[..., 0]
         for s, z in enumerate(SIGNALS):
             if len(self.visible[z].index):
-                self.visible[z].best(w, self.branch_value, gamma[1:, :, s])
+                trades = gamma[1:, :, s]
+                self.visible[z].best(w, self.branch_value,
+                                     trades[self.upper])
                 acc += self.branch_value
+                # 0.0 - t, so that a hold stays +0.0
+                np.subtract(0.0, trades[self.image], out=trades[self.lower])
         out[0] = w[0]
-        out[1:] = w_live + self.grid.d_t * (acc - self.lam_coeff * w_live)
+        live = out[1:]
+        live[self.upper] = w_live + self.grid.d_t * (
+            acc - self.lam_coeff * w_live)
+        live[self.lower] = live[self.image]
 
     def step(self, w: np.ndarray, out: np.ndarray, gamma: np.ndarray,
              delta: np.ndarray) -> None:
@@ -565,7 +610,11 @@ class _Scheme:
         into ``delta[1:]``."""
         self.transport(w, self.transported, gamma)
         out[0] = w[0]
-        self.block.best(self.transported, out[1:], delta[1:])
+        live, trades = out[1:], delta[1:]
+        self.block.best(self.transported, live[self.upper],
+                        trades[self.upper])
+        live[self.lower] = live[self.image]
+        np.subtract(0.0, trades[self.image], out=trades[self.lower])
 
 
 def check_stability(grid: Grid, params: MarketParams,
@@ -592,12 +641,16 @@ def transport_step(w_slice: np.ndarray, grid: Grid, params: MarketParams,
     """One explicit generator step applied to a value slice.
 
     Convenience wrapper that rebuilds the scheme, block-trade kernel
-    included; ``solve`` amortizes it across all steps.
+    included; ``solve`` amortizes it across all steps.  It mirrors the
+    lower columns only when ``w_slice`` is its own mirror image bit for
+    bit, since a slice need not be.
     """
     check_stability(grid, params, marks)
     w = np.ascontiguousarray(w_slice, dtype=float)
     out = np.empty_like(w)
-    _Scheme(grid, params, marks).transport(
+    bits = w.view(np.int64)
+    _Scheme(grid, params, marks, np.array_equal(bits, bits[..., ::-1])
+            ).transport(
         w, out, np.zeros(w.shape + (len(SIGNALS),)))
     return out
 
@@ -610,7 +663,7 @@ def impulse_step(w_slice: np.ndarray, grid: Grid, params: MarketParams):
     """
     w = np.ascontiguousarray(w_slice, dtype=float)
     out, delta = w.copy(), np.zeros_like(w)
-    _block_trades(grid, params)[0].best(w, out[1:], delta[1:])
+    _block_trades(grid, params, 0)[0].best(w, out[1:], delta[1:])
     return out, delta
 
 

@@ -311,15 +311,25 @@ def test_transport_step_preserves_flat_inventory():
     np.testing.assert_allclose(out[:, j0], -1.0, rtol=1e-13)
 
 
-@pytest.mark.parametrize("p_hat", [0.2, 1.0])
-@pytest.mark.parametrize("alpha", [0.1, 0.0])
-@pytest.mark.parametrize("d_lambda", [1.0, 4.0])
-def test_transport_step_matches_the_per_node_oracle(d_lambda, alpha, p_hat):
+#: Marks not closed under ``eta -> -eta``: a market that is not its own
+#: mirror image in inventory.
+_SKEW = (Mark(eta=1.0, rho=0.0, nu=0.2), Mark(eta=-2.0, rho=0.0, nu=0.15),
+         Mark(eta=0.0, rho=1.0, nu=0.45), Mark(eta=0.0, rho=-1.0, nu=0.2))
+
+
+@pytest.mark.parametrize("d_lambda, alpha, p_hat, skew", [
+    pytest.param(d_lambda, alpha, p_hat, skew,
+                 id=f"{d_lambda}-{alpha}-{p_hat}" + ("-skew" if skew else ""))
+    for skew in (False, True) for d_lambda in (1.0, 4.0)
+    for alpha in (0.1, 0.0) for p_hat in (0.2, 1.0)])
+def test_transport_step_matches_the_per_node_oracle(d_lambda, alpha, p_hat,
+                                                    skew):
     """Values and stored signal trades of a mid-horizon step agree with a
     per-node scan, on grids whose low rows admit trades that halt at the
-    floor."""
+    floor, for marks that are their own mirror image and marks that are
+    not."""
     params = dataclasses.replace(PARAMS, alpha=alpha)
-    marks = benchmark_mark_model(p_hat)
+    marks = MarkModel(_SKEW, p_hat) if skew else benchmark_mark_model(p_hat)
     grid = Grid.from_params(params, d_t=0.01, d_lambda=d_lambda,
                             q_min=-2.0, q_max=2.0)
     surface, policy = solve(params, marks, grid)
@@ -335,6 +345,22 @@ def test_transport_step_matches_the_per_node_oracle(d_lambda, alpha, p_hat):
     # the lowest live rows admit trades that overshoot the floor and halt
     lam_low = grid.lam_values[1]
     assert lam_low - 2.0 * grid.d_q < params.lambda_lower
+
+
+def test_transport_step_computes_every_column_of_an_asymmetric_slice(
+        tiny_solution):
+    """The benchmark marks are their own mirror image, but a slice need not
+    be: one whose lower columns are not the image of its upper ones is
+    stepped on every column."""
+    surface, _ = tiny_solution
+    grid = surface.grid
+    marks = benchmark_mark_model(0.2)
+    w = surface.values[grid.n_steps // 2].copy()
+    w[1:, 0] *= 1.001
+    want, _, _ = transport_oracle(w, grid, PARAMS, marks)
+    got = transport_step(w, grid, PARAMS, marks)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    assert np.all(got[1:, 0] != got[1:, -1])
 
 
 def test_steps_reject_a_slice_of_another_grid():
@@ -504,14 +530,59 @@ def test_a_solve_builds_one_full_trade_axis(monkeypatch):
     widths = []
 
     class CountingSlots(hjb._Slots):
-        def __init__(self, grid, params, n, geometry):
-            super().__init__(grid, params, n, geometry)
+        def __init__(self, grid, params, n, geometry, first):
+            super().__init__(grid, params, n, geometry, first)
             widths.append(len(n))
 
     monkeypatch.setattr(hjb, "_Slots", CountingSlots)
     grid = Grid.from_params(PARAMS, **_TINY)
     solve(PARAMS, benchmark_mark_model(0.2), grid)
     assert sorted(widths) == [1, len(_scan_trades(grid))]
+
+
+def test_a_mirror_symmetric_market_computes_the_upper_columns_only(
+        bench_params, marks_signal, desk_grid):
+    """The desk market is its own mirror image in inventory, so its
+    kernels run on the columns from ``q = 0`` up; marks that are not
+    closed under ``eta -> -eta``, or a grid off centre, compute every
+    column."""
+    def columns(grid, marks):
+        scheme = hjb._Scheme(grid, bench_params, marks)
+        columns = scheme.block.slots.columns
+        np.testing.assert_array_equal(scheme.invisible.slots.columns,
+                                      columns)
+        return grid.q_values[columns]
+
+    assert desk_grid.n_q == 25
+    np.testing.assert_array_equal(columns(desk_grid, marks_signal),
+                                  np.arange(13.0))
+    assert len(columns(desk_grid, MarkModel(_SKEW, 0.2))) == 25
+    off_centre = Grid.from_params(bench_params, d_t=0.01, d_lambda=4.0,
+                                  q_min=-2.0, q_max=3.0)
+    assert len(columns(off_centre, marks_signal)) == 6
+
+
+@pytest.mark.parametrize("solution", ["solved_signal", "tiny_solution"])
+def test_mirrored_columns_hold_the_same_values_and_negated_trades(
+        solution, request):
+    surface, policy = request.getfixturevalue(solution)
+    assert surface.values.tobytes() == surface.values[:, :, ::-1].tobytes()
+    off_centre = surface.grid.q_values != 0.0
+    gamma = policy.gamma_star[:, :, off_centre]
+    delta = policy.delta_star[:, :, off_centre]
+    assert np.any(gamma) and np.any(delta)
+    np.testing.assert_array_equal(
+        policy.gamma_star[:, :, ::-1][:, :, off_centre], -gamma)
+    np.testing.assert_array_equal(
+        policy.delta_star[:, :, ::-1][:, :, off_centre], -delta)
+
+
+@pytest.mark.parametrize("solution",
+                         ["solved_signal", "solved_blind", "tiny_solution"])
+def test_stored_tables_hold_no_negative_zero(solution, request):
+    _, policy = request.getfixturevalue(solution)
+    for table in (policy.gamma_star, policy.delta_star):
+        assert not np.any(np.signbit(table) & (table == 0.0))
 
 
 def test_each_kernel_holds_one_multiplier_per_landing_slab(
@@ -680,6 +751,30 @@ def test_desk_start_values_drift_at_most_8_ulp(solved_signal, solved_blind):
             got = surface.start_value(lam, q)
             assert abs(got - want) <= 8 * np.spacing(abs(want)), \
                 (lam, q, got, want)
+
+
+#: Tiny-grid start values ``w`` (with the signal) at (lambda0, q0),
+#: recorded when every column was computed: there, the values at ``q`` and
+#: ``-q`` could differ in their last bits.
+_TINY_STARTS = {
+    (-32.0, -1.0): -1.001295966680974,
+    (-32.0, 1.0): -1.0012959666809735,
+    (-28.0, -2.0): -1.0040012952254622,
+    (-28.0, 2.0): -1.0040012952254624,
+    (-16.0, -2.0): -1.003547165737195,
+    (-16.0, 2.0): -1.0035471657371957,
+    (12.0, -2.0): -1.0025418946732518,
+    (12.0, 2.0): -1.0025418946732516,
+    (0.0, -2.0): -1.0029864961916695,
+}
+
+
+def test_tiny_start_values_drift_at_most_5_ulp(tiny_solution):
+    surface, _ = tiny_solution
+    for (lam, q), want in _TINY_STARTS.items():
+        got = surface.start_value(lam, q)
+        assert abs(got - want) <= 5 * np.spacing(abs(want)), (lam, q, got,
+                                                               want)
 
 
 def test_policy_tables_stay_on_the_lattice(solved_signal, desk_grid):

@@ -1,4 +1,4 @@
-"""Print sha256 digests of every file the CLI writes on seven fixed configs.
+"""Print sha256 digests of every file the CLI writes on eight fixed configs.
 
 Runs ``solve``, ``simulate`` (with ``record_events``), ``evaluate`` at
 ``--threads`` 1 and 2, ``sweep`` and ``check`` on the tiny CLI-test config
@@ -18,7 +18,10 @@ fall between rows and floor clips fill fractions of an order; and
 ``solve``, ``simulate`` and ``evaluate --threads 1`` on ``nearfloor``, the
 tiny config started one row above the floor (``lambda0: -36``), where
 trades and events that break the floor, and the halts they cause, shape
-what the table agent earns.  Each
+what the table agent earns; and ``solve`` and ``evaluate --threads 1`` on
+``skew``, the tiny config with marks that are not their own mirror image
+in inventory (a 1-lot buy, a 2-lot sell, a post and a cancellation), whose
+solver computes every inventory column.  Each
 command runs in a fresh interpreter with the package imported from
 ``src/`` of a checkout, and the tool prints one ``sha256  name`` line per
 output file and per command's stdout (with its exit code).  ``simulate``,
@@ -71,13 +74,16 @@ OFFGRID = dict(TINY, market={"lambda_lower": -10.3, "lambda_upper": 9.7},
                                  [0.0, 1.25, 0.15], [0.0, -0.75, 0.15]]},
                grid=dict(TINY["grid"], d_lambda=0.5))
 NEARFLOOR = dict(TINY, experiment=dict(TINY["experiment"], lambda0=-36.0))
+SKEW = dict(TINY, marks={"custom": [[1.0, 0.0, 0.2], [-2.0, 0.0, 0.15],
+                                    [0.0, 1.0, 0.45], [0.0, -1.0, 0.2]]})
 COMMANDS = ("simulate", "evaluate_t1", "evaluate_t2", "sweep", "check")
 # each config with the commands run on it after solve
 CONFIGS = {"tiny": (TINY, COMMANDS), "desk": (DESK, COMMANDS),
            "typed": (TYPED, COMMANDS), "alpha0": (ALPHA0, COMMANDS),
            "blocks": (BLOCKS, ("evaluate_t1", "evaluate_t2")),
            "offgrid": (OFFGRID, ("evaluate_t1",)),
-           "nearfloor": (NEARFLOOR, ("simulate", "evaluate_t1"))}
+           "nearfloor": (NEARFLOOR, ("simulate", "evaluate_t1")),
+           "skew": (SKEW, ("evaluate_t1",))}
 SOLUTIONS = ("solution_signal.npz", "solution_nosignal.npz")
 
 

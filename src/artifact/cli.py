@@ -319,7 +319,7 @@ def _solve_pair(config: RunConfig):
 
 
 def _experiment(config: RunConfig, marks: MarkModel, agents: dict,
-                n_sim: Optional[int] = None, record_events: bool = False):
+                n_sim: Optional[int] = None, path_log=None):
     """``evaluation.run_experiment`` on the configured experiment section
     (``n_sim`` paths when given, else the configured count)."""
     exp = config.experiment
@@ -328,7 +328,7 @@ def _experiment(config: RunConfig, marks: MarkModel, agents: dict,
         exp["base_seed"], config.initial_state(), target_q=exp["target_q"],
         threads=exp["threads"],
         histogram_bin_width=config.output["histogram_bin_width"],
-        record_events=record_events)
+        path_log=path_log)
 
 
 def _run_solve(config: RunConfig) -> int:
@@ -398,12 +398,16 @@ def _run_simulate(config: RunConfig) -> int:
             f"market, mark or grid settings than this config (run "
             f"`artifact solve` again)")
     exp = config.experiment
-    agent = policy_mod.TablePolicyAgent(solution[1], config.params)
-    report = _experiment(config, config.marks, {"table": agent},
-                         record_events=exp["record_events"])["table"]
+    agents = {"table": policy_mod.TablePolicyAgent(solution[1], config.params)}
     if exp["record_events"]:
-        order_flow.write_path_log(report.events,
-                                  os.path.join(out_dir, "paths.csv"))
+        with open(os.path.join(out_dir, "paths.csv"), "w",
+                  newline="") as handle:
+            path_log = csv.writer(handle)
+            path_log.writerow(order_flow.PATH_LOG_COLUMNS)
+            report = _experiment(config, config.marks, agents,
+                                 path_log=path_log)["table"]
+    else:
+        report = _experiment(config, config.marks, agents)["table"]
     report.config_echo.update(config.stamp())
     evaluation.write_report_json(
         report, os.path.join(out_dir, "simulate_report.json"))

@@ -6,10 +6,12 @@ candidate event streams coincide and comparisons are paired.  Each block
 of paths is drawn once, and one event loop simulates it for every agent
 at once (``order_flow.simulate_block``: lanes are agents × paths, and each
 agent's hooks see only its own lanes).  The block's per-lane columns of
-wealth, speculation and breaker flags, and of recorded events, are cut
-into one row per agent and joined in path order, and every statistic is
-reduced single-threaded from those columns, which makes results
-bit-identical whatever the worker count.
+wealth, speculation and breaker flags are cut into one row per agent and
+joined in path order, and every statistic is reduced single-threaded from
+those columns, which makes results bit-identical whatever the worker
+count.  A run of one agent can also log its events: each block's rows go
+to a csv writer as soon as the block is simulated, so the log never holds
+more than one block.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from . import SCHEMA_VERSION
 from .hjb import ValueSurface
 from .market_core import MarketParams, MarketState, utility
 from .order_flow import (BLOCK_PATHS, MarkModel, PathRecord, draw_candidates,
-                         make_path_seed, simulate_block)
+                         make_path_seed, simulate_block, write_path_log)
 # one path at a time, for callers that time or trace single paths
 from .order_flow import simulate_path  # noqa: F401
 
@@ -52,11 +54,7 @@ CONSISTENCY_REL_TOLERANCE = 0.02  # share of |value| allowed beyond 3 SE
 
 @dataclass
 class EvalReport:
-    """Summary of one agent's simulated wealth distribution.
-
-    ``events`` holds each path's ``EventRecord`` tuple in path order, empty
-    unless the experiment recorded events; no report file carries it.
-    """
+    """Summary of one agent's simulated wealth distribution."""
 
     agent: str
     n_sim: int
@@ -69,7 +67,6 @@ class EvalReport:
     histogram_edges: np.ndarray
     histogram_counts: np.ndarray
     config_echo: dict
-    events: np.ndarray
     ssr: Optional[float] = None
 
 
@@ -119,21 +116,23 @@ def _share(*inputs) -> None:
 
 def _simulate_chunk(paths: range, inputs: tuple = ()) -> list:
     """Every agent's path outcomes on ``paths``, one block at a time: per
-    block, its wealth, speculation, breaker and events columns as
-    ``(agents, paths)`` arrays."""
-    params, marks, agents, initial, base_seed, record_events = \
-        inputs or _shared
+    block, its wealth, speculation and breaker columns as ``(agents,
+    paths)`` arrays.  A ``path_log`` writer gets each block's event rows
+    before the next block is drawn."""
+    params, marks, agents, initial, base_seed, path_log = inputs or _shared
     blocks = []
     for start in range(paths.start, paths.stop, BLOCK_PATHS):
         ids = range(start, min(start + BLOCK_PATHS, paths.stop))
         rec = simulate_block(
             params, marks, list(agents.values()), initial, draw_candidates(
                 params, marks, [make_path_seed(base_seed, i) for i in ids]),
-            record_events=record_events)
+            record_events=path_log is not None)
+        if path_log is not None:
+            write_path_log(path_log, rec.events, start)
         # lane a * n + b is agent a on path b: row a of an (agents, n) view
         blocks.append([column.reshape(len(agents), -1) for column in (
             rec.terminal_wealth, detect_speculation(rec),
-            np.isfinite(rec.breaker_time), rec.events)])
+            np.isfinite(rec.breaker_time))])
         del rec  # before the next block is drawn: one block in memory
     return blocks
 
@@ -142,17 +141,20 @@ def run_experiment(params: MarketParams, marks: MarkModel,
                    agents: Dict[str, object], n_sim: int, base_seed: int,
                    initial: MarketState, *, target_q: float = 0.0,
                    threads: int = 1, histogram_bin_width: float = 0.05,
-                   record_events: bool = False) -> Dict[str, EvalReport]:
+                   path_log=None) -> Dict[str, EvalReport]:
     """Simulate every agent over the same ``n_sim`` seeded paths.
 
-    Returns one report per agent (insertion order preserved), with each
-    path's events when ``record_events`` is set.  At most ``threads``
+    Returns one report per agent (insertion order preserved).  Given a
+    ``csv.writer`` as ``path_log``, the experiment must have one agent,
+    and each block's events are written to it as rows of
+    ``order_flow.PATH_LOG_COLUMNS`` (no header) as soon as the block is
+    simulated, so the rows come in path order.  At most ``threads``
     workers share one process pool, and never more than one per block of
     ``BLOCK_PATHS`` paths: a block costs about as many event steps as its
     busiest path has candidates whatever its width, so splitting one
     block between processes pays those steps twice.  An experiment of one
-    block, one that records events (sending them back from workers costs
-    more than the workers save), or ``threads=1`` runs in this process.
+    block, one that logs events (its rows are written in path order, by
+    this process), or ``threads=1`` runs in this process.
     Each worker receives the inputs once and one contiguous range of path
     indices, on which it simulates every agent in one event loop per
     block.  Results are independent of the worker count because path
@@ -163,8 +165,11 @@ def run_experiment(params: MarketParams, marks: MarkModel,
         raise ValueError("n_sim must be positive")
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    inputs = (params, marks, agents, initial, base_seed, record_events)
-    workers = 1 if record_events else min(threads, -(-n_sim // BLOCK_PATHS))
+    if path_log is not None and len(agents) != 1:
+        raise ValueError("an event log takes the paths of exactly one agent")
+    inputs = (params, marks, agents, initial, base_seed, path_log)
+    workers = (1 if path_log is not None
+               else min(threads, -(-n_sim // BLOCK_PATHS)))
     if workers == 1:
         chunks = [_simulate_chunk(range(n_sim), inputs)]
     else:
@@ -179,7 +184,7 @@ def run_experiment(params: MarketParams, marks: MarkModel,
         *(block for chunk in chunks for block in chunk)))
     reports: Dict[str, EvalReport] = {}
     # one row of each (agents, paths) column per agent
-    for name, wealth, spec, brk, events in zip(agents, *columns):
+    for name, wealth, spec, brk in zip(agents, *columns):
         edges, counts = _histogram(wealth, histogram_bin_width)
         reports[name] = EvalReport(
             agent=name,
@@ -203,7 +208,6 @@ def run_experiment(params: MarketParams, marks: MarkModel,
                 "target_q": target_q,
                 "agent": name,
             },
-            events=events,
         )
     return reports
 

@@ -37,7 +37,6 @@ __all__ = [
     "price_impact",
     "impact_cost",
     "squared_impact_coefficients",
-    "price_volatility",
     "check_elasticity",
     "overshoots",
     "clip_to_liquidity",
@@ -222,19 +221,6 @@ def squared_impact_coefficients(params: MarketParams, marks):
     nus = marks.nus
     return (float(np.sum(nus * b * b)), float(np.sum(nus * 2.0 * b * m)),
             float(np.sum(nus * m * m)))
-
-
-def price_volatility(lam, marks, params: MarketParams):
-    """Instantaneous price volatility at liquidity ``lam``.
-
-    The squared volatility is the market-order intensity times the
-    mark-averaged squared impact,
-    ``sigma^2(lam) = f(lam) * sum_e nu(e) * I(eta(e), lam)^2``
-    (see ``squared_impact_coefficients``).  Accepts scalar or array ``lam``.
-    """
-    c0, c1, c2 = squared_impact_coefficients(params, marks)
-    lam_arr = np.asarray(lam, dtype=float)
-    return np.sqrt(params.f(lam_arr) * (c0 + lam_arr * (c1 + lam_arr * c2)))
 
 
 def check_elasticity(params: MarketParams, marks,

@@ -29,15 +29,20 @@ those.  Each lane does exactly the arithmetic its path would do alone with
 its agent, in the same order, so a lane depends neither on the block nor
 on the other agents it ran with.  The result is one ``PathRecord`` of
 per-lane arrays; ``simulate_path`` alone reads a lane back as scalars.
+
+A block can also log its events, one row per candidate or trader impulse,
+as columns: each event step appends the arrays of the lanes it logged, and
+one stable sort by lane at the end of the block puts each lane's rows in
+the order they happened.  ``write_path_log`` writes a block's rows as the
+lines of ``paths.csv``, so a recorded run holds one block's log at a time.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, fields
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -54,7 +59,6 @@ __all__ = [
     "Mark",
     "MarkModel",
     "benchmark_mark_model",
-    "EventRecord",
     "PathRecord",
     "make_path_seed",
     "BLOCK_PATHS",
@@ -65,10 +69,18 @@ __all__ = [
     "simulate_path",
     "write_path_log",
     "PATH_LOG_COLUMNS",
+    "EVENT_KINDS",
 ]
 
 PATH_LOG_COLUMNS = ("path_id", "t", "kind", "z", "gamma", "eta", "rho",
                     "lambda", "q", "p", "x")
+#: An event log's columns: the lane, then those of ``PATH_LOG_COLUMNS``
+#: after the path id.  ``kind`` indexes ``EVENT_KINDS`` and ``gamma`` is
+#: the trader's executed trade: the signal trade plus the state-based one.
+_LOG_COLUMNS = ("lane",) + PATH_LOG_COLUMNS[1:]
+EVENT_KINDS = ("market", "post", "cancel", "impulse")
+_IMPULSE = EVENT_KINDS.index("impulse")
+_WRITE_ROWS = 4096  # rows write_path_log turns into Python objects at once
 
 #: Paths drawn and simulated together.  A block runs one lane per agent
 #: and path (agents × paths lanes), but its size counts paths.  Every event
@@ -228,31 +240,13 @@ def _streams(seeds: Sequence[int]):
 
 
 @dataclass(frozen=True)
-class EventRecord:
-    """Full anatomy of one processed candidate (or trader impulse)."""
-
-    time: float
-    kind: str           # market / post / cancel / impulse
-    outcome: str        # live / thinned / halted / trade
-    z: int
-    mark_index: int     # -1 for trader impulses
-    y: float
-    gamma: float        # executed signal trade
-    eta: float          # executed market-order volume
-    rho: float          # executed net limit volume
-    delta_r: float      # executed state-based trade after the event
-    post_state: MarketState
-
-
-@dataclass(frozen=True)
 class PathRecord:
     """Summary and event log of simulated paths.
 
     The fields are scalars for one path, or equal-length arrays with one
     entry per lane for a block (see ``simulate_block``); the terminal state
-    is then a ``MarketState`` of arrays.  ``events`` is a path's tuple of
-    ``EventRecord``s, empty unless events were recorded; for a block it is
-    a column like the others, an object array of one such tuple per lane.
+    is then a ``MarketState`` of arrays.  ``events`` is a block's event
+    log when it was recorded (see ``simulate_block``), else ``None``.
     """
 
     terminal_state: MarketState
@@ -272,7 +266,7 @@ class PathRecord:
     integrated_variance: float    # integral of sigma^2(lam_t) dt up to halt
     vbar_rho_sum: float           # sum |rho(e)| over candidates with y <= g(floor)
     min_lambda: float
-    events: tuple
+    events: Optional[dict] = None
 
 
 @dataclass(frozen=True)
@@ -390,10 +384,6 @@ class _Memo:
         return self.values[pos]
 
 
-def _column(value, n: int) -> list:
-    return value.tolist() if isinstance(value, np.ndarray) else [value] * n
-
-
 class _Block:
     """Market state and accumulators of a block's lanes, as arrays.
 
@@ -424,10 +414,14 @@ class _Block:
         self.n_sell = np.zeros(n_lanes, dtype=np.intp)
         self.min_lam = self.lam.copy()
         self.breaker_time = np.full(n_lanes, math.inf)
-        self.events = [[] for _ in range(n_lanes)] if record else None
         self._isq = squared_impact_coefficients(params, marks)
         self.f = _Memo(params.f)
         self.g = _Memo(params.g)
+        self.rows = None
+        if record:
+            # rows of no lane, which give each column its dtype
+            self.rows = []
+            self.log(np.arange(0), 0.0, 0)
 
     def state(self, idx: np.ndarray) -> MarketState:
         return MarketState(lam=self.lam[idx], q=self.q[idx], p=self.p[idx],
@@ -519,9 +513,10 @@ class _Block:
         """Execute stand-alone trader trades at times ``t``."""
         self.advance(idx, t)
         executed = self.shock(idx, t, delta)[0]
-        if self.events is not None:
-            self.log(idx, t, "impulse", "trade", 0, -1, math.nan, 0.0, 0.0,
-                     0.0, executed)
+        if self.rows is not None:
+            # logged as a candidate's signal trade plus rebalance would be:
+            # 0.0 + -0.0 is 0.0
+            self.log(idx, t, _IMPULSE, trade=0.0 + executed)
 
     def tick_impulses(self, idx: np.ndarray, t_from: np.ndarray,
                       t_to: np.ndarray) -> None:
@@ -540,20 +535,23 @@ class _Block:
             if trades.any():
                 self.trade(idx[trades], t_from[trades], delta[trades])
 
-    def log(self, idx, t, kind, outcome, z, mark_index, y, gamma, eta, rho,
-            delta_r) -> None:
-        """Append one event record per lane in ``idx`` (post-event state)."""
-        n = len(idx)
-        states = zip(*(a[idx].tolist() for a in (self.lam, self.q, self.p,
-                                                 self.x, self.halted)))
-        columns = (_column(v, n) for v in (t, kind, z, mark_index, y, gamma,
-                                           eta, rho, delta_r))
-        for i, row, state in zip(idx.tolist(), zip(*columns), states):
-            t_i, kind_i, z_i, mark_i, y_i, g_i, e_i, r_i, d_i = row
-            self.events[i].append(EventRecord(
-                time=t_i, kind=kind_i, outcome=outcome, z=z_i,
-                mark_index=mark_i, y=y_i, gamma=g_i, eta=e_i, rho=r_i,
-                delta_r=d_i, post_state=MarketState(*state)))
+    def log(self, idx, t, kind, z=0, trade=0.0, eta=0.0, rho=0.0) -> None:
+        """Append one row per lane in ``idx``, with its post-event state; a
+        scalar stands for a column of that value."""
+        self.rows.append(
+            [np.broadcast_to(v, idx.shape) for v in (idx, t, kind, z, trade,
+                                                     eta, rho)]
+            + [a[idx] for a in (self.lam, self.q, self.p, self.x)])
+
+    def event_log(self) -> Optional[dict]:
+        """The logged rows by column (``_LOG_COLUMNS``), each lane's in the
+        order they happened; ``None`` unless the block records events."""
+        if self.rows is None:
+            return None
+        order = np.concatenate([row[0] for row in self.rows]).argsort(
+            kind="stable")
+        return {name: np.concatenate(column)[order]
+                for name, column in zip(_LOG_COLUMNS, zip(*self.rows))}
 
 
 def simulate_block(params: MarketParams, marks: MarkModel, agents: Sequence,
@@ -568,7 +566,12 @@ def simulate_block(params: MarketParams, marks: MarkModel, agents: Sequence,
     called with the agent's own lanes only.  Returns one ``PathRecord`` of
     per-lane arrays, in lane order: entry ``a * n_paths + b`` is agent
     ``a`` on path ``b``.  Each entry is reproducible bit-exactly from
-    ``(seed, agent)`` alone.
+    ``(seed, agent)`` alone.  With ``record_events`` its ``events`` is the
+    event log: a dict of equal-length columns named as in
+    ``PATH_LOG_COLUMNS`` but with ``lane`` for ``path_id``, one row per
+    candidate (halted, thinned or live, with zero volumes unless live) and
+    per executed trader impulse, sorted by lane and in event order within
+    a lane.
     """
     if initial.lam < params.lambda_lower or initial.lam > params.lambda_upper:
         raise ValueError(
@@ -588,7 +591,7 @@ def simulate_block(params: MarketParams, marks: MarkModel, agents: Sequence,
     eta_of = np.where(is_mo, marks.etas, 0.0)
     rho_of = np.where(is_mo, 0.0, marks.rhos)
     signal_of = np.array([m.signal for m in marks.marks])
-    kind_of = np.array([m.kind for m in marks.marks], dtype=object)
+    kind_of = np.array([EVENT_KINDS.index(m.kind) for m in marks.marks])
     block = _Block(params, marks, agents, initial, len(candidates.counts),
                    record_events)
     n_live_mo = np.zeros(n_lanes, dtype=np.intp)
@@ -628,12 +631,8 @@ def simulate_block(params: MarketParams, marks: MarkModel, agents: Sequence,
         rate[run] = np.where(mo[run], block.f(lam), block.g(lam))
         live = run & (y <= rate)
         block.advance(idx, t)
-        if block.events is not None:
-            thinned = run & ~live
-            for outcome, skip in (("halted", halted), ("thinned", thinned)):
-                if skip.any():
-                    block.log(idx[skip], t[skip], kind_of[e[skip]], outcome,
-                              0, e[skip], y[skip], 0.0, 0.0, 0.0, 0.0)
+        if block.rows is not None and not live.all():
+            block.log(idx[~live], t[~live], kind_of[e[~live]])
         if not live.any():
             continue
         idx, pos, t, e, y, mo = (a[live] for a in (idx, pos, t, e, y, mo))
@@ -659,9 +658,8 @@ def simulate_block(params: MarketParams, marks: MarkModel, agents: Sequence,
                     ask[trades] = block.shock(idx[where], t[where],
                                               ask[trades])[0]
                 delta_r[open_] = ask
-        if block.events is not None:
-            block.log(idx, t, kind_of[e], "live", z, e, y, g_exec, e_exec,
-                      r_exec, delta_r)
+        if block.rows is not None:
+            block.log(idx, t, kind_of[e], z, g_exec + delta_r, e_exec, r_exec)
 
     block.advance(every, np.full(n_lanes, horizon))
     state = block.state(every)
@@ -670,62 +668,51 @@ def simulate_block(params: MarketParams, marks: MarkModel, agents: Sequence,
         block.breaker_time, counts, n_live_mo, n_live_limit, n_signals,
         block.n_buy, block.n_sell, block.v_q, block.v_m, block.v_lminus,
         block.qv, block.integ_var, vbar_rho, block.min_lam,
-        np.fromiter(map(tuple, block.events or [()] * n_lanes), object,
-                    n_lanes))
+        block.event_log())
 
 
 def _map_columns(fn, records: Sequence[PathRecord]) -> PathRecord:
-    """A record whose every field, terminal state included, is ``fn`` of
-    the list of that field in ``records``."""
+    """A record whose every per-path field, terminal state included, is
+    ``fn`` of the list of that field in ``records``; it logs no events."""
     return PathRecord(
         MarketState(*(fn([getattr(r.terminal_state, f.name) for r in records])
                       for f in fields(MarketState))),
         *(fn([getattr(rec, f.name) for rec in records])
-          for f in fields(PathRecord)[1:]))
+          for f in fields(PathRecord)[1:-1]))
 
 
 def simulate_paths(params: MarketParams, marks: MarkModel, agent,
-                   initial: MarketState, seeds: Sequence[int], *,
-                   record_events: bool = False) -> PathRecord:
+                   initial: MarketState, seeds: Sequence[int]) -> PathRecord:
     """Simulate the paths keyed by ``seeds``, ``BLOCK_PATHS`` at a time,
     into one record of per-path arrays in seed order, zero-length for no
     seeds (see ``simulate_block``)."""
     blocks = [simulate_block(
         params, marks, [agent], initial,
-        draw_candidates(params, marks, seeds[start:start + BLOCK_PATHS]),
-        record_events=record_events)
+        draw_candidates(params, marks, seeds[start:start + BLOCK_PATHS]))
         for start in range(0, max(len(seeds), 1), BLOCK_PATHS)]
     return _map_columns(np.concatenate, blocks)
 
 
 def simulate_path(params: MarketParams, marks: MarkModel, policy,
-                  initial: MarketState, seed: int, *,
-                  record_events: bool = False) -> PathRecord:
+                  initial: MarketState, seed: int) -> PathRecord:
     """Simulate the one path keyed by ``seed`` (see ``simulate_paths``);
     its record holds Python scalars."""
-    rec = simulate_paths(params, marks, policy, initial, [seed],
-                         record_events=record_events)
+    rec = simulate_paths(params, marks, policy, initial, [seed])
     return _map_columns(lambda values: values[0].item(), [rec])
 
 
-def write_path_log(events: Sequence[tuple], path) -> None:
-    """Write recorded events to ``path`` as CSV (one row per candidate or
-    impulse).
+def write_path_log(writer, events: dict, first_path: int = 0) -> None:
+    """Write the event log of a one-agent block to the csv ``writer``.
 
-    Columns: ``path_id, t, kind, z, gamma, eta, rho, lambda, q, p, x``
-    with executed volumes and the post-event state, from an ``events``
-    column of per-path ``EventRecord`` tuples recorded with
-    ``record_events=True``.
+    One row per logged event, in the columns ``PATH_LOG_COLUMNS``: lane
+    ``b`` is path ``first_path + b``, and the kind is spelled out.  csv
+    writes each float as its ``repr``.  The rows are converted to Python
+    objects ``_WRITE_ROWS`` at a time, which bounds the memory they take.
     """
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(PATH_LOG_COLUMNS)
-        for pid, path_events in enumerate(events):
-            for ev in path_events:
-                st = ev.post_state
-                writer.writerow([
-                    pid, repr(float(ev.time)), ev.kind, ev.z,
-                    repr(float(ev.gamma + ev.delta_r)), repr(float(ev.eta)),
-                    repr(float(ev.rho)), repr(float(st.lam)),
-                    repr(float(st.q)), repr(float(st.p)), repr(float(st.x)),
-                ])
+    for lo in range(0, len(events["lane"]), _WRITE_ROWS):
+        part = {name: column[lo:lo + _WRITE_ROWS].tolist()
+                for name, column in events.items()}
+        writer.writerows(zip(
+            [lane + first_path for lane in part["lane"]], part["t"],
+            map(EVENT_KINDS.__getitem__, part["kind"]),
+            *(part[name] for name in PATH_LOG_COLUMNS[3:])))

@@ -3,19 +3,21 @@
 Everything here is computed from first principles — Gauss-Legendre
 quadrature of the marginal impact, brute-force enumeration of the product
 mark space, exhaustive dynamic programming over block-trade sequences —
-without touching the closed forms or kernels under test.  The one
-exception is the path simulator at the end: the scalar, one-path-at-a-time
-event loop the block engine replaced, kept as the reference its records
-must equal field for field.
+without touching the closed forms or kernels under test.  There are two
+exceptions: ``price_volatility``, a closed form only the tests use, and
+the path simulator at the end, the scalar, one-path-at-a-time event loop
+the block engine replaced, kept as the reference its records and event
+log must equal field for field.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from artifact.market_core import (MarketState, _FLOOR_TOL, impact_cost,
                                   price_impact, squared_impact_coefficients)
-from artifact.order_flow import CandidateBlock, EventRecord, PathRecord
+from artifact.order_flow import CandidateBlock, PathRecord
 
 # Cached Gauss-Legendre rule.  The integrands below are polynomials of
 # degree <= 3 in the integration variable, so a 64-point rule is exact to
@@ -71,6 +73,21 @@ def volatility_oracle(lam, params):
                 total += nu * impact_oracle(eta, lam, params) ** 2
     rate = params.theta_f * math.exp(params.kappa_f * lam)
     return math.sqrt(rate * total)
+
+
+def price_volatility(lam, marks, params):
+    """Instantaneous price volatility at liquidity ``lam``, in closed form.
+
+    The squared volatility is the market-order intensity times the
+    mark-averaged squared impact,
+    ``sigma^2(lam) = f(lam) * sum_e nu(e) * I(eta(e), lam)^2``
+    (see ``squared_impact_coefficients``).  Accepts scalar or array ``lam``.
+    Not an oracle: it is built from the coefficients under test, and
+    ``volatility_oracle`` checks it.
+    """
+    c0, c1, c2 = squared_impact_coefficients(params, marks)
+    lam_arr = np.asarray(lam, dtype=float)
+    return np.sqrt(params.f(lam_arr) * (c0 + lam_arr * (c1 + lam_arr * c2)))
 
 
 def terminal_oracle(lam, q, params, frozen=False):
@@ -450,6 +467,32 @@ class ScalarHooks:
         return float(t_imp[0]), float(delta[0])
 
 
+@dataclass(frozen=True)
+class EventRecord:
+    """Full anatomy of one processed candidate (or trader impulse)."""
+
+    time: float
+    kind: str           # market / post / cancel / impulse
+    outcome: str        # live / thinned / halted / trade
+    z: int
+    mark_index: int     # -1 for trader impulses
+    y: float
+    gamma: float        # executed signal trade
+    eta: float          # executed market-order volume
+    rho: float          # executed net limit volume
+    delta_r: float      # executed state-based trade after the event
+    post_state: MarketState
+
+    def log_row(self) -> tuple:
+        """The event projected onto the block event log's columns after the
+        lane (``order_flow.PATH_LOG_COLUMNS[1:]``): the executed trader
+        trade is the signal trade plus the state-based one, as the log
+        sums them."""
+        st = self.post_state
+        return (self.time, self.kind, self.z, self.gamma + self.delta_r,
+                self.eta, self.rho, st.lam, st.q, st.p, st.x)
+
+
 class _PathAccounting:
     """Mutable per-path state and accumulators for the event loop."""
 
@@ -607,7 +650,8 @@ def simulate_path(params, marks, policy, initial, seed: int, *,
 
     ``policy`` is an agent with array hooks (wrapped in ``ScalarHooks``)
     or ``None``.  Marks are drawn with ``gen.choice``, as before the block
-    engine cached the mark CDF.
+    engine cached the mark CDF.  With ``record_events`` the record's
+    ``events`` is the path's tuple of ``EventRecord``s, else ``None``.
     """
     if initial.lam < params.lambda_lower or initial.lam > params.lambda_upper:
         raise ValueError(
@@ -691,5 +735,5 @@ def simulate_path(params, marks, policy, initial, seed: int, *,
         integrated_variance=acc.integ_var,
         vbar_rho_sum=vbar_rho_sum,
         min_lambda=acc.min_lam,
-        events=tuple(acc.events),
+        events=tuple(acc.events) if record_events else None,
     )

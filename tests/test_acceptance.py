@@ -19,9 +19,8 @@ from click.testing import CliRunner
 from artifact.cli import main
 from artifact.evaluation import consistency_check
 from artifact.hjb import Grid, certainty_equivalent, solve
-from artifact.market_core import (check_elasticity, impact_cost, price_impact,
-                                  price_volatility)
-from oracles import paired_mean_gain, paired_variance_gain
+from artifact.market_core import check_elasticity, impact_cost, price_impact
+from oracles import paired_mean_gain, paired_variance_gain, price_volatility
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(64)
 

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import functools
+import io
 import json
 import math
 import multiprocessing
@@ -26,7 +27,7 @@ from artifact.market_core import MarketParams, MarketState, utility
 from artifact.order_flow import (Mark, MarkModel, benchmark_mark_model,
                                  draw_candidates, make_path_seed,
                                  simulate_block, simulate_path,
-                                 simulate_paths)
+                                 write_path_log)
 from artifact.policy import (Agent, DoNothingAgent, ImmediateExecutionAgent,
                              TablePolicyAgent, TwapAgent)
 
@@ -302,29 +303,68 @@ def test_one_simulate_block_call_per_block_for_every_agent(
         np.testing.assert_array_equal(report.wealth, alone[name].wealth)
 
 
+def _path_log(params, marks, agent, initial, seeds) -> str:
+    """The rows ``write_path_log`` writes for ``agent`` on one recorded
+    block of ``seeds``."""
+    out = io.StringIO()
+    write_path_log(csv.writer(out), simulate_block(
+        params, marks, [agent], initial, draw_candidates(params, marks, seeds),
+        record_events=True).events)
+    return out.getvalue()
+
+
 def test_recorded_events_are_each_agent_alone_over_ragged_blocks(
         monkeypatch, bench_params, marks_signal, start_short):
-    """Each agent's ``report.events`` is, lane for lane, what the agent
-    records alone; without recording every path holds an empty tuple."""
+    """Over blocks of 4, 4 and 1 paths, each agent's logged rows are the
+    ones it logs in one block, numbered by path; logging changes no
+    report, and the log takes exactly one agent."""
     agents = {"a": DoNothingAgent(),
               "b": ImmediateExecutionAgent(0.0, bench_params),
               "c": TwapAgent(0.0, start_short.q, bench_params)}
-    # blocks of 4, 4 and 1 paths
     monkeypatch.setattr(evaluation, "BLOCK_PATHS", 4)
     seeds = [make_path_seed(58, i) for i in range(9)]
-    reports = run_experiment(bench_params, marks_signal, agents, 9, 58,
-                             start_short, record_events=True)
+    unlogged = run_experiment(bench_params, marks_signal, agents, 9, 58,
+                              start_short)
     for name, agent in agents.items():
-        alone = simulate_paths(bench_params, marks_signal, agent,
-                               start_short, seeds, record_events=True)
-        assert len(reports[name].events) == 9
-        assert all(reports[name].events)
-        assert list(reports[name].events) == list(alone.events), name
-    unrecorded = run_experiment(bench_params, marks_signal, agents, 9, 58,
-                                start_short)
-    for name, report in unrecorded.items():
-        assert list(report.events) == [()] * 9, name
-        np.testing.assert_array_equal(report.wealth, reports[name].wealth)
+        out = io.StringIO()
+        report = run_experiment(bench_params, marks_signal, {name: agent}, 9,
+                                58, start_short, path_log=csv.writer(out))
+        expected = _path_log(bench_params, marks_signal, agent, start_short,
+                             seeds)
+        assert out.getvalue() == expected, name
+        assert {row[0] for row in csv.reader(io.StringIO(expected))} \
+            == {str(i) for i in range(9)}
+        np.testing.assert_array_equal(report[name].wealth,
+                                      unlogged[name].wealth)
+    with pytest.raises(ValueError, match="exactly one agent"):
+        run_experiment(bench_params, marks_signal, agents, 9, 58,
+                       start_short, path_log=csv.writer(io.StringIO()))
+
+
+def test_logged_rows_are_written_before_the_next_block_is_drawn(
+        monkeypatch, bench_params, marks_signal, start_short):
+    """A logged experiment hands each block's rows to the writer as soon
+    as the block is simulated: when the second block is drawn, the first
+    block's rows are already written, and no others."""
+    agent = TwapAgent(0.0, start_short.q, bench_params)
+    seeds = [make_path_seed(58, i) for i in range(7)]
+    first = _path_log(bench_params, marks_signal, agent, start_short,
+                      seeds[:4])
+    assert first
+    out = io.StringIO()
+    written = []
+
+    def drawing(params, marks, block_seeds):
+        written.append(out.getvalue())
+        return draw_candidates(params, marks, block_seeds)
+
+    monkeypatch.setattr(evaluation, "draw_candidates", drawing)
+    monkeypatch.setattr(evaluation, "BLOCK_PATHS", 4)
+    run_experiment(bench_params, marks_signal, {"twap": agent}, 7, 58,
+                   start_short, threads=2, path_log=csv.writer(out))
+    assert written == ["", first]
+    assert out.getvalue() == _path_log(bench_params, marks_signal, agent,
+                                       start_short, seeds)
 
 
 def test_an_experiment_builds_no_per_path_record(

@@ -19,13 +19,12 @@ from artifact.market_core import (
     impact_cost,
     overshoots,
     price_impact,
-    price_volatility,
     terminal_wealth,
     utility,
 )
 from artifact.order_flow import Mark, MarkModel, benchmark_mark_model
-from oracles import (cost_oracle, impact_oracle, shock_oracle,
-                     terminal_wealth_oracle, volatility_oracle)
+from oracles import (cost_oracle, impact_oracle, price_volatility,
+                     shock_oracle, terminal_wealth_oracle, volatility_oracle)
 
 PARAMS = MarketParams()
 

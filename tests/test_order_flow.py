@@ -1,7 +1,9 @@
 """Event-driven simulation: thinning law, determinism, breaker bookkeeping."""
 
+import collections
 import csv
 import dataclasses
+import io
 import math
 
 import numpy as np
@@ -31,6 +33,49 @@ from oracles import (cost_oracle, euler_thinning_oracle, impact_oracle,
 
 PARAMS = MarketParams()
 ZERO_RATE = dataclasses.replace(PARAMS, theta_f=0.0, theta_g=0.0)
+
+# a logged row: the columns of ``paths.csv`` after the path id
+Row = collections.namedtuple("Row", "t kind z gamma eta rho lam q p x")
+
+
+def _lane_rows(events: dict, n_lanes: int) -> list:
+    """Each lane's rows of a block's event log, in order, with the kind
+    spelled out: what ``oracles.EventRecord.log_row`` gives."""
+    kinds = [order_flow.EVENT_KINDS[k] for k in events["kind"].tolist()]
+    rows = [Row(*row) for row in zip(
+        events["t"].tolist(), kinds,
+        *(events[name].tolist() for name in PATH_LOG_COLUMNS[3:]))]
+    cuts = events["lane"].searchsorted(np.arange(n_lanes + 1)).tolist()
+    return [rows[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _recorded(params, marks, agent, initial, seeds):
+    """``agent`` on one recorded block of ``seeds``: the block's record,
+    each lane's rows and the candidates the lanes ran on."""
+    candidates = draw_candidates(params, marks, seeds)
+    rec = simulate_block(params, marks, [agent], initial, candidates,
+                         record_events=True)
+    return rec, _lane_rows(rec.events, len(seeds)), candidates
+
+
+def _candidate_rows(rows: list, candidates, lane: int) -> list:
+    """A lane's rows of candidates, each with the mark index and thinning
+    coordinate of its candidate: every candidate gives exactly one row."""
+    rows = [row for row in rows if row.kind != "impulse"]
+    first = int(candidates.starts[lane])
+    span = slice(first, first + int(candidates.counts[lane]))
+    assert len(rows) == candidates.counts[lane]
+    assert [row.t for row in rows] == candidates.times[span].tolist()
+    return list(zip(rows, candidates.marks[span].tolist(),
+                    candidates.ys[span].tolist()))
+
+
+def _oracle_events(params, marks, agent, initial, seed, rows) -> tuple:
+    """The scalar loop's events on ``seed``, checked to log ``rows``."""
+    events = oracles.simulate_path(params, marks, agent, initial, seed,
+                                   record_events=True).events
+    assert [e.log_row() for e in events] == rows
+    return events
 
 
 # ---------------------------------------------------------------------------
@@ -136,14 +181,16 @@ def test_make_path_seed_layout():
 def test_same_seed_reproduces_bit_exactly():
     initial = MarketState(lam=0.0, q=-8.0, p=100.0, x=0.0)
     marks = benchmark_mark_model(signal_prob=0.2)
-    a = simulate_path(PARAMS, marks, None, initial, make_path_seed(42, 3),
-                      record_events=True)
-    b = simulate_path(PARAMS, marks, None, initial, make_path_seed(42, 3),
-                      record_events=True)
+    a = simulate_path(PARAMS, marks, None, initial, make_path_seed(42, 3))
+    b = simulate_path(PARAMS, marks, None, initial, make_path_seed(42, 3))
     assert a.terminal_wealth == b.terminal_wealth
     assert a.auction_draw == b.auction_draw
     assert a.n_candidates == b.n_candidates
-    assert a.events == b.events
+    logs = [_recorded(PARAMS, marks, None, initial,
+                      [make_path_seed(42, 3)])[0].events for _ in range(2)]
+    assert logs[0]["lane"].size == a.n_candidates > 0
+    for name, column in logs[0].items():
+        assert column.tobytes() == logs[1][name].tobytes(), name
     c = simulate_path(PARAMS, marks, None, initial, make_path_seed(42, 4))
     assert c.terminal_wealth != a.terminal_wealth
 
@@ -151,18 +198,30 @@ def test_same_seed_reproduces_bit_exactly():
 def test_policies_share_the_candidate_stream():
     initial = MarketState(lam=0.0, q=-8.0, p=100.0, x=0.0)
     marks = benchmark_mark_model(signal_prob=0.0)
-    seed = make_path_seed(9, 1)
-    passive = simulate_path(PARAMS, marks, DoNothingAgent(), initial, seed,
-                            record_events=True)
-    twap = simulate_path(PARAMS, marks, TwapAgent(0.0, -8.0, PARAMS),
-                         initial, seed, record_events=True)
-    cand_a = [(e.time, e.mark_index, e.y) for e in passive.events
-              if e.kind != "impulse"]
-    cand_b = [(e.time, e.mark_index, e.y) for e in twap.events
-              if e.kind != "impulse"]
-    assert cand_a == cand_b
-    assert twap.auction_draw == passive.auction_draw
-    assert twap.n_buy_trades == 8
+    candidates = draw_candidates(PARAMS, marks, [make_path_seed(9, 1)])
+    runs = {}
+    for agent in (DoNothingAgent(), TwapAgent(0.0, -8.0, PARAMS)):
+        rec = simulate_block(PARAMS, marks, [agent], initial, candidates,
+                             record_events=True)
+        rows = _lane_rows(rec.events, 1)[0]
+        drawn = iter(_candidate_rows(rows, candidates, 0))
+        # each candidate row has its candidate's time and mark, and no
+        # volume unless its thinning coordinate is under the rate at the
+        # state the row before left
+        lam = initial.lam
+        for row in rows:
+            if row.kind != "impulse":
+                _, mark, y = next(drawn)
+                mark = marks.marks[mark]
+                assert row.kind == mark.kind
+                rate = PARAMS.f(lam) if mark.eta else PARAMS.g(lam)
+                if y > rate:
+                    assert row.eta == row.rho == 0.0
+            lam = row.lam
+        runs[type(agent).__name__] = rec
+    passive, twap = runs["DoNothingAgent"], runs["TwapAgent"]
+    assert twap.auction_draw.tolist() == passive.auction_draw.tolist()
+    assert twap.n_buy_trades.tolist() == [8]
 
 
 # Rates so low that a path's mean candidate count is 0.045: most paths
@@ -217,25 +276,28 @@ def test_one_path_reads_back_as_python_scalars():
     initial = MarketState(lam=0.0, q=-8.0, p=100.0, x=0.0)
     rec = simulate_path(PARAMS, benchmark_mark_model(0.2),
                         TwapAgent(0.0, -8.0, PARAMS), initial,
-                        make_path_seed(42, 3), record_events=True)
+                        make_path_seed(42, 3))
     values = [getattr(rec, f.name) for f in dataclasses.fields(rec)[1:-1]]
     values += [getattr(rec.terminal_state, f.name)
                for f in dataclasses.fields(rec.terminal_state)]
     assert {type(v) for v in values} == {float, int, bool}
-    assert rec.events and all(isinstance(e, order_flow.EventRecord)
-                              for e in rec.events)
+    assert rec.events is None
 
 
-def test_no_seeds_give_a_record_of_empty_columns(tmp_path):
+def test_no_seeds_give_a_record_of_empty_columns():
     initial = MarketState(lam=0.0, q=-8.0, p=100.0, x=0.0)
-    rec = simulate_paths(PARAMS, benchmark_mark_model(0.2),
-                         TwapAgent(0.0, -8.0, PARAMS), initial, [],
-                         record_events=True)
+    agent = TwapAgent(0.0, -8.0, PARAMS)
+    rec = simulate_paths(PARAMS, benchmark_mark_model(0.2), agent, initial,
+                         [])
     assert rec.terminal_wealth.shape == rec.terminal_state.q.shape == (0,)
-    assert len(rec.events) == 0
-    target = tmp_path / "paths.csv"
-    write_path_log(rec.events, target)
-    assert target.read_text().splitlines() == [",".join(PATH_LOG_COLUMNS)]
+    recorded = _recorded(PARAMS, benchmark_mark_model(0.2), agent, initial,
+                         [])[0]
+    assert [name for name in recorded.events] == ["lane",
+                                                  *PATH_LOG_COLUMNS[1:]]
+    assert {column.shape for column in recorded.events.values()} == {(0,)}
+    out = io.StringIO()
+    write_path_log(csv.writer(out), recorded.events)
+    assert out.getvalue() == ""
 
 
 # ---------------------------------------------------------------------------
@@ -302,21 +364,21 @@ def test_event_rate_matches_fixed_step_oracle(bench_params, marks_blind):
     n = 1200
     fband = np.empty(n)
     int_f = np.empty(n)
-    paths = simulate_paths(bench_params, marks_blind, None, initial,
-                           [make_path_seed(999, i) for i in range(n)],
-                           record_events=True)
+    paths, rows, candidates = _recorded(
+        bench_params, marks_blind, None, initial,
+        [make_path_seed(999, i) for i in range(n)])
     live = paths.n_live_market.astype(float)
-    for i, events in enumerate(paths.events):
+    for i, events in enumerate(rows):
         lam = initial.lam
         t_prev = 0.0
         count = 0
         acc = 0.0
-        for ev in events:
-            acc += bench_params.f(lam) * (ev.time - t_prev)
-            if ev.y <= bench_params.f(lam):
+        for ev, _, y in _candidate_rows(events, candidates, i):
+            acc += bench_params.f(lam) * (ev.t - t_prev)
+            if y <= bench_params.f(lam):
                 count += 1
-            lam = ev.post_state.lam
-            t_prev = ev.time
+            lam = ev.lam
+            t_prev = ev.t
         acc += bench_params.f(lam) * (bench_params.horizon - t_prev)
         fband[i] = count
         int_f[i] = acc
@@ -437,15 +499,18 @@ def test_breaker_freeze_from_initial_overshoot():
 
 def test_breaker_suppresses_all_later_events(bench_params):
     initial = MarketState(lam=-38.0, q=-8.0, p=100.0, x=0.0)
-    rec = simulate_path(bench_params, benchmark_mark_model(0.0),
-                        _RawGapAgent(0.0), initial, make_path_seed(3, 1),
-                        record_events=True)
-    assert rec.breaker_time == 0.0
-    assert rec.n_live_market == 0 and rec.n_live_limit == 0
-    candidates = [e for e in rec.events if e.kind != "impulse"]
+    marks, seed = benchmark_mark_model(0.0), make_path_seed(3, 1)
+    rec, (rows,), _ = _recorded(bench_params, marks, _RawGapAgent(0.0),
+                                initial, [seed])
+    assert rec.breaker_time.tolist() == [0.0]
+    assert rec.n_live_market.tolist() == rec.n_live_limit.tolist() == [0]
+    events = _oracle_events(bench_params, marks, _RawGapAgent(0.0), initial,
+                            seed, rows)
+    candidates = [(row, e.outcome) for row, e in zip(rows, events)
+                  if row.kind != "impulse"]
     assert candidates, "expected candidate events on a benchmark path"
-    assert all(e.outcome == "halted" for e in candidates)
-    assert all(e.post_state.lam == -40.0 for e in candidates)
+    assert all(outcome == "halted" for _, outcome in candidates)
+    assert all(row.lam == -40.0 for row, _ in candidates)
 
 
 # ---------------------------------------------------------------------------
@@ -454,28 +519,32 @@ def test_breaker_suppresses_all_later_events(bench_params):
 
 def test_signal_visibility_extremes(bench_params):
     initial = MarketState(lam=0.0, q=0.0, p=100.0, x=0.0)
-    seen = simulate_path(bench_params, benchmark_mark_model(1.0), None,
-                         initial, make_path_seed(8, 0), record_events=True)
-    live = [e for e in seen.events if e.outcome == "live"]
-    assert seen.n_signals == len(live) > 0
+    marks, seed = benchmark_mark_model(1.0), make_path_seed(8, 0)
+    seen, (rows,), _ = _recorded(bench_params, marks, None, initial, [seed])
+    events = _oracle_events(bench_params, marks, None, initial, seed, rows)
+    live = [row for row, e in zip(rows, events) if e.outcome == "live"]
+    assert seen.n_signals.tolist() == [len(live)] and live
     for e in live:
         assert e.z == (1 if e.kind == "post" else -1)
-    blind = simulate_path(bench_params, benchmark_mark_model(0.0), None,
-                          initial, make_path_seed(8, 0), record_events=True)
-    assert blind.n_signals == 0
-    assert all(e.z == 0 for e in blind.events)
+    blind, (rows,), _ = _recorded(bench_params, benchmark_mark_model(0.0),
+                                  None, initial, [seed])
+    assert blind.n_signals.tolist() == [0]
+    assert rows and all(e.z == 0 for e in rows)
 
 
 def test_visible_events_send_their_mark_signal(bench_params):
     initial = MarketState(lam=0.0, q=0.0, p=100.0, x=0.0)
-    marks = benchmark_mark_model(0.5)
-    rec = simulate_path(bench_params, marks, None, initial,
-                        make_path_seed(8, 1), record_events=True)
-    visible = [e for e in rec.events if e.outcome == "live" and e.z != 0]
-    assert rec.n_signals == len(visible) > 0
-    assert {e.kind for e in visible} == {"market", "post", "cancel"}
-    for e in visible:
-        assert e.z == marks.marks[e.mark_index].signal
+    marks, seed = benchmark_mark_model(0.5), make_path_seed(8, 1)
+    rec, (rows,), candidates = _recorded(bench_params, marks, None, initial,
+                                         [seed])
+    events = _oracle_events(bench_params, marks, None, initial, seed, rows)
+    visible = [(row, mark) for (row, mark, _), e in zip(
+        _candidate_rows(rows, candidates, 0), events)
+        if e.outcome == "live" and row.z != 0]
+    assert rec.n_signals.tolist() == [len(visible)] and visible
+    assert {row.kind for row, _ in visible} == {"market", "post", "cancel"}
+    for row, mark in visible:
+        assert row.z == marks.marks[mark].signal
 
 
 # ---------------------------------------------------------------------------
@@ -484,23 +553,22 @@ def test_visible_events_send_their_mark_signal(bench_params):
 
 def test_path_log_roundtrip(bench_params, marks_blind, tmp_path):
     initial = MarketState(lam=0.0, q=-8.0, p=100.0, x=0.0)
-    paths = simulate_paths(bench_params, marks_blind,
-                           TwapAgent(0.0, -8.0, bench_params), initial,
-                           [make_path_seed(12, i) for i in range(3)],
-                           record_events=True)
+    rec, lanes, _ = _recorded(bench_params, marks_blind,
+                              TwapAgent(0.0, -8.0, bench_params), initial,
+                              [make_path_seed(12, i) for i in range(3)])
     target = tmp_path / "paths.csv"
-    write_path_log(paths.events, target)
+    with open(target, "w", newline="") as handle:
+        write_path_log(csv.writer(handle), rec.events, first_path=5)
     with open(target, newline="") as handle:
         rows = list(csv.reader(handle))
-    assert tuple(rows[0]) == PATH_LOG_COLUMNS
-    assert len(rows) - 1 == sum(map(len, paths.events))
-    # spot-check the first logged event against the record
-    first = paths.events[0][0]
-    row = rows[1]
-    assert row[0] == "0"
-    assert float(row[1]) == first.time
-    assert row[2] == first.kind
-    assert float(row[7]) == first.post_state.lam
+    # every row reads back as the logged one, paths numbered from 5
+    assert rows == [[str(5 + lane), *(str(v) for v in row)]
+                    for lane, lane_rows in enumerate(lanes)
+                    for row in lane_rows]
+    assert all(lanes)
+    first = lanes[0][0]
+    assert rows[0][:3] == ["5", repr(first.t), first.kind]
+    assert float(rows[0][7]) == first.lam
 
 
 # ---------------------------------------------------------------------------
@@ -521,31 +589,30 @@ def desk_agents(bench_params, solved_signal, solved_blind):
 
 
 def _columns(rec) -> dict:
-    """Every field of a record of per-lane arrays by name, the terminal
-    state's as ``terminal_state.<field>``, and ``events``."""
+    """Every per-lane field of a record by name, the terminal state's as
+    ``terminal_state.<field>``; the event log is not one."""
     state = rec.terminal_state
     columns = {f"terminal_state.{f.name}": getattr(state, f.name)
                for f in dataclasses.fields(state)}
     columns.update((f.name, getattr(rec, f.name))
                    for f in dataclasses.fields(rec)
-                   if f.name != "terminal_state")
+                   if f.name not in ("terminal_state", "events"))
     return columns
 
 
 def _stacked(records) -> dict:
     """The ``_columns`` of a list of one-path records, as arrays."""
     rows = [_columns(rec) for rec in records]
-    return {name: tuple(row[name] for row in rows) if name == "events"
-            else np.array([row[name] for row in rows]) for name in rows[0]}
+    return {name: np.array([row[name] for row in rows]) for name in rows[0]}
 
 
 def _assert_records_equal(got: dict, expected: dict, label):
     """Every column of ``got`` equals ``expected``'s, dtype and lane for
-    lane, recorded events included."""
+    lane; a column of lists (each lane's logged rows) compares by value."""
     assert got.keys() == expected.keys()
     for name, column in got.items():
         want = expected[name]
-        if name != "events":
+        if isinstance(column, np.ndarray):
             assert column.dtype == want.dtype, f"{label}: {name} dtype"
             column, want = column.tolist(), want.tolist()
         assert len(column) == len(want), f"{label}: {name} length"
@@ -565,8 +632,9 @@ def _assert_records_equal(got: dict, expected: dict, label):
 def test_block_engine_matches_the_scalar_loop(bench_params, desk_agents,
                                               impact, lam0, signal_prob,
                                               n_paths):
-    """Every field of every record, recorded events included, equals the
-    one-path-at-a-time reference, for every agent."""
+    """Every field of every record, and every logged event of every lane,
+    equals the one-path-at-a-time reference, for every agent; logging
+    changes no field."""
     params = dataclasses.replace(bench_params, **impact)
     marks = benchmark_mark_model(signal_prob)
     initial = MarketState(lam=lam0, q=-8.0, p=100.0, x=0.0)
@@ -576,9 +644,14 @@ def test_block_engine_matches_the_scalar_loop(bench_params, desk_agents,
         expected = [oracles.simulate_path(params, marks, agent, initial,
                                           seed, record_events=True)
                     for seed in seeds]
-        got = simulate_paths(params, marks, agent, initial, seeds,
-                             record_events=True)
+        got = simulate_paths(params, marks, agent, initial, seeds)
         _assert_records_equal(_columns(got), _stacked(expected), name)
+        logged, rows, _ = _recorded(params, marks, agent, initial, seeds)
+        _assert_records_equal(
+            dict(_columns(logged), events=rows),
+            dict(_columns(got), events=[[e.log_row() for e in rec.events]
+                                        for rec in expected]), name)
+        assert sum(map(len, rows)) == logged.events["lane"].size
         breakers += int(got.terminal_state.halted.sum())
     if lam0 < -30.0:
         assert breakers > len(desk_agents) * n_paths / 2
@@ -604,7 +677,7 @@ def test_records_do_not_depend_on_the_block_size(
             monkeypatch.setattr(order_flow, "BLOCK_PATHS", block_paths)
             runs[block_paths] = simulate_paths(
                 bench_params, marks_signal, desk_agents[name], initial,
-                seeds, record_events=True)
+                seeds)
         for block_paths in (1, 7):
             _assert_records_equal(_columns(runs[block_paths]),
                                   _columns(runs[len(seeds)]),
@@ -629,15 +702,18 @@ def test_a_mixed_block_equals_each_agent_alone(bench_params, marks_signal,
     mixed = simulate_block(bench_params, marks_signal, agents, initial,
                            block, record_events=record_events)
     assert len(mixed.terminal_wealth) == len(agents) * n_paths
+    columns = _columns(mixed)
+    if record_events:
+        columns["events"] = _lane_rows(mixed.events, len(agents) * n_paths)
+        assert all(columns["events"])
     for a, (name, agent) in enumerate(zip(names, agents)):
         alone = simulate_block(bench_params, marks_signal, [agent], initial,
                                block, record_events=record_events)
+        expected = _columns(alone)
+        if record_events:
+            expected["events"] = _lane_rows(alone.events, n_paths)
         lanes = slice(a * n_paths, (a + 1) * n_paths)
         _assert_records_equal({field: column[lanes] for field, column
-                               in _columns(mixed).items()},
-                              _columns(alone), name)
+                               in columns.items()}, expected, name)
     if lam0 < -30.0:
         assert np.isfinite(mixed.breaker_time).any()
-    if record_events:
-        assert len(mixed.events) == len(agents) * n_paths
-        assert all(mixed.events)

@@ -7,9 +7,10 @@ Runs ``solve``, ``simulate`` (with ``record_events``), ``evaluate`` at
 floats for int keys (``horizon: 1``, ``q_min: -2``, ``q0: -2``,
 ``n_sim: 200.0``, ...), and on
 ``alpha0``, the tiny config with ``market.alpha: 0.0`` (the risk-neutral,
-additive branch of the solver); and ``solve`` and ``evaluate`` alone on
-``blocks``, the tiny config at 1100 paths, whose ``--threads 1`` run
-simulates one full 1024-path block and one ragged 76-path block; and
+additive branch of the solver); and ``solve``, ``simulate`` and ``evaluate`` on
+``blocks``, the tiny config at 1100 paths, whose ``--threads 1`` runs
+simulate one full 1024-path block and one ragged 76-path block, so its
+``paths.csv`` holds rows written block by block across that boundary; and
 ``solve`` and ``evaluate --threads 1`` on ``offgrid``, the tiny config on
 an off-lattice market (band -10.3 to 9.7, ``d_lambda = 0.5``, market
 orders of 1.5 and 0.7 lots, a 1.25 post and a 0.75 cancellation), whose
@@ -80,7 +81,7 @@ COMMANDS = ("simulate", "evaluate_t1", "evaluate_t2", "sweep", "check")
 # each config with the commands run on it after solve
 CONFIGS = {"tiny": (TINY, COMMANDS), "desk": (DESK, COMMANDS),
            "typed": (TYPED, COMMANDS), "alpha0": (ALPHA0, COMMANDS),
-           "blocks": (BLOCKS, ("evaluate_t1", "evaluate_t2")),
+           "blocks": (BLOCKS, ("simulate", "evaluate_t1", "evaluate_t2")),
            "offgrid": (OFFGRID, ("evaluate_t1",)),
            "nearfloor": (NEARFLOOR, ("simulate", "evaluate_t1")),
            "skew": (SKEW, ("evaluate_t1",))}

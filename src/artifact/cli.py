@@ -399,14 +399,17 @@ def _run_simulate(config: RunConfig) -> int:
             f"`artifact solve` again)")
     exp = config.experiment
     agents = {"table": policy_mod.TablePolicyAgent(solution[1], config.params)}
+    log_path = os.path.join(out_dir, "paths.csv")
     if exp["record_events"]:
-        with open(os.path.join(out_dir, "paths.csv"), "w",
-                  newline="") as handle:
+        with open(log_path, "w", newline="") as handle:
             path_log = csv.writer(handle)
             path_log.writerow(order_flow.PATH_LOG_COLUMNS)
             report = _experiment(config, config.marks, agents,
                                  path_log=path_log)["table"]
     else:
+        # an earlier recorded run's rows would not match this run's report
+        if os.path.exists(log_path):
+            os.remove(log_path)
         report = _experiment(config, config.marks, agents)["table"]
     report.config_echo.update(config.stamp())
     evaluation.write_report_json(

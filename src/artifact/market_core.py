@@ -25,7 +25,6 @@ elementwise on arrays; scalars take the same path and give ``np.float64``.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -97,20 +96,11 @@ class MarketParams:
     horizon: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.theta_f < 0.0:
-            raise ValueError(f"theta_f must be >= 0, got {self.theta_f}")
-        if self.theta_g < 0.0:
-            raise ValueError(f"theta_g must be >= 0, got {self.theta_g}")
-        if self.kappa_f < 0.0:
-            raise ValueError(f"kappa_f must be >= 0, got {self.kappa_f}")
-        if self.kappa_g < 0.0:
-            raise ValueError(f"kappa_g must be >= 0, got {self.kappa_g}")
-        if self.zeta < 0.0:
-            raise ValueError(f"zeta must be >= 0, got {self.zeta}")
-        if self.sigma_auction < 0.0:
-            raise ValueError(f"sigma_auction must be >= 0, got {self.sigma_auction}")
-        if self.alpha < 0.0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+        for name in ("theta_f", "theta_g", "kappa_f", "kappa_g", "zeta",
+                     "sigma_auction", "alpha"):
+            value = getattr(self, name)
+            if value < 0.0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
         if not self.lambda_lower < self.lambda_upper:
             raise ValueError(
                 "lambda_lower must be strictly below lambda_upper, got "
@@ -132,14 +122,10 @@ class MarketParams:
 
     def f(self, lam):
         """Market-order intensity at liquidity ``lam`` (scalar or array)."""
-        if isinstance(lam, (float, int)):
-            return self.theta_f * math.exp(self.kappa_f * lam)
         return self.theta_f * np.exp(self.kappa_f * np.asarray(lam, dtype=float))
 
     def g(self, lam):
         """Limit-order/cancellation intensity at liquidity ``lam``."""
-        if isinstance(lam, (float, int)):
-            return self.theta_g * math.exp(-self.kappa_g * lam)
         return self.theta_g * np.exp(-self.kappa_g * np.asarray(lam, dtype=float))
 
     def iota(self, lam):

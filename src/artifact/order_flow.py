@@ -353,37 +353,6 @@ def draw_candidates(params: MarketParams, marks: MarkModel,
                           auction, vbar_rho)
 
 
-class _Memo:
-    """A function of floats, evaluated once per distinct argument.
-
-    The function runs on Python floats, so it keeps ``math.exp``'s
-    rounding, which numpy's vectorized ``exp`` does not always reproduce.
-    Arguments are matched by ``==``, so ``fn`` must not tell ``-0.0`` from
-    ``0.0``.
-    """
-
-    def __init__(self, fn) -> None:
-        self.fn = fn
-        # sorted arguments seen so far, behind a sentinel that every finite
-        # argument sorts before
-        self.keys = np.array([math.inf])
-        self.values = np.array([math.nan])
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        pos = self.keys.searchsorted(x)
-        miss = self.keys[pos] != x
-        if miss.any():
-            new = np.sort(x[miss])
-            new = new[np.append(True, new[1:] != new[:-1])]
-            keys = np.concatenate([self.keys, new])
-            order = keys.argsort(kind="stable")
-            self.keys = keys[order]
-            self.values = np.concatenate(
-                [self.values, [self.fn(v) for v in new.tolist()]])[order]
-            pos = self.keys.searchsorted(x)
-        return self.values[pos]
-
-
 class _Block:
     """Market state and accumulators of a block's lanes, as arrays.
 
@@ -415,8 +384,6 @@ class _Block:
         self.min_lam = self.lam.copy()
         self.breaker_time = np.full(n_lanes, math.inf)
         self._isq = squared_impact_coefficients(params, marks)
-        self.f = _Memo(params.f)
-        self.g = _Memo(params.g)
         self.rows = None
         if record:
             # rows of no lane, which give each column its dtype
@@ -480,7 +447,7 @@ class _Block:
             lam = self.lam[lanes]
             c0, c1, c2 = self._isq
             isq = c0 + lam * (c1 + lam * c2)
-            self.integ_var[lanes] += (self.f(lam) * isq
+            self.integ_var[lanes] += (self.params.f(lam) * isq
                                       * (t[grow] - t_seg[grow]))
         self.t_seg[idx] = np.where(later, t, t_seg)
 
@@ -628,7 +595,7 @@ def simulate_block(params: MarketParams, marks: MarkModel, agents: Sequence,
         lam = block.lam[idx[run]]
         mo = is_mo[e]
         rate = np.empty(len(idx))
-        rate[run] = np.where(mo[run], block.f(lam), block.g(lam))
+        rate[run] = np.where(mo[run], params.f(lam), params.g(lam))
         live = run & (y <= rate)
         block.advance(idx, t)
         if block.rows is not None and not live.all():

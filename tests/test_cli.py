@@ -340,6 +340,25 @@ def test_simulate_after_solve_writes_reports(tmp_path):
     assert "simulated 25 paths" in result.output
 
 
+def test_unrecorded_simulate_removes_a_recorded_runs_path_log(tmp_path):
+    runner = CliRunner()
+    out = tmp_path / "out"
+    recorded = _tiny_config(tmp_path, "recorded.json", n_sim=30,
+                            record_events=True)
+    assert runner.invoke(main, ["solve", "-c", recorded,
+                                "-o", str(out)]).exit_code == 0
+    assert runner.invoke(main, ["simulate", "-c", recorded,
+                                "-o", str(out)]).exit_code == 0
+    assert (out / "paths.csv").is_file()
+    plain = _tiny_config(tmp_path, "plain.json", n_sim=10)
+    result = runner.invoke(main, ["simulate", "-c", plain, "-o", str(out),
+                                  "--seed", "7"])
+    assert result.exit_code == 0, _all_output(result)
+    report = json.loads((out / "simulate_report.json").read_text())
+    assert report["n_sim"] == 10
+    assert not (out / "paths.csv").exists()
+
+
 def test_simulate_with_recorded_events_simulates_each_path_once(
         tmp_path, monkeypatch):
     real_draw_candidates = evaluation.draw_candidates

@@ -196,6 +196,21 @@ def test_arrival_rates_examples():
     assert g40 == pytest.approx(40.0 * math.exp(-0.4), rel=1e-14)
 
 
+def test_arrival_rates_take_one_path_for_scalars_and_arrays():
+    # the desk band at quarter-lot steps
+    levels = PARAMS.lambda_lower + 0.25 * np.arange(321)
+    assert levels[-1] == PARAMS.lambda_upper
+    for rate in (PARAMS.f, PARAMS.g):
+        for level, expected in zip(levels.tolist(), rate(levels).tolist()):
+            spellings = [level, np.array(level)]
+            if level.is_integer():
+                spellings.append(int(level))
+            for v in spellings:
+                got = rate(v)
+                assert type(got) is np.float64, (rate.__name__, v)
+                assert got == expected, (rate.__name__, v)
+
+
 def test_price_volatility_matches_enumeration_oracle(marks_blind):
     for lam in (-40.0, -10.0, 0.0, 17.5, 40.0):
         assert price_volatility(lam, marks_blind, PARAMS) == pytest.approx(

@@ -24,7 +24,6 @@ elementwise on arrays; scalars take the same path and give ``np.float64``.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -191,15 +190,13 @@ def impact_cost(delta, lam, params: MarketParams):
         - params.kappa_iota * a * a * a / 6.0
 
 
-@functools.lru_cache(maxsize=64)
 def squared_impact_coefficients(params: MarketParams, marks):
     """Coefficients ``(c0, c1, c2)`` of the mark-averaged squared impact.
 
     ``Isq(lam) = sum_e nu(e) * I(eta(e), lam)^2`` is quadratic in ``lam``
     because the impact of a fixed volume is affine in ``lam``:
-    ``Isq(lam) = c0 + lam * (c1 + lam * c2)``.  ``marks`` is a hashable
-    object exposing ``etas`` and ``nus`` arrays (see
-    ``order_flow.MarkModel``); the result is cached per ``(params, marks)``.
+    ``Isq(lam) = c0 + lam * (c1 + lam * c2)``.  ``marks`` is any object
+    exposing ``etas`` and ``nus`` arrays (see ``order_flow.MarkModel``).
     """
     a = np.abs(marks.etas)
     b = params.theta_iota * a - 0.5 * params.kappa_iota * a * a

@@ -51,7 +51,6 @@ from .market_core import (
     MarketState,
     apply_shock_detailed,
     _max0,
-    squared_impact_coefficients,
     terminal_wealth,
 )
 
@@ -262,9 +261,6 @@ class PathRecord:
     inventory_variation: float    # sum |executed trader trades|
     market_volume: float          # sum |executed external market orders|
     cancel_volume: float          # sum executed cancellations
-    price_qv: float               # sum of squared price jumps
-    integrated_variance: float    # integral of sigma^2(lam_t) dt up to halt
-    vbar_rho_sum: float           # sum |rho(e)| over candidates with y <= g(floor)
     min_lambda: float
     events: Optional[dict] = None
 
@@ -288,7 +284,6 @@ class CandidateBlock:
     marks: np.ndarray         # mark indices
     visible: np.ndarray
     auction: np.ndarray       # terminal auction draw per path
-    vbar_rho: np.ndarray      # sum |rho| over candidates with y <= g(floor)
 
 
 def draw_candidates(params: MarketParams, marks: MarkModel,
@@ -305,8 +300,6 @@ def draw_candidates(params: MarketParams, marks: MarkModel,
     """
     horizon = params.horizon
     rate_bar = params.f(params.lambda_upper) + params.g(params.lambda_lower)
-    g_floor = params.g(params.lambda_lower)
-    abs_rhos = np.abs(marks.rhos)
     n_paths = len(seeds)
     # the block's candidate total is Poisson: six standard deviations of
     # room leave growing the arrays to the rare block that needs it
@@ -318,7 +311,6 @@ def draw_candidates(params: MarketParams, marks: MarkModel,
     counts = np.zeros(n_paths, dtype=np.intp)
     starts = np.zeros(n_paths, dtype=np.intp)
     auction = np.zeros(n_paths)
-    vbar_rho = np.zeros(n_paths)
     # one path's uniforms, grown to the longest path so far: a buffer for
     # the whole block would take 32 bytes per candidate, more than the
     # packed draws themselves
@@ -345,12 +337,8 @@ def draw_candidates(params: MarketParams, marks: MarkModel,
         auction[b] = gen.standard_normal()
         counts[b], starts[b] = n, end
         end += n
-        below = abs_rhos[idx[ys <= g_floor]]
-        if below.size:
-            # np.cumsum adds in event order, as a running sum does
-            vbar_rho[b] = np.cumsum(below)[-1]
     return CandidateBlock(counts, starts, *(a[:end + 1] for a in arrays),
-                          auction, vbar_rho)
+                          auction)
 
 
 class _Block:
@@ -360,8 +348,8 @@ class _Block:
     is a passive trader, whose lanes are never asked.
     """
 
-    def __init__(self, params: MarketParams, marks: MarkModel, agents,
-                 initial: MarketState, n_paths: int, record: bool) -> None:
+    def __init__(self, params: MarketParams, agents, initial: MarketState,
+                 n_paths: int, record: bool) -> None:
         self.params = params
         self.agents = tuple(agents)
         self.trading = any(agent is not None for agent in self.agents)
@@ -373,9 +361,6 @@ class _Block:
         self.p = np.full(n_lanes, initial.p, dtype=float)
         self.x = np.full(n_lanes, initial.x, dtype=float)
         self.halted = np.zeros(n_lanes, dtype=bool)
-        self.t_seg = np.zeros(n_lanes)
-        self.integ_var = np.zeros(n_lanes)
-        self.qv = np.zeros(n_lanes)
         self.v_q = np.zeros(n_lanes)
         self.v_m = np.zeros(n_lanes)
         self.v_lminus = np.zeros(n_lanes)
@@ -383,7 +368,6 @@ class _Block:
         self.n_sell = np.zeros(n_lanes, dtype=np.intp)
         self.min_lam = self.lam.copy()
         self.breaker_time = np.full(n_lanes, math.inf)
-        self._isq = squared_impact_coefficients(params, marks)
         self.rows = None
         if record:
             # rows of no lane, which give each column its dtype
@@ -437,27 +421,13 @@ class _Block:
                                                           t_to[part], state)
         return t_imp, delta
 
-    def advance(self, idx: np.ndarray, t: np.ndarray) -> None:
-        """Accumulate the variance integral of lanes ``idx`` up to ``t``."""
-        t_seg = self.t_seg[idx]
-        later = t > t_seg
-        grow = later & ~self.halted[idx]
-        if grow.any():
-            lanes = idx[grow]
-            lam = self.lam[lanes]
-            c0, c1, c2 = self._isq
-            isq = c0 + lam * (c1 + lam * c2)
-            self.integ_var[lanes] += (self.params.f(lam) * isq
-                                      * (t[grow] - t_seg[grow]))
-        self.t_seg[idx] = np.where(later, t, t_seg)
-
     def shock(self, idx: np.ndarray, t: np.ndarray, gamma, eta=0.0,
               rho=0.0) -> tuple:
         """Apply and book one shock on lanes ``idx``; returns what executed.
 
         The result is ``(executed_gamma, executed_eta, executed_rho)``.
         """
-        new, g_exec, e_exec, r_exec, pj_g, pj_e = apply_shock_detailed(
+        new, g_exec, e_exec, r_exec, _, _ = apply_shock_detailed(
             self.state(idx), gamma, eta, rho, self.params)
         self.lam[idx], self.q[idx], self.p[idx], self.x[idx] = \
             new.lam, new.q, new.p, new.x
@@ -467,9 +437,6 @@ class _Block:
         self.v_q[idx] += np.abs(g_exec)
         self.v_m[idx] += np.abs(e_exec)
         self.v_lminus[idx] += _max0(-r_exec)
-        # float_power calls C pow, as Python's float ** does; v * v and
-        # numpy's ** 2 differ from it in the last bit now and then
-        self.qv[idx] += np.float_power(pj_g, 2.0) + np.float_power(pj_e, 2.0)
         fired = new.halted & np.isinf(self.breaker_time[idx])
         self.breaker_time[idx[fired]] = t[fired]
         low = self.min_lam[idx]
@@ -478,7 +445,6 @@ class _Block:
 
     def trade(self, idx: np.ndarray, t: np.ndarray, delta) -> None:
         """Execute stand-alone trader trades at times ``t``."""
-        self.advance(idx, t)
         executed = self.shock(idx, t, delta)[0]
         if self.rows is not None:
             # logged as a candidate's signal trade plus rebalance would be:
@@ -550,16 +516,15 @@ def simulate_block(params: MarketParams, marks: MarkModel, agents: Sequence,
     horizon = params.horizon
     n_agents = len(agents)
     # the block's per-path arrays, one copy per agent
-    counts, starts, auction, vbar_rho = (np.tile(a, n_agents) for a in (
-        candidates.counts, candidates.starts, candidates.auction,
-        candidates.vbar_rho))
+    counts, starts, auction = (np.tile(a, n_agents) for a in (
+        candidates.counts, candidates.starts, candidates.auction))
     n_lanes = len(counts)
     is_mo = marks.etas != 0.0
     eta_of = np.where(is_mo, marks.etas, 0.0)
     rho_of = np.where(is_mo, 0.0, marks.rhos)
     signal_of = np.array([m.signal for m in marks.marks])
     kind_of = np.array([EVENT_KINDS.index(m.kind) for m in marks.marks])
-    block = _Block(params, marks, agents, initial, len(candidates.counts),
+    block = _Block(params, agents, initial, len(candidates.counts),
                    record_events)
     n_live_mo = np.zeros(n_lanes, dtype=np.intp)
     n_live_limit = np.zeros(n_lanes, dtype=np.intp)
@@ -597,7 +562,6 @@ def simulate_block(params: MarketParams, marks: MarkModel, agents: Sequence,
         rate = np.empty(len(idx))
         rate[run] = np.where(mo[run], params.f(lam), params.g(lam))
         live = run & (y <= rate)
-        block.advance(idx, t)
         if block.rows is not None and not live.all():
             block.log(idx[~live], t[~live], kind_of[e[~live]])
         if not live.any():
@@ -628,14 +592,12 @@ def simulate_block(params: MarketParams, marks: MarkModel, agents: Sequence,
         if block.rows is not None:
             block.log(idx, t, kind_of[e], z, g_exec + delta_r, e_exec, r_exec)
 
-    block.advance(every, np.full(n_lanes, horizon))
     state = block.state(every)
     return PathRecord(
         state, terminal_wealth(state, params, auction), auction,
         block.breaker_time, counts, n_live_mo, n_live_limit, n_signals,
         block.n_buy, block.n_sell, block.v_q, block.v_m, block.v_lminus,
-        block.qv, block.integ_var, vbar_rho, block.min_lam,
-        block.event_log())
+        block.min_lam, block.event_log())
 
 
 def _map_columns(fn, records: Sequence[PathRecord]) -> PathRecord:

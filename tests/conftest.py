@@ -8,16 +8,18 @@ Session scope keeps the expensive artifacts (four desk solves, several
 
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
 from artifact.evaluation import run_experiment
 from artifact.hjb import Grid, solve
 from artifact.market_core import MarketParams, MarketState
-from artifact.order_flow import (benchmark_mark_model, make_path_seed,
-                                 simulate_paths)
+from artifact.order_flow import (BLOCK_PATHS, benchmark_mark_model,
+                                 draw_candidates, make_path_seed,
+                                 simulate_block)
 from artifact.policy import TablePolicyAgent
-from oracles import vbar_bound
+from oracles import integrated_variance, quadratic_variation, vbar_bound
 
 settings.register_profile(
     "artifact",
@@ -98,18 +100,28 @@ def start_flat():
 
 @pytest.fixture(scope="session")
 def passive_path_stats(bench_params, marks_blind, start_short):
-    """Per-path statistics over 10,000 do-nothing benchmark paths."""
-    paths = simulate_paths(bench_params, marks_blind, None, start_short,
-                           [make_path_seed(7, i) for i in range(N_SIM)])
-    return {
-        "turnover": (paths.inventory_variation + paths.market_volume
-                     + paths.cancel_volume),
-        "qv": paths.price_qv,
-        "iv": paths.integrated_variance,
-        "live_mo": paths.n_live_market.astype(float),
-        "vbar": vbar_bound(start_short.lam, paths, bench_params),
-        "min_lambda": paths.min_lambda,
-    }
+    """Per-path statistics over 10,000 do-nothing benchmark paths, run a
+    block at a time with the event log that QV and integrated variance
+    are read from."""
+    seeds = [make_path_seed(7, i) for i in range(N_SIM)]
+    blocks = []
+    for lo in range(0, N_SIM, BLOCK_PATHS):
+        candidates = draw_candidates(bench_params, marks_blind,
+                                     seeds[lo:lo + BLOCK_PATHS])
+        paths = simulate_block(bench_params, marks_blind, [None],
+                               start_short, candidates, record_events=True)
+        blocks.append({
+            "turnover": (paths.inventory_variation + paths.market_volume
+                         + paths.cancel_volume),
+            "qv": quadratic_variation(start_short, paths),
+            "iv": integrated_variance(bench_params, marks_blind,
+                                      start_short, paths),
+            "vbar": vbar_bound(start_short.lam, candidates, bench_params,
+                               marks_blind),
+            "min_lambda": paths.min_lambda,
+        })
+    return {name: np.concatenate([block[name] for block in blocks])
+            for name in blocks[0]}
 
 
 def table_report(params, marks, policy, initial, n_sim=N_SIM,

@@ -3,11 +3,13 @@
 Everything here is computed from first principles — Gauss-Legendre
 quadrature of the marginal impact, brute-force enumeration of the product
 mark space, exhaustive dynamic programming over block-trade sequences —
-without touching the closed forms or kernels under test.  There are two
-exceptions: ``price_volatility``, a closed form only the tests use, and
-the path simulator at the end, the scalar, one-path-at-a-time event loop
-the block engine replaced, kept as the reference its records and event
-log must equal field for field.
+without touching the closed forms or kernels under test.  There are three
+exceptions: ``price_volatility``, a closed form only the tests use;
+``vbar_bound``, ``integrated_variance`` and ``quadratic_variation``, which
+derive the quantities of acceptance criteria 3 and 4 from a candidate block
+and a recorded event log; and the path simulator at the end, the scalar,
+one-path-at-a-time event loop the block engine replaced, kept as the
+reference its records and event log must equal field for field.
 """
 
 import math
@@ -314,16 +316,80 @@ def euler_thinning_oracle(params, marks, initial_lam, n_paths, dt, seed):
     return {"live_mo": live_mo, "fband": fband, "int_f": int_f}
 
 
-def vbar_bound(initial_lambda, path, params):
+def vbar_bound(initial_lambda, candidates, params, marks):
     """Pathwise dominating volume for total liquidity turnover.
 
     ``initial_lambda - lambda_lower`` plus the absolute limit volumes of
     every candidate whose thinning coordinate falls below ``g(lambda_lower)``
     dominates the realized ``inventory_variation + market_volume +
-    cancel_volume`` on the same path, whatever the policy.  Elementwise on
-    a record of per-path arrays.
+    cancel_volume`` on the same path, whatever the policy.  Read from a
+    ``CandidateBlock``, one entry per path.  The volumes are added in event
+    order, as a running sum does: ``np.cumsum`` is sequential, and the
+    zeros of the candidates above ``g(lambda_lower)`` leave it unchanged.
     """
-    return (initial_lambda - params.lambda_lower) + path.vbar_rho_sum
+    below = np.where(candidates.ys <= params.g(params.lambda_lower),
+                     np.abs(marks.rhos)[candidates.marks], 0.0)
+    sums = [np.cumsum(below[lo:lo + n])[-1] if n else 0.0 for lo, n in
+            zip(candidates.starts.tolist(), candidates.counts.tolist())]
+    return (initial_lambda - params.lambda_lower) + np.array(sums)
+
+
+def _previous(events, initial_value, column):
+    """Each logged row's ``column`` value before the row: the previous row's
+    in the same lane, or ``initial_value`` for a lane's first row."""
+    lane, value = events["lane"], events[column]
+    before = np.empty_like(value)
+    before[1:] = value[:-1]
+    first = np.ones(lane.size, dtype=bool)
+    first[1:] = lane[1:] != lane[:-1]
+    before[first] = initial_value
+    return before
+
+
+def integrated_variance(params, marks, initial, record):
+    """``integral sigma^2(lam_t) dt`` up to the halt, per lane, from a
+    recorded block (``simulate_block(..., record_events=True)``).
+
+    The liquidity is constant between a lane's logged rows.  Each row ends
+    a segment that starts at the previous row, or at ``t = 0`` with the
+    initial liquidity; a final segment runs from the last row to the
+    horizon.  A segment counts when it has positive width and starts before
+    the lane's breaker time, and it adds ``f(lam) * Isq(lam) * dt`` (see
+    ``squared_impact_coefficients``).  ``np.bincount`` adds the rows of a
+    lane in order, so the sum is the engine's running one.
+    """
+    events = record.events
+    c0, c1, c2 = squared_impact_coefficients(params, marks)
+
+    def variance(lam, t_from, t_to):
+        return params.f(lam) * (c0 + lam * (c1 + lam * c2)) * (t_to - t_from)
+
+    lane, t = events["lane"], events["t"]
+    t_from = _previous(events, 0.0, "t")
+    lam = _previous(events, initial.lam, "lambda")
+    counted = (t > t_from) & (t_from < record.breaker_time[lane])
+    sums = np.bincount(lane[counted], minlength=record.breaker_time.size,
+                       weights=variance(lam[counted], t_from[counted],
+                                        t[counted]))
+    # the final segment, from each lane's last row (or t = 0) to the horizon
+    last = np.ones(lane.size, dtype=bool)
+    last[:-1] = lane[:-1] != lane[1:]
+    t_last = np.zeros(sums.size)
+    lam_last = np.full(sums.size, initial.lam)
+    t_last[lane[last]], lam_last[lane[last]] = t[last], events["lambda"][last]
+    final = (params.horizon > t_last) & (t_last < record.breaker_time)
+    sums[final] += variance(lam_last[final], t_last[final], params.horizon)
+    return sums
+
+
+def quadratic_variation(initial, record):
+    """``sum (dP)^2`` per lane, from a recorded block: the squared steps of
+    the logged price, the first from the initial price.  A row of a
+    trading lane can combine the price jumps of a trade and an order."""
+    events = record.events
+    step = events["p"] - _previous(events, initial.p, "p")
+    return np.bincount(events["lane"], weights=step * step,
+                       minlength=record.breaker_time.size)
 
 
 def paired_mean_gain(a, b):
@@ -465,6 +531,17 @@ class ScalarHooks:
         if not t_imp[0] < math.inf:
             return None
         return float(t_imp[0]), float(delta[0])
+
+
+@dataclass(frozen=True)
+class OracleRecord(PathRecord):
+    """A scalar path's ``PathRecord``, with the running sums behind
+    criteria 3 and 4, which the block engine leaves to ``vbar_bound``,
+    ``integrated_variance`` and ``quadratic_variation``."""
+
+    price_qv: float = 0.0             # sum of squared price jumps
+    integrated_variance: float = 0.0  # integral of sigma^2(lam_t) dt to halt
+    vbar_rho_sum: float = 0.0         # sum |rho(e)| over y <= g(floor)
 
 
 @dataclass(frozen=True)
@@ -617,19 +694,10 @@ def path_draws(params, marks, seed: int) -> tuple:
 
 def draw_candidates(params, marks, seeds) -> CandidateBlock:
     """Reference packing of the paths keyed by ``seeds``, one path at a
-    time from ``path_draws``, with a running sum for ``vbar_rho``."""
-    g_floor = params.g(params.lambda_lower)
-    rhos = marks.rhos.tolist()
+    time from ``path_draws``."""
     draws = [path_draws(params, marks, seed) for seed in seeds]
     counts = np.array([len(d[0]) for d in draws], dtype=np.intp)
     starts = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.intp)
-    vbar_rho = []
-    for _, mark_idx, ys, _, _ in draws:
-        total = 0.0
-        for e, y in zip(mark_idx.tolist(), ys.tolist()):
-            if y <= g_floor:
-                total += abs(rhos[e])
-        vbar_rho.append(total)
 
     def packed(column: int) -> np.ndarray:
         """One coordinate of every path, end to end, and a zero of padding."""
@@ -640,12 +708,11 @@ def draw_candidates(params, marks, seeds) -> CandidateBlock:
     return CandidateBlock(
         counts=counts, starts=starts, times=packed(0), ys=packed(2),
         marks=packed(1).astype(np.min_scalar_type(marks.n_marks - 1)),
-        visible=visible, auction=np.array([d[4] for d in draws]),
-        vbar_rho=np.array(vbar_rho))
+        visible=visible, auction=np.array([d[4] for d in draws]))
 
 
 def simulate_path(params, marks, policy, initial, seed: int, *,
-                  record_events: bool = False) -> PathRecord:
+                  record_events: bool = False) -> OracleRecord:
     """Reference simulation of one path, one scalar event at a time.
 
     ``policy`` is an agent with array hooks (wrapped in ``ScalarHooks``)
@@ -717,7 +784,7 @@ def simulate_path(params, marks, policy, initial, seed: int, *,
     acc.advance(horizon)
 
     wealth = terminal_wealth_oracle(acc.state, params, auction_draw)
-    return PathRecord(
+    return OracleRecord(
         terminal_state=acc.state,
         terminal_wealth=wealth,
         auction_draw=auction_draw,
@@ -731,9 +798,9 @@ def simulate_path(params, marks, policy, initial, seed: int, *,
         inventory_variation=acc.v_q,
         market_volume=acc.v_m,
         cancel_volume=acc.v_lminus,
+        min_lambda=acc.min_lam,
+        events=tuple(acc.events) if record_events else None,
         price_qv=acc.qv,
         integrated_variance=acc.integ_var,
         vbar_rho_sum=vbar_rho_sum,
-        min_lambda=acc.min_lam,
-        events=tuple(acc.events) if record_events else None,
     )

@@ -16,6 +16,7 @@ from artifact.order_flow import (
     PATH_LOG_COLUMNS,
     Mark,
     MarkModel,
+    PathRecord,
     benchmark_mark_model,
     draw_candidates,
     make_path_seed,
@@ -29,7 +30,7 @@ from artifact.policy import (Agent, DoNothingAgent, ImmediateExecutionAgent,
                              TablePolicyAgent, TwapAgent)
 import oracles
 from oracles import (cost_oracle, euler_thinning_oracle, impact_oracle,
-                     vbar_bound)
+                     integrated_variance, quadratic_variation, vbar_bound)
 
 PARAMS = MarketParams()
 ZERO_RATE = dataclasses.replace(PARAMS, theta_f=0.0, theta_g=0.0)
@@ -247,6 +248,18 @@ def test_candidate_block_matches_the_per_path_draws(params, marks, seeds):
     for field in dataclasses.fields(got):
         a, b = getattr(got, field.name), getattr(expected, field.name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field.name
+    # vbar_bound's volumes, added path by path in event order
+    g_floor, rhos = params.g(params.lambda_lower), marks.rhos.tolist()
+    sums = []
+    for lo, n in zip(expected.starts.tolist(), expected.counts.tolist()):
+        total = 0.0
+        for e, y in zip(expected.marks[lo:lo + n].tolist(),
+                        expected.ys[lo:lo + n].tolist()):
+            if y <= g_floor:
+                total += abs(rhos[e])
+        sums.append(total)
+    assert vbar_bound(0.0, got, params, marks).tobytes() \
+        == (-params.lambda_lower + np.array(sums)).tobytes()
     if params is SPARSE and len(seeds) > 1:
         assert (got.counts == 0).any()
     elif params is SPARSE:
@@ -428,23 +441,25 @@ def test_vbar_dominates_realized_turnover(passive_path_stats, bench_params,
     assert np.all(stats_["vbar"] + 1e-9 >= stats_["turnover"])
     # also under trading policies
     initial = MarketState(lam=0.0, q=-8.0, p=100.0, x=0.0)
-    seeds = [make_path_seed(13, i) for i in range(300)]
+    candidates = draw_candidates(bench_params, marks_blind,
+                                 [make_path_seed(13, i) for i in range(300)])
+    vbar = vbar_bound(initial.lam, candidates, bench_params, marks_blind)
     for agent in (ImmediateExecutionAgent(0.0, bench_params),
                   TwapAgent(0.0, -8.0, bench_params)):
-        rec = simulate_paths(bench_params, marks_blind, agent, initial, seeds)
+        rec = simulate_block(bench_params, marks_blind, [agent], initial,
+                             candidates)
         turnover = (rec.inventory_variation + rec.market_volume
                     + rec.cancel_volume)
-        assert np.all(vbar_bound(initial.lam, rec, bench_params) + 1e-9
-                      >= turnover)
+        assert np.all(vbar + 1e-9 >= turnover)
 
 
 def test_vbar_without_limit_flow_is_initial_headroom():
     params = dataclasses.replace(PARAMS, theta_g=0.0)
     marks = benchmark_mark_model(signal_prob=0.0)
     initial = MarketState(lam=0.0, q=0.0, p=100.0, x=0.0)
-    rec = simulate_path(params, marks, None, initial, make_path_seed(21, 0))
-    assert vbar_bound(initial.lam, rec, params) \
-        == initial.lam - params.lambda_lower
+    candidates = draw_candidates(params, marks, [make_path_seed(21, 0)])
+    assert vbar_bound(initial.lam, candidates, params, marks).tolist() \
+        == [initial.lam - params.lambda_lower]
 
 
 def test_liquidity_respects_the_floor(passive_path_stats, bench_params):
@@ -589,13 +604,13 @@ def desk_agents(bench_params, solved_signal, solved_blind):
 
 
 def _columns(rec) -> dict:
-    """Every per-lane field of a record by name, the terminal state's as
-    ``terminal_state.<field>``; the event log is not one."""
+    """Every per-lane ``PathRecord`` field of a record by name, the terminal
+    state's as ``terminal_state.<field>``; the event log is not one."""
     state = rec.terminal_state
     columns = {f"terminal_state.{f.name}": getattr(state, f.name)
                for f in dataclasses.fields(state)}
     columns.update((f.name, getattr(rec, f.name))
-                   for f in dataclasses.fields(rec)
+                   for f in dataclasses.fields(PathRecord)
                    if f.name not in ("terminal_state", "events"))
     return columns
 
@@ -625,8 +640,9 @@ def _assert_records_equal(got: dict, expected: dict, label):
     ({}, -38.0, 0.2, 60),     # two lots above the floor: breakers on most
     ({}, 0.5, 0.2, 60),       # f and g off the integer liquidity lattice
     ({}, 0.0, 1.0, 60),       # every live event signals
-    # the square of a 3-lot price jump at lambda = 10 differs between
-    # float ** and x * x
+    # another impact curve, at lambda = 10, where the square of a 3-lot
+    # price jump differs between float ** and x * x: every field and row
+    # is compared under it, and the quadratic variation from the log
     ({"theta_iota": 0.0207, "kappa_iota": -9.1e-05}, 10.0, 0.2, 60),
 ], ids=["desk", "near-floor", "off-lattice", "all-signal", "pow-rounding"])
 def test_block_engine_matches_the_scalar_loop(bench_params, desk_agents,
@@ -634,7 +650,8 @@ def test_block_engine_matches_the_scalar_loop(bench_params, desk_agents,
                                               n_paths):
     """Every field of every record, and every logged event of every lane,
     equals the one-path-at-a-time reference, for every agent; logging
-    changes no field."""
+    changes no field.  The quantities of criteria 3 and 4, derived from
+    the candidates and the log, equal the reference's running sums."""
     params = dataclasses.replace(bench_params, **impact)
     marks = benchmark_mark_model(signal_prob)
     initial = MarketState(lam=lam0, q=-8.0, p=100.0, x=0.0)
@@ -646,25 +663,31 @@ def test_block_engine_matches_the_scalar_loop(bench_params, desk_agents,
                     for seed in seeds]
         got = simulate_paths(params, marks, agent, initial, seeds)
         _assert_records_equal(_columns(got), _stacked(expected), name)
-        logged, rows, _ = _recorded(params, marks, agent, initial, seeds)
+        logged, rows, candidates = _recorded(params, marks, agent, initial,
+                                             seeds)
         _assert_records_equal(
             dict(_columns(logged), events=rows),
             dict(_columns(got), events=[[e.log_row() for e in rec.events]
                                         for rec in expected]), name)
         assert sum(map(len, rows)) == logged.events["lane"].size
         breakers += int(got.terminal_state.halted.sum())
+        reference = {field: np.array([getattr(rec, field)
+                                      for rec in expected])
+                     for field in ("integrated_variance", "price_qv",
+                                   "vbar_rho_sum")}
+        assert integrated_variance(params, marks, initial, logged).tobytes() \
+            == reference["integrated_variance"].tobytes(), name
+        assert vbar_bound(initial.lam, candidates, params, marks).tobytes() \
+            == (initial.lam - params.lambda_lower
+                + reference["vbar_rho_sum"]).tobytes(), name
+        # one price jump per row on a lane that never trades
+        quiet = got.inventory_variation == 0.0
+        np.testing.assert_allclose(
+            quadratic_variation(initial, logged)[quiet],
+            reference["price_qv"][quiet], rtol=1e-12, atol=0.0,
+            err_msg=name)
     if lam0 < -30.0:
         assert breakers > len(desk_agents) * n_paths / 2
-
-
-def test_float_power_squares_as_python_float_pow():
-    """The engine squares price jumps with ``np.float_power``, which must
-    round as the reference's float ``**`` does; ``v * v`` does not always."""
-    rng = np.random.default_rng(13)
-    v = rng.standard_normal(200_000) * 10.0 ** rng.integers(-12, 12, 200_000)
-    expected = np.array([x ** 2 for x in v.tolist()])
-    assert np.float_power(v, 2.0).tobytes() == expected.tobytes()
-    assert (v * v).tobytes() != expected.tobytes()
 
 
 def test_records_do_not_depend_on_the_block_size(

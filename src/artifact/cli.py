@@ -475,23 +475,25 @@ def _run_evaluate(config: RunConfig) -> int:
 def _run_sweep(config: RunConfig) -> int:
     out_dir = config.output["directory"]
     os.makedirs(out_dir, exist_ok=True)
-
-    def table_report(p_hat: float) -> evaluation.EvalReport:
-        # the signal-free and the configured solutions keep the names
-        # `solve` gives them, so a sweep reuses what `solve` wrote
-        fname = {config.marks.signal_prob: SOLUTION_SIGNAL,
-                 0.0: SOLUTION_NOSIGNAL}.get(p_hat, f"solution_p{p_hat!r}.npz")
-        marks = config.marks.with_signal_prob(p_hat)
-        _, pol = _solve_or_load(config, fname, marks)
-        return _experiment(config, marks, {
-            "table": policy_mod.TablePolicyAgent(pol, config.params)})["table"]
-
-    ref = table_report(0.0)
+    p_hats = config.experiment["p_hat_values"]
+    # one experiment with a table agent per signal probability, the
+    # signal-free one solved first; it and the configured solution keep the
+    # names `solve` gives them, so a sweep reuses what `solve` wrote
+    names = {config.marks.signal_prob: SOLUTION_SIGNAL,
+             0.0: SOLUTION_NOSIGNAL}
+    agents = {}
+    for p_hat in dict.fromkeys([0.0, *p_hats]):
+        _, pol = _solve_or_load(
+            config, names.get(p_hat, f"solution_p{p_hat!r}.npz"),
+            config.marks.with_signal_prob(p_hat))
+        agents[p_hat] = policy_mod.TablePolicyAgent(pol, config.params)
+    reports = _experiment(config, config.marks, agents)
+    ref = reports[0.0]
     columns = ("p_hat", "mean", "variance", "ssr", "speculation_fraction",
                "breaker_fraction")
     rows = []
-    for p_hat in config.experiment["p_hat_values"]:
-        report = ref if p_hat == 0.0 else table_report(p_hat)
+    for p_hat in p_hats:
+        report = reports[p_hat]
         ssr = evaluation.signal_sharpe_ratio(report.wealth, ref.wealth)
         rows.append((p_hat, report.mean, report.variance, ssr,
                      report.speculation_fraction, report.breaker_fraction))
@@ -584,8 +586,8 @@ def _common_options(fn):
     fn = click.option("--seed", type=int, default=None,
                       help="base seed override")(fn)
     fn = click.option("--threads", type=int, default=None,
-                      help="most worker processes (one per block of 1024 "
-                           "paths)")(fn)
+                      help="most worker processes (one per block of "
+                           f"{order_flow.BLOCK_PATHS} paths)")(fn)
     return fn
 
 

@@ -144,7 +144,10 @@ def run_experiment(params: MarketParams, marks: MarkModel,
                    path_log=None) -> Dict[str, EvalReport]:
     """Simulate every agent over the same ``n_sim`` seeded paths.
 
-    Returns one report per agent (insertion order preserved).  Given a
+    Returns one report per agent (insertion order preserved).  A table
+    agent's paths are signaled at the probability its table was solved
+    for, other agents' at ``marks.signal_prob``; every ``config_echo``
+    holds ``marks`` as given.  Given a
     ``csv.writer`` as ``path_log``, the experiment must have one agent,
     and each block's events are written to it as rows of
     ``order_flow.PATH_LOG_COLUMNS`` (no header) as soon as the block is

@@ -3,16 +3,17 @@
 Candidate events arrive as a marked Poisson stream at the constant
 dominating rate ``R = f(lambda_upper) + g(lambda_lower)``; each candidate
 carries a mark (its volumes), a thinning coordinate ``y`` uniform on
-``[0, R)``, and a visibility coordinate uniform on ``[0, 1)``.  A candidate
-with market-order volume is live iff ``y <= f(lam-)``; one with limit
-volume is live iff ``y <= g(lam-)``.  Live events may emit a signal to the
-trader (with probability ``signal_prob`` via the visibility coordinate),
-who can trade just before the event's volume lands; after every event the
+``[0, R)``, and a visibility coordinate ``u`` uniform on ``[0, 1)``.  A
+candidate with market-order volume is live iff ``y <= f(lam-)``; one with
+limit volume is live iff ``y <= g(lam-)``.  A live event signals the
+trader iff ``u`` is below the trader's signal probability, and the trader
+can trade just before the event's volume lands; after every event the
 trader may additionally rebalance, and between events at fixed time ticks.
 
-Because the dominating rate never depends on the trader, the candidate
-stream for a given seed is identical across policies — paired comparisons
-share their random numbers by construction.
+Because neither the dominating rate nor the drawn coordinates depend on
+the trader, the candidate stream for a given seed is identical across
+policies and signal probabilities — paired comparisons share their random
+numbers by construction.
 
 Randomness is counter-based (Philox) keyed by a single 128-bit integer
 seed; ``make_path_seed`` packs a base seed and a path index into one key,
@@ -25,10 +26,11 @@ experiment over the whole block.  The loop's lanes are agents × paths:
 lane ``a * n_paths + b`` is agent ``a`` on path ``b``, and the market state
 and every path accumulator are arrays with one entry per lane.  Each agent's
 hooks are called on its own contiguous share of the lanes and see only
-those.  Each lane does exactly the arithmetic its path would do alone with
-its agent, in the same order, so a lane depends neither on the block nor
-on the other agents it ran with.  The result is one ``PathRecord`` of
-per-lane arrays; ``simulate_path`` alone reads a lane back as scalars.
+those, signaled at that agent's probability.  Each lane does exactly the
+arithmetic its path would do alone with its agent, in the same order, so a
+lane depends neither on the block nor on the other agents it ran with.
+The result is one ``PathRecord`` of per-lane arrays; ``simulate_path``
+alone reads a lane back as scalars.
 
 A block can also log its events, one row per candidate or trader impulse,
 as columns: each event step appends the arrays of the lanes it logged, and
@@ -64,7 +66,6 @@ __all__ = [
     "CandidateBlock",
     "draw_candidates",
     "simulate_block",
-    "simulate_paths",
     "simulate_path",
     "write_path_log",
     "PATH_LOG_COLUMNS",
@@ -271,9 +272,8 @@ class CandidateBlock:
 
     Path ``b``'s candidates are entries ``starts[b]`` to
     ``starts[b] + counts[b] - 1`` of ``times``, ``ys``, ``marks`` and
-    ``visible``, in event order; one entry of padding follows the last
-    path.  ``visible`` says whether the candidate's visibility coordinate
-    fell below ``signal_prob``.  The streams do not depend on any agent, so
+    ``visibility``, in event order; one entry of padding follows the last
+    path.  The streams depend on no agent and on no signal probability, so
     one block serves every agent of an experiment.
     """
 
@@ -282,7 +282,7 @@ class CandidateBlock:
     times: np.ndarray         # sorted event times
     ys: np.ndarray            # thinning coordinates
     marks: np.ndarray         # mark indices
-    visible: np.ndarray
+    visibility: np.ndarray    # visibility coordinates
     auction: np.ndarray       # terminal auction draw per path
 
 
@@ -295,8 +295,8 @@ def draw_candidates(params: MarketParams, marks: MarkModel,
     visibility coordinates, auction draw.  The four coordinates of a
     path's ``n`` candidates are ``4 n`` uniforms taken in one call, in that
     order; the times are then sorted.  The draws never depend on the
-    policy, so different policies on the same seed see identical candidate
-    streams.
+    policy or on ``marks.signal_prob``, so different policies and signal
+    probabilities on the same seed see identical candidate streams.
     """
     horizon = params.horizon
     rate_bar = params.f(params.lambda_upper) + params.g(params.lambda_lower)
@@ -307,7 +307,7 @@ def draw_candidates(params: MarketParams, marks: MarkModel,
     size = int(mean + 6.0 * math.sqrt(mean)) + 1
     arrays = (np.zeros(size), np.zeros(size),
               np.zeros(size, dtype=np.min_scalar_type(marks.n_marks - 1)),
-              np.zeros(size, dtype=bool))
+              np.zeros(size))
     counts = np.zeros(n_paths, dtype=np.intp)
     starts = np.zeros(n_paths, dtype=np.intp)
     auction = np.zeros(n_paths)
@@ -326,14 +326,14 @@ def draw_candidates(params: MarketParams, marks: MarkModel,
         if 4 * n > scratch.size:
             scratch = np.empty(4 * n)
         u = gen.random(out=scratch[:4 * n])
-        times, ys, idx, visible = (a[end:end + n] for a in arrays)
+        times, ys, idx, visibility = (a[end:end + n] for a in arrays)
         # gen.uniform(0, w) is 0.0 + w * u, and adding +0.0 to a
         # non-negative product is exact
         np.multiply(horizon, u[:n], out=times)
         times.sort()
         idx[:] = marks.mark_indices(u[n:2 * n])
         np.multiply(rate_bar, u[2 * n:3 * n], out=ys)
-        np.less(u[3 * n:], marks.signal_prob, out=visible)
+        visibility[:] = u[3 * n:]
         auction[b] = gen.standard_normal()
         counts[b], starts[b] = n, end
         end += n
@@ -494,8 +494,11 @@ def simulate_block(params: MarketParams, marks: MarkModel, agents: Sequence,
 
     Every agent is any object with the array hooks ``on_signal(t, state,
     z)``, ``on_state(t, state)`` and ``next_impulse(t_from, t_to, state)``
-    (see ``policy``), or ``None`` for a passive trader.  One event loop runs
-    over ``len(agents) * n_paths`` lanes over ``[0, horizon]``; each hook is
+    (see ``policy``), or ``None`` for a passive trader.  An agent with a
+    ``signal_prob`` attribute (a ``TablePolicyAgent``: the probability its
+    table was solved for) is signaled at that probability, every other
+    agent at ``marks.signal_prob``.  One event loop runs over
+    ``len(agents) * n_paths`` lanes over ``[0, horizon]``; each hook is
     called with the agent's own lanes only.  Returns one ``PathRecord`` of
     per-lane arrays, in lane order: entry ``a * n_paths + b`` is agent
     ``a`` on path ``b``.  Each entry is reproducible bit-exactly from
@@ -526,6 +529,8 @@ def simulate_block(params: MarketParams, marks: MarkModel, agents: Sequence,
     kind_of = np.array([EVENT_KINDS.index(m.kind) for m in marks.marks])
     block = _Block(params, agents, initial, len(candidates.counts),
                    record_events)
+    signal_prob = np.repeat([getattr(agent, "signal_prob", marks.signal_prob)
+                             for agent in agents], len(candidates.counts))
     n_live_mo = np.zeros(n_lanes, dtype=np.intp)
     n_live_limit = np.zeros(n_lanes, dtype=np.intp)
     n_signals = np.zeros(n_lanes, dtype=np.intp)
@@ -569,7 +574,8 @@ def simulate_block(params: MarketParams, marks: MarkModel, agents: Sequence,
         idx, pos, t, e, y, mo = (a[live] for a in (idx, pos, t, e, y, mo))
         n_live_mo[idx] += mo
         n_live_limit[idx] += ~mo
-        z = np.where(candidates.visible[pos], signal_of[e], 0)
+        z = np.where(candidates.visibility[pos] < signal_prob[idx],
+                     signal_of[e], 0)
         n_signals[idx] += z != 0
         gamma = np.zeros(len(idx))
         if block.trading:
@@ -600,34 +606,16 @@ def simulate_block(params: MarketParams, marks: MarkModel, agents: Sequence,
         block.min_lam, block.event_log())
 
 
-def _map_columns(fn, records: Sequence[PathRecord]) -> PathRecord:
-    """A record whose every per-path field, terminal state included, is
-    ``fn`` of the list of that field in ``records``; it logs no events."""
-    return PathRecord(
-        MarketState(*(fn([getattr(r.terminal_state, f.name) for r in records])
-                      for f in fields(MarketState))),
-        *(fn([getattr(rec, f.name) for rec in records])
-          for f in fields(PathRecord)[1:-1]))
-
-
-def simulate_paths(params: MarketParams, marks: MarkModel, agent,
-                   initial: MarketState, seeds: Sequence[int]) -> PathRecord:
-    """Simulate the paths keyed by ``seeds``, ``BLOCK_PATHS`` at a time,
-    into one record of per-path arrays in seed order, zero-length for no
-    seeds (see ``simulate_block``)."""
-    blocks = [simulate_block(
-        params, marks, [agent], initial,
-        draw_candidates(params, marks, seeds[start:start + BLOCK_PATHS]))
-        for start in range(0, max(len(seeds), 1), BLOCK_PATHS)]
-    return _map_columns(np.concatenate, blocks)
-
-
 def simulate_path(params: MarketParams, marks: MarkModel, policy,
                   initial: MarketState, seed: int) -> PathRecord:
-    """Simulate the one path keyed by ``seed`` (see ``simulate_paths``);
+    """Simulate the one path keyed by ``seed`` (see ``simulate_block``);
     its record holds Python scalars."""
-    rec = simulate_paths(params, marks, policy, initial, [seed])
-    return _map_columns(lambda values: values[0].item(), [rec])
+    rec = simulate_block(params, marks, [policy], initial,
+                         draw_candidates(params, marks, [seed]))
+    return PathRecord(
+        MarketState(*(getattr(rec.terminal_state, f.name)[0].item()
+                      for f in fields(MarketState))),
+        *(getattr(rec, f.name)[0].item() for f in fields(PathRecord)[1:-1]))
 
 
 def write_path_log(writer, events: dict, first_path: int = 0) -> None:

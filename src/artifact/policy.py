@@ -127,6 +127,9 @@ class TablePolicyAgent(Agent):
     goes out unclipped, as the solver valued it.  At and after the horizon
     the agent stops trading (``on_state`` at exactly the horizon reports
     the full remaining liquidation, which the terminal auction realizes).
+    ``signal_prob`` is the signal probability the table was solved for,
+    from its metadata; the simulator signals the agent's paths at it,
+    whatever the experiment's mark model says.
     """
 
     name = "table"
@@ -137,6 +140,7 @@ class TablePolicyAgent(Agent):
         self.grid = policy.grid
         self.params = params
         self.name = name
+        self.signal_prob = policy.meta["marks"]["signal_prob"]
         # _next_trade[k, i, j]: the largest slice 0 < k' <= k with a non-zero
         # delta_star[k', i, j], or 0 if there is none.  Slices count time to
         # go, so k' is the first tick at or after slice k where (i, j) trades.

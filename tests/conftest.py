@@ -124,33 +124,44 @@ def passive_path_stats(bench_params, marks_blind, start_short):
             for name in blocks[0]}
 
 
-def table_report(params, marks, policy, initial, n_sim=N_SIM,
-                 seed=BASE_SEED):
-    """One 10,000-path experiment for the tabulated policy."""
-    agent = TablePolicyAgent(policy, params)
-    return run_experiment(params, marks, {"table": agent}, n_sim, seed,
-                          initial, target_q=0.0, threads=1)["table"]
+def table_reports(params, marks, policies, initial, n_sim=N_SIM,
+                  seed=BASE_SEED):
+    """One 10,000-path experiment with a table agent per policy, keyed as
+    ``policies``; each agent is signaled at the probability its policy was
+    solved for."""
+    agents = {name: TablePolicyAgent(policy, params)
+              for name, policy in policies.items()}
+    return run_experiment(params, marks, agents, n_sim, seed, initial,
+                          target_q=0.0, threads=1)
 
 
 @pytest.fixture(scope="session")
-def report_signal(bench_params, marks_signal, solved_signal, start_short):
+def desk_reports(bench_params, marks_signal, solved_signal, solved_blind,
+                 start_short):
+    """10,000 paths from q0 = -8 in one experiment: the informed policy
+    ("signal") and the uninformed one ("blind"), which sees no signal."""
+    return table_reports(bench_params, marks_signal,
+                         {"signal": solved_signal[1],
+                          "blind": solved_blind[1]}, start_short)
+
+
+@pytest.fixture(scope="session")
+def report_signal(desk_reports):
     """10,000 paths: informed policy in the signal market, q0 = -8."""
-    return table_report(bench_params, marks_signal, solved_signal[1],
-                        start_short)
+    return desk_reports["signal"]
 
 
 @pytest.fixture(scope="session")
-def report_blind(bench_params, marks_blind, solved_blind, start_short):
+def report_blind(desk_reports):
     """10,000 paths: uninformed policy, no signals, q0 = -8."""
-    return table_report(bench_params, marks_blind, solved_blind[1],
-                        start_short)
+    return desk_reports["blind"]
 
 
 @pytest.fixture(scope="session")
 def report_blind_flat(bench_params, marks_blind, solved_blind, start_flat):
     """10,000 paths: uninformed policy, no signals, q0 = 0."""
-    return table_report(bench_params, marks_blind, solved_blind[1],
-                        start_flat)
+    return table_reports(bench_params, marks_blind,
+                         {"blind": solved_blind[1]}, start_flat)["blind"]
 
 
 @pytest.fixture(scope="session")
@@ -162,15 +173,12 @@ def narrow_policies(narrow_params, marks_signal, marks_blind, desk_grid):
 
 
 @pytest.fixture(scope="session")
-def narrow_reports(narrow_params, marks_signal, marks_blind, narrow_policies,
-                   start_short, start_flat):
-    """Narrow-spread experiments keyed by (signal?, start inventory)."""
-    pol_signal = narrow_policies["signal"]
-    pol_blind = narrow_policies["blind"]
-    out = {}
-    for label, initial in (("short", start_short), ("flat", start_flat)):
-        out["signal", label] = table_report(narrow_params, marks_signal,
-                                            pol_signal, initial)
-        out["blind", label] = table_report(narrow_params, marks_blind,
-                                           pol_blind, initial)
-    return out
+def narrow_reports(narrow_params, marks_signal, narrow_policies, start_short,
+                   start_flat):
+    """Narrow-spread experiments keyed by (signal?, start inventory): one
+    experiment per start runs both policies."""
+    return {(key, label): report
+            for label, initial in (("short", start_short),
+                                   ("flat", start_flat))
+            for key, report in table_reports(
+                narrow_params, marks_signal, narrow_policies, initial).items()}

@@ -3,20 +3,23 @@
 Everything here is computed from first principles — Gauss-Legendre
 quadrature of the marginal impact, brute-force enumeration of the product
 mark space, exhaustive dynamic programming over block-trade sequences —
-without touching the closed forms or kernels under test.  There are three
+without touching the closed forms or kernels under test.  There are four
 exceptions: ``price_volatility``, a closed form only the tests use;
 ``vbar_bound``, ``integrated_variance`` and ``quadratic_variation``, which
 derive the quantities of acceptance criteria 3 and 4 from a candidate block
-and a recorded event log; and the path simulator at the end, the scalar,
-one-path-at-a-time event loop the block engine replaced, kept as the
-reference its records and event log must equal field for field.
+and a recorded event log; ``simulate_paths``, which runs the block engine
+over any number of paths, a block at a time; and the path simulator at the
+end, the scalar, one-path-at-a-time event loop the block engine replaced,
+kept as the reference its records and event log must equal field for
+field.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
+from artifact import order_flow
 from artifact.market_core import (MarketState, _FLOOR_TOL, impact_cost,
                                   price_impact, squared_impact_coefficients)
 from artifact.order_flow import CandidateBlock, PathRecord
@@ -703,12 +706,28 @@ def draw_candidates(params, marks, seeds) -> CandidateBlock:
         """One coordinate of every path, end to end, and a zero of padding."""
         return np.append(np.concatenate([d[column] for d in draws]), 0)
 
-    visible = packed(3) < marks.signal_prob
-    visible[-1] = False
     return CandidateBlock(
         counts=counts, starts=starts, times=packed(0), ys=packed(2),
         marks=packed(1).astype(np.min_scalar_type(marks.n_marks - 1)),
-        visible=visible, auction=np.array([d[4] for d in draws]))
+        visibility=packed(3), auction=np.array([d[4] for d in draws]))
+
+
+def simulate_paths(params, marks, agent, initial, seeds) -> PathRecord:
+    """The block engine on the paths keyed by ``seeds``,
+    ``order_flow.BLOCK_PATHS`` at a time (read at each call), joined into
+    one record of per-path arrays in seed order, zero-length for no seeds;
+    it logs no events."""
+    size = order_flow.BLOCK_PATHS
+    blocks = [order_flow.simulate_block(
+        params, marks, [agent], initial,
+        order_flow.draw_candidates(params, marks, seeds[lo:lo + size]))
+        for lo in range(0, max(len(seeds), 1), size)]
+    return PathRecord(
+        MarketState(*(np.concatenate([getattr(rec.terminal_state, f.name)
+                                      for rec in blocks])
+                      for f in fields(MarketState))),
+        *(np.concatenate([getattr(rec, f.name) for rec in blocks])
+          for f in fields(PathRecord)[1:-1]))
 
 
 def simulate_path(params, marks, policy, initial, seed: int, *,
@@ -726,6 +745,8 @@ def simulate_path(params, marks, policy, initial, seed: int, *,
             f"[{params.lambda_lower}, {params.lambda_upper}]")
     if initial.halted:
         raise ValueError("initial state must not be halted")
+    # a table agent is signaled at the probability its table was solved for
+    signal_prob = getattr(policy, "signal_prob", marks.signal_prob)
     if policy is not None:
         policy = ScalarHooks(policy)
 
@@ -770,7 +791,7 @@ def simulate_path(params, marks, policy, initial, seed: int, *,
             n_live_mo += 1
         else:
             n_live_limit += 1
-        z = signals[e] if vis_i < marks.signal_prob else 0
+        z = signals[e] if vis_i < signal_prob else 0
         if z != 0:
             n_signals += 1
         gamma_req = 0.0

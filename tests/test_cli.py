@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from artifact import cli, evaluation, hjb
+from artifact import cli, evaluation, hjb, order_flow
 from artifact.cli import ConfigError, load_config, main
 from artifact.market_core import MarketParams
 
@@ -386,7 +386,8 @@ def test_recorded_simulate_runs_in_process_whatever_the_threads(
     """Two blocks of recorded paths at ``--threads 2`` start no pool and
     write the ``--threads 1`` bytes."""
     runner = CliRunner()
-    cfg = _tiny_config(tmp_path, n_sim=1100, record_events=True)
+    cfg = _tiny_config(tmp_path, n_sim=order_flow.BLOCK_PATHS + 76,
+                       record_events=True)
     out = tmp_path / "out"
     assert runner.invoke(main, ["solve", "-c", cfg,
                                 "-o", str(out)]).exit_code == 0
@@ -557,6 +558,33 @@ def test_sweep_writes_one_row_per_signal_probability(tmp_path):
     summary = json.loads((out / "sweep_summary.json").read_text())
     assert [r["p_hat"] for r in summary["rows"]] == [0.0, 0.2]
     assert "swept 2 signal probabilities" in result.output
+
+
+def test_sweep_runs_one_experiment_on_one_draw_per_block(tmp_path,
+                                                         monkeypatch):
+    """Every signal probability's table agent runs in one experiment, and
+    each block of paths is drawn once for all of them."""
+    experiments, draws = [], []
+
+    def counted_experiment(params, marks, agents, *args, **kwargs):
+        experiments.append(list(agents))
+        return real_experiment(params, marks, agents, *args, **kwargs)
+
+    def counted_draw(params, marks, seeds):
+        draws.append(len(seeds))
+        return real_draw(params, marks, seeds)
+
+    real_experiment = evaluation.run_experiment
+    real_draw = evaluation.draw_candidates
+    monkeypatch.setattr(evaluation, "run_experiment", counted_experiment)
+    monkeypatch.setattr(evaluation, "draw_candidates", counted_draw)
+    monkeypatch.setattr(evaluation, "BLOCK_PATHS", 16)
+    cfg = _tiny_config(tmp_path, n_sim=40, p_hat_values=[0.0, 0.2, 0.3])
+    result = CliRunner().invoke(main, ["sweep", "-c", cfg,
+                                       "-o", str(tmp_path / "out")])
+    assert result.exit_code == 0, _all_output(result)
+    assert experiments == [[0.0, 0.2, 0.3]]
+    assert draws == [16, 16, 8]
 
 
 def _count_solves(monkeypatch):

@@ -303,6 +303,45 @@ def test_one_simulate_block_call_per_block_for_every_agent(
         np.testing.assert_array_equal(report.wealth, alone[name].wealth)
 
 
+@pytest.fixture(scope="module")
+def tiny_tables(bench_params):
+    """Table agents solved on the tiny CLI-test grid (dT = 0.01, dLambda =
+    4, q in [-2, 2]), keyed by the signal probability they were solved
+    for."""
+    grid = Grid.from_params(bench_params, d_t=0.01, d_lambda=4.0,
+                            q_min=-2.0, q_max=2.0)
+    return {p_hat: TablePolicyAgent(solve(
+        bench_params, benchmark_mark_model(p_hat), grid)[1], bench_params)
+        for p_hat in (0.0, 0.1, 0.4)}
+
+
+def test_table_agents_see_the_signals_they_were_solved_for(
+        monkeypatch, bench_params, tiny_tables):
+    """In one experiment whose marks signal at 0.2, each table agent's
+    wealth, speculation and breaker columns are those of the agent alone
+    in a market that signals at the probability its table was solved for,
+    bit for bit."""
+    monkeypatch.setattr(evaluation, "BLOCK_PATHS", 64)
+    marks = benchmark_mark_model(0.2)
+    initial = MarketState(lam=0.0, q=-2.0, p=100.0, x=0.0)
+
+    def columns(marks, agents):
+        """Per-path columns of the experiment, as (agents, paths) arrays,
+        over blocks of 64, 64 and 22 paths."""
+        blocks = evaluation._simulate_chunk(
+            range(150), (bench_params, marks, agents, initial, 59, None))
+        return [np.concatenate(column, axis=1) for column in zip(*blocks)]
+
+    together = columns(marks, tiny_tables)
+    for a, (p_hat, agent) in enumerate(tiny_tables.items()):
+        alone = columns(marks.with_signal_prob(p_hat), {p_hat: agent})
+        for name, got, want in zip(("wealth", "speculation", "breaker"),
+                                   together, alone):
+            assert got[a].tobytes() == want[0].tobytes(), (p_hat, name)
+    # three different agents, not three copies of one
+    assert len({row.tobytes() for row in together[0]}) == 3
+
+
 def _path_log(params, marks, agent, initial, seeds) -> str:
     """The rows ``write_path_log`` writes for ``agent`` on one recorded
     block of ``seeds``."""

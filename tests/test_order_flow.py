@@ -22,7 +22,6 @@ from artifact.order_flow import (
     make_path_seed,
     simulate_block,
     simulate_path,
-    simulate_paths,
     write_path_log,
 )
 from artifact import order_flow
@@ -30,7 +29,8 @@ from artifact.policy import (Agent, DoNothingAgent, ImmediateExecutionAgent,
                              TablePolicyAgent, TwapAgent)
 import oracles
 from oracles import (cost_oracle, euler_thinning_oracle, impact_oracle,
-                     integrated_variance, quadratic_variation, vbar_bound)
+                     integrated_variance, quadratic_variation, simulate_paths,
+                     vbar_bound)
 
 PARAMS = MarketParams()
 ZERO_RATE = dataclasses.replace(PARAMS, theta_f=0.0, theta_g=0.0)
@@ -268,8 +268,13 @@ def test_candidate_block_matches_the_per_path_draws(params, marks, seeds):
         mean = params.horizon * (params.f(params.lambda_upper)
                                  + params.g(params.lambda_lower))
         assert got.counts[0] + 1 > int(mean + 6.0 * math.sqrt(mean)) + 1
-    if marks.signal_prob == 1.0:
-        assert got.visible[:-1].all()
+    # the visibility coordinates are stored as drawn, so a block drawn
+    # under another signal probability is the same block
+    other = draw_candidates(
+        params, marks.with_signal_prob(1.0 - marks.signal_prob), seeds)
+    for field in dataclasses.fields(got):
+        assert getattr(other, field.name).tobytes() \
+            == getattr(got, field.name).tobytes(), field.name
 
 
 def test_initial_state_validation():

@@ -8,12 +8,14 @@ import pytest
 from artifact.hjb import Grid, Policy
 from artifact.market_core import (MarketParams, MarketState,
                                   apply_shock_detailed, utility)
-from artifact.order_flow import make_path_seed, simulate_paths
+from artifact.order_flow import make_path_seed
 from artifact.policy import (Agent, DoNothingAgent, ImmediateExecutionAgent,
                              TablePolicyAgent, TwapAgent)
-from oracles import ScalarHooks, next_impulse_walk
+from oracles import ScalarHooks, next_impulse_walk, simulate_paths
 
 PARAMS = MarketParams()
+# the metadata a table agent reads: the signal probability it was solved for
+TOY_META = {"marks": {"signal_prob": 0.2}}
 
 
 def _state(lam=0.0, q=0.0, halted=False):
@@ -94,7 +96,8 @@ def toy_table():
     delta[2, 1, 0] = 2.0
     # quarter-to-go (slice 1), provision signal: buy two lots
     gamma[1, 2, 0, 1] = 2.0
-    policy = Policy(grid=grid, gamma_star=gamma, delta_star=delta, meta={})
+    policy = Policy(grid=grid, gamma_star=gamma, delta_star=delta,
+                    meta=TOY_META)
     return TablePolicyAgent(policy, PARAMS)
 
 
@@ -163,7 +166,7 @@ def _long_table():
     delta = np.where(rng.random(shape) < 0.02,
                      rng.choice([-2.0, -1.0, 1.0, 2.0], shape), 0.0)
     policy = Policy(grid=grid, gamma_star=np.zeros(shape + (2,)),
-                    delta_star=delta, meta={})
+                    delta_star=delta, meta=TOY_META)
     return TablePolicyAgent(policy, PARAMS)
 
 

@@ -8,9 +8,11 @@ floats for int keys (``horizon: 1``, ``q_min: -2``, ``q0: -2``,
 ``n_sim: 200.0``, ...), and on
 ``alpha0``, the tiny config with ``market.alpha: 0.0`` (the risk-neutral,
 additive branch of the solver); and ``solve``, ``simulate`` and ``evaluate`` on
-``blocks``, the tiny config at 1100 paths, whose ``--threads 1`` runs
-simulate one full 1024-path block and one ragged 76-path block, so its
-``paths.csv`` holds rows written block by block across that boundary; and
+``blocks``, the tiny config at ``BLOCK_PATHS + 76`` paths, with
+``order_flow.BLOCK_PATHS`` read from this checkout's source, whose
+``--threads 1`` runs simulate one full block and one ragged 76-path block,
+so its ``paths.csv`` holds rows written block by block across that
+boundary; and
 ``solve`` and ``evaluate --threads 1`` on ``offgrid``, the tiny config on
 an off-lattice market (band -10.3 to 9.7, ``d_lambda = 0.5``, market
 orders of 1.5 and 0.7 lots, a 1.25 post and a 0.75 cancellation), whose
@@ -49,6 +51,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -57,6 +60,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 LAUNCH = "import sys; from artifact.cli import main; sys.exit(main())"
+# the simulator's block size, read from the source: this tool imports no
+# package, and a listing taken with --src keeps this checkout's configs
+BLOCK_PATHS = int(re.search(
+    r"^BLOCK_PATHS = (\d+)$",
+    (ROOT / "src" / "artifact" / "order_flow.py").read_text(), re.M)[1])
 
 TINY = {"grid": {"d_t": 0.01, "d_lambda": 4.0, "q_min": -2.0, "q_max": 2.0},
         "experiment": {"n_sim": 200, "base_seed": 99, "q0": -2.0,
@@ -68,7 +76,8 @@ TYPED = {"market": {"theta_f": 20, "theta_g": 40, "lambda_lower": -40,
          "experiment": {"n_sim": 200.0, "base_seed": 99.0, "q0": -2,
                         "threads": 1.0, "lambda0": 0, "target_q": 0}}
 ALPHA0 = dict(TINY, market={"alpha": 0.0})
-BLOCKS = dict(TINY, experiment=dict(TINY["experiment"], n_sim=1100))
+BLOCKS = dict(TINY, experiment=dict(TINY["experiment"],
+                                    n_sim=BLOCK_PATHS + 76))
 OFFGRID = dict(TINY, market={"lambda_lower": -10.3, "lambda_upper": 9.7},
                marks={"custom": [[1.5, 0.0, 0.15], [-1.5, 0.0, 0.15],
                                  [0.7, 0.0, 0.2], [-0.7, 0.0, 0.2],
